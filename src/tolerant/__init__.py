@@ -14,9 +14,9 @@ from .factor import (Factorization, factor_prime_field,
                      is_irreducible_prime_field, multiplicity_profile,
                      squarefree_decomposition)
 from .field import (FieldDescriptor, FieldElement, FieldKind, field_arith,
-                    frobenius_power, parse_field, prime_field, pth_root,
+                    frobenius_power, parse_field, prime_field,
                     rational_function_field, rationals)
-from .invariants import (REPEATED_ROOT, UNAVAILABLE, UNDEFINED, ErrorRecord,
+from .invariants import (REPEATED_ROOT, UNDEFINED, ErrorRecord,
                          FactorFormula, InvariantReport, build_report, dupl,
                          gdisc, homothety_exponent, in_T, inversion_criterion,
                          tol, tol_from_factorization, tol_from_roots,
@@ -38,7 +38,7 @@ __all__ = [
     "InseparableInSeparableModeError", "InvalidFactorizationError",
     "InvariantReport", "NEG_INFINITY", "ParseError", "Polynomial",
     "REPEATED_ROOT", "RootMultiset", "SelfcheckSummary", "SeparableForm",
-    "TolerantError", "UNAVAILABLE", "UNDEFINED", "UPolynomial",
+    "TolerantError", "UNDEFINED", "UPolynomial",
     "UnsupportedFieldError", "ZeroConstantTermError",
     "ZeroDiscriminantFactorError", "ZeroInputError", "ZeroPolynomialError",
     "ZeroScaleError", "build_report", "discriminant", "dupl",
@@ -46,7 +46,7 @@ __all__ = [
     "frobenius_power", "gdisc", "homothety_exponent", "in_T",
     "inversion_criterion", "is_irreducible_prime_field",
     "multiplicity_profile", "parse_field", "parse_polynomial", "poly_arith",
-    "poly_from_roots", "polynomial_text", "prime_field", "pth_root",
+    "poly_from_roots", "polynomial_text", "prime_field",
     "rational_function_field", "rationals", "resultant_in_u",
     "run_selfcheck", "squarefree_decomposition", "sylvester_resultant",
     "tol", "tol_from_factorization", "tol_from_roots", "tol_irreducible",

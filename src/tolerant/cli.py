@@ -8,7 +8,9 @@ output); all values are canonical exact strings, never decimals.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from typing import Optional
 
@@ -16,15 +18,19 @@ from .errors import TolerantError
 from .factor import Factorization
 from .field import FieldDescriptor, FieldElement, parse_field
 from .invariants import (FactorFormula, InvariantReport, build_report, dupl,
-                         gdisc, tol, tol_from_factorization, tol_irreducible)
+                         gdisc, tol, tol_from_factorization, tol_irreducible,
+                         tol_variant)
 from .parsing import parse_polynomial, polynomial_text
-from .poly import Polynomial
 from .resultant import discriminant
 from .selfcheck import run_selfcheck
 
 _VALUE_COMMANDS = ("tol", "dupl", "gdisc", "disc")
 
+# What argparse itself reads as a negative number, hence as a positional.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tolerant",
@@ -136,25 +142,14 @@ def _value_command(args) -> int:
         result = discriminant(f)
     elif fac is not None:
         base = tol_from_factorization(fac, mode)
-        result = _tol_variant(args.command, f, base)
+        result = tol_variant(args.command, f, base)
     elif args.assert_irreducible:
         base = tol_irreducible(f)
-        result = _tol_variant(args.command, f, base)
+        result = tol_variant(args.command, f, base)
     else:
         result = {"tol": tol, "dupl": dupl, "gdisc": gdisc}[args.command](f)
     _emit(result.canonical_text(), args.output)
     return 0
-
-
-def _tol_variant(command: str, f: Polynomial, base: FieldElement) -> FieldElement:
-    """Map a tol value to the requested relative (dupl or gdisc)."""
-    if command == "tol":
-        return base
-    if command == "dupl":
-        lc = f.leading_coefficient()
-        return lc * lc * base
-    n = f.degree
-    return -base if (n * (n - 1) // 2) % 2 else base
 
 
 def _report_command(args) -> int:
@@ -229,8 +224,24 @@ def _selfcheck_command(args) -> int:
     return 0 if summary.ok else 2
 
 
+def _expression_last(argv: list[str]) -> list[str]:
+    """argparse takes every token that starts with '-' for an option, so an
+    expression such as '-x^2+1' would be rejected.  -h is the only
+    single-dash option, so such a token is moved behind '--'; argv that
+    already holds '--' is left as it is."""
+    if "--" in argv:
+        return argv
+    for i, arg in enumerate(argv):
+        if (arg.startswith("-") and not arg.startswith("--")
+                and arg not in ("-", "-h")
+                and not _NEGATIVE_NUMBER.fullmatch(arg)):
+            return argv[:i] + argv[i + 1:] + ["--", arg]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_expression_last(argv))
     try:
         if args.command in _VALUE_COMMANDS:
             return _value_command(args)

@@ -2,11 +2,14 @@
 multiplicity profile.
 
 Squarefree decomposition runs Yun's recursion in characteristic 0 and the
-p-th-power-aware variant in characteristic p.  Over F_p(t) the field is not
-perfect, so the p-th-root branch cannot be taken: reaching it raises, and a
-decomposition that never needs it is returned with ``partial=True`` (the
-clean-termination analysis in the repo notes shows such a result is in fact
-complete, but the flag keeps the imperfect-field caveat visible to callers).
+p-th-power-aware variant in characteristic p.  A remaining part c with
+c' = 0 is c = C(x^p); C is decomposed recursively and no p-th root of a
+coefficient is taken.  Over F_p, Frobenius fixes every coefficient, so
+C(x^p) = C(x)^p and each part P of C returns as P with multiplicity m*p: the
+parts stay squarefree.  Over F_p(t), which is not perfect, each part P
+returns as P(x^p) with multiplicity m.  Either way every part has the shape
+g(x^(p^e)) with g separable, and the parts are pairwise coprime, which is
+what the per-factor formulas and the multiplicity profile consume.
 
 Full irreducible factorization is provided for F_p only; over Q and F_p(t)
 callers supply a Factorization and the invariant formulas validate it by
@@ -33,7 +36,6 @@ class Factorization:
 
     unit: FieldElement
     factors: tuple[tuple[Polynomial, int], ...]
-    partial: bool = False
 
     def __post_init__(self):
         factors = tuple((g, int(m)) for g, m in self.factors)
@@ -73,13 +75,13 @@ class Factorization:
 
 
 def _canonical(factors: dict[int, list[Polynomial]] | list, field,
-               unit: FieldElement, partial: bool = False) -> Factorization:
+               unit: FieldElement) -> Factorization:
     if isinstance(factors, dict):
         flat = [(g, m) for m, gs in factors.items() for g in gs]
     else:
         flat = list(factors)
     flat.sort(key=lambda gm: (gm[0].degree, _int_key(gm[0]), gm[1]))
-    return Factorization(unit, tuple(flat), partial)
+    return Factorization(unit, tuple(flat))
 
 
 def _int_key(g: Polynomial):
@@ -89,19 +91,6 @@ def _int_key(g: Polynomial):
     if k is FieldKind.PRIME_FIELD:
         return tuple(c.value for c in g.coeffs)
     return tuple(c.value for c in g.coeffs)
-
-
-def _pth_root_poly(f: Polynomial) -> Polynomial:
-    """g with g(x)^p = f(x), for f a p-th power (all exponents divisible by
-    p, coefficients p-th powers; both automatic over a perfect field)."""
-    p = f.field.characteristic
-    if not f.field.is_perfect:
-        raise UnsupportedFieldError(
-            "p-th-root extraction needs a perfect field; "
-            "supply an explicit factorization over F_p(t)")
-    return Polynomial(f.field,
-                      [f.coeffs[i].pth_root()
-                       for i in range(0, len(f.coeffs), p)])
 
 
 def _sqf_char0(f: Polynomial) -> dict[int, list[Polynomial]]:
@@ -123,16 +112,12 @@ def _sqf_char0(f: Polynomial) -> dict[int, list[Polynomial]]:
 
 
 def _sqf_charp(f: Polynomial) -> dict[int, list[Polynomial]]:
-    """Characteristic-p recursion on a monic input; p-th powers are pushed
-    through _pth_root_poly, which rejects imperfect fields."""
+    """Characteristic-p recursion on a monic input.  The part left after
+    the loop has zero derivative, so it is C(x^p); C is decomposed in turn
+    (see the module docstring for how its parts come back)."""
     p = f.field.characteristic
     out: dict[int, list[Polynomial]] = {}
-    d = f.derivative()
-    if d.is_zero():
-        for m, gs in _sqf_charp(_pth_root_poly(f)).items():
-            out.setdefault(m * p, []).extend(gs)
-        return out
-    c = f.gcd(d)
+    c = f.gcd(f.derivative())
     w = f.exact_div(c)
     i = 1
     while w.degree > 0:
@@ -144,23 +129,26 @@ def _sqf_charp(f: Polynomial) -> dict[int, list[Polynomial]]:
         w = y
         i += 1
     if c.degree > 0:
-        for m, gs in _sqf_charp(_pth_root_poly(c)).items():
-            out.setdefault(m * p, []).extend(gs)
+        inner = _sqf_charp(Polynomial(f.field, c.coeffs[::p]))
+        for m, gs in inner.items():
+            if f.field.is_perfect:
+                out.setdefault(m * p, []).extend(gs)
+            else:
+                out.setdefault(m, []).extend(g.substitute_power(p) for g in gs)
     return out
 
 
 def squarefree_decomposition(f: Polynomial) -> Factorization:
-    """Pairwise-coprime squarefree parts g_m with f = lc * prod g_m^m."""
+    """Pairwise-coprime parts g_m with f = lc * prod g_m^m, each of the
+    shape g(x^(p^e)) with g separable (e = 0 except over F_p(t))."""
     if f.degree < 1:
         raise ConstantInputError("squarefree decomposition needs degree >= 1")
-    unit = f.leading_coefficient()
     monic = f.monic()
     if f.field.characteristic == 0:
         parts = _sqf_char0(monic)
-        return _canonical(parts, f.field, unit)
-    parts = _sqf_charp(monic)
-    partial = not f.field.is_perfect
-    return _canonical(parts, f.field, unit, partial)
+    else:
+        parts = _sqf_charp(monic)
+    return _canonical(parts, f.field, f.leading_coefficient())
 
 
 # -- factorization over F_p ---------------------------------------------------

@@ -353,15 +353,6 @@ class FieldElement:
             den = _rings.pstretch(den, p)
         return FieldElement(self.field, (num, den))
 
-    def pth_root(self) -> "FieldElement":
-        """The unique d with d^p = c; perfect fields only."""
-        if self.field.characteristic == 0:
-            raise UnsupportedFieldError("p-th root needs characteristic p")
-        if not self.field.is_perfect:
-            raise UnsupportedFieldError(
-                "p-th roots need not exist in F_p(t)")
-        return self                # Frobenius is the identity on F_p
-
     # -- text --------------------------------------------------------------
 
     def canonical_text(self) -> str:
@@ -398,7 +389,3 @@ def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 
 def frobenius_power(c: FieldElement, a: int) -> FieldElement:
     return c.frobenius_power(a)
-
-
-def pth_root(c: FieldElement) -> FieldElement:
-    return c.pth_root()

@@ -1,13 +1,16 @@
 """Root-collision invariants of univariate polynomials.
 
-The reference quantity is computed resultant-first: eliminate x from f and
-the weighted sum of its Hasse derivatives, take the lowest nonzero
-u-coefficient, and normalize.  That route needs no factorization and works
-uniformly over Q, F_p, and F_p(t), including inseparable inputs.
+tol is computed factorization-first: the squarefree decomposition of f has
+parts g(x^(p^e))^m with g separable, and the CORRECTED per-factor formula
+turns it into the collision product.  That route works uniformly over Q,
+F_p, and F_p(t), including inseparable inputs.  gdisc stays the paper's
+elimination: eliminate x from f and the weighted sum of its Hasse
+derivatives, take the lowest nonzero u-coefficient, and normalize.
 
 Alternative routes (root products, per-factor discriminant formulas, the
 single-factor shortcut) are implemented independently so the paths can
-cross-validate each other; `build_report` runs them side by side.
+cross-validate each other.  `build_report` computes each quantity once and
+runs the elimination as its one independent check.
 
 `FactorFormula.PAPER_GENERAL` evaluates the uncorrected per-factor closed
 form, which disagrees with the defining root product on inputs mixing
@@ -24,8 +27,8 @@ from typing import Optional, Union
 from .errors import (DegreeMismatchError, DegreeTooSmallError,
                      InseparableInSeparableModeError,
                      InvalidFactorizationError, TolerantError,
-                     UnsupportedFieldError, ZeroConstantTermError,
-                     ZeroDiscriminantFactorError, ZeroPolynomialError)
+                     ZeroConstantTermError, ZeroDiscriminantFactorError,
+                     ZeroPolynomialError)
 from .factor import (Factorization, factor_prime_field,
                      is_irreducible_prime_field, multiplicity_profile,
                      squarefree_decomposition)
@@ -35,7 +38,6 @@ from .resultant import UPolynomial, discriminant, resultant_in_u, sylvester_resu
 
 REPEATED_ROOT = "REPEATED_ROOT"
 UNDEFINED = "UNDEFINED"
-UNAVAILABLE = "UNAVAILABLE"
 
 
 class FactorFormula(enum.Enum):
@@ -46,71 +48,63 @@ class FactorFormula(enum.Enum):
     CORRECTED = "corrected"
 
 
-def _half_sign(n: int) -> int:
-    """(-1)^C(n,2) as +1/-1."""
-    return -1 if (n * (n - 1) // 2) % 2 else 1
-
-
-def _u_resultant_data(f: Polynomial):
-    """Eliminate x between f and G = sum_i u^(i-1) D^i f, then return
-    (trailing coefficient, trailing u-valuation, x-degree of G).
-
-    For a root of multiplicity m, G picks up u-valuation exactly m - 1
-    with witness coefficient lc * prod (r - r')^(m'), so the resultant's
-    trailing data encodes the collision product:
-
-        tc = (-1)^(sum_{i<j} m_i m_j) * lc^(d + n) * prod_{i<j} (r_i - r_j)^(2 m_i m_j)
-
-    with k = sum_i m_i (m_i - 1) (always even) and
-    sum_{i<j} m_i m_j = C(n,2) - k/2.  tol and gdisc differ from tc only
-    by a sign and a leading-coefficient power, both read off (k, d)."""
-    n = f.degree
-    G = UPolynomial(f.field, [f.hasse_derivative(i) for i in range(1, n + 1)])
-    R = resultant_in_u(f, G)
-    if R.is_zero():
-        raise ArithmeticError("u-resultant vanished; this cannot happen")
-    k, tc = next((i, c) for i, c in enumerate(R.coeffs) if c)
-    return tc, k, G.x_degree
-
-
 def gdisc(f: Polynomial) -> FieldElement:
     """Resultant-route collision invariant, normalized so that
     gdisc(f) = (-1)^C(n,2) * tol(f) holds identically.
 
-    Equals the raw trailing u-coefficient over the leading coefficient
-    whenever f is separable and G keeps x-degree n - 1; on repeated-root
-    or inseparable inputs the trailing valuation k and the x-degree d of
-    G shift the normalization to (-1)^(k/2) * lc^(n-2-d) * tc."""
+    Eliminates x between f and G = sum_i u^(i-1) D^i f.  For a root of
+    multiplicity m, G picks up u-valuation exactly m - 1 with witness
+    coefficient lc * prod (r - r')^(m'), so the trailing coefficient tc of
+    res_x(f, G), at u-valuation k, encodes the collision product:
+
+        tc = (-1)^(sum_{i<j} m_i m_j) * lc^(d + n) * prod_{i<j} (r_i - r_j)^(2 m_i m_j)
+
+    with d the x-degree of G, k = sum_i m_i (m_i - 1) (always even) and
+    sum_{i<j} m_i m_j = C(n,2) - k/2.  Hence gdisc = (-1)^(k/2) *
+    lc^(n-2-d) * tc; on separable inputs with d = n - 1 that is tc / lc."""
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
     n = f.degree
     if n < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
-    tc, k, d = _u_resultant_data(f)
-    value = tc * f.leading_coefficient() ** (n - 2 - d)
+    G = UPolynomial(f.field, [f.hasse_derivative(i) for i in range(1, n + 1)])
+    R = resultant_in_u(f, G)
+    if R.is_zero():
+        raise ArithmeticError("u-resultant vanished; this cannot happen")
+    k, tc = next((i, c) for i, c in enumerate(R.coeffs) if c)
+    value = tc * f.leading_coefficient() ** (n - 2 - G.x_degree)
     return -value if (k // 2) % 2 else value
 
 
 def tol(f: Polynomial) -> FieldElement:
     """The never-vanishing collision product
     lc^(2n-2) * prod over distinct closure roots (r_i - r_j)^(2 m_i m_j),
-    computed through the resultant route; 1 for degree <= 1 (empty product)."""
+    from the squarefree decomposition through the CORRECTED per-factor
+    formula; 1 for degree <= 1 (empty product)."""
     if f.is_zero():
         raise ZeroPolynomialError("tol of the zero polynomial")
-    n = f.degree
-    if n <= 1:
+    if f.degree <= 1:
         return f.field.one()
-    tc, k, d = _u_resultant_data(f)
-    value = tc * f.leading_coefficient() ** (n - 2 - d)
-    return -value if (n * (n - 1) // 2 - k // 2) % 2 else value
+    return tol_from_factorization(squarefree_decomposition(f))
+
+
+def tol_variant(name: str, f: Polynomial, value: FieldElement) -> FieldElement:
+    """Map value = tol(f) to the named relative: tol itself, dupl = lc^2 *
+    tol, or gdisc = (-1)^C(n,2) * tol (the sign law)."""
+    if name == "tol":
+        return value
+    if name == "dupl":
+        lc = f.leading_coefficient()
+        return lc * lc * value
+    n = f.degree
+    return -value if (n * (n - 1) // 2) % 2 else value
 
 
 def dupl(f: Polynomial) -> FieldElement:
     """lc^2 * tol(f); coincides with tol on monic inputs."""
     if f.is_zero():
         raise ZeroPolynomialError("dupl of the zero polynomial")
-    lc = f.leading_coefficient()
-    return lc * lc * tol(f)
+    return tol_variant("dupl", f, tol(f))
 
 
 def tol_from_roots(rm: RootMultiset, n: int) -> FieldElement:
@@ -317,10 +311,7 @@ def _internal_factorization(f: Polynomial, seed: int):
         return None
     if f.field.kind is FieldKind.PRIME_FIELD:
         return factor_prime_field(f, seed)
-    try:
-        return squarefree_decomposition(f)
-    except UnsupportedFieldError:
-        return None
+    return squarefree_decomposition(f)
 
 
 def _verify_caller_factorization(f: Polynomial, fac: Factorization) -> bool:
@@ -352,7 +343,12 @@ def build_report(f: Polynomial,
                  assert_irreducible: bool = False,
                  seed: int = 0) -> InvariantReport:
     """Every computable invariant of f, with structured error records in
-    place of exceptions and explicit markers for unmet preconditions."""
+    place of exceptions and explicit markers for unmet preconditions.
+
+    Each quantity is computed once.  tol comes from a factorization (the
+    caller's if it verifies, else the internal one); dupl, the sign law and
+    in_T are derived from it.  gdisc is the one u-resultant elimination, and
+    paths_agree compares it with (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):
@@ -362,39 +358,46 @@ def build_report(f: Polynomial,
             report.errors.append(ErrorRecord(op, exc.code, str(exc)))
             return None
 
-    report.tol = attempt("tol", lambda: tol(f))
-    report.dupl = attempt("dupl", lambda: dupl(f))
-    report.gdisc = attempt("gdisc", lambda: gdisc(f))
-    d = attempt("disc", lambda: discriminant(f))
-    report.disc = REPEATED_ROOT if d is not None and not d else d
-    report.separable = attempt("separable", lambda: f.is_separable())
-    if f.is_zero() or not f.constant_term():
-        report.in_T = UNDEFINED
-    else:
-        report.in_T = attempt("in_T", lambda: in_T(f))
-
     fac = factorization
     if fac is None and assert_irreducible and not f.is_zero() and f.degree >= 1:
         fac = Factorization(f.leading_coefficient(), ((f.monic(), 1),))
+    fac_error = None        # recorded after in_T, where reports list it
     if fac is not None:
         try:
             report.trusted_input = _verify_caller_factorization(f, fac)
         except TolerantError as exc:
-            report.errors.append(ErrorRecord("factorization", exc.code, str(exc)))
+            fac_error = ErrorRecord("factorization", exc.code, str(exc))
             fac = None
     if fac is None and not f.is_zero():
         fac = _internal_factorization(f, seed)
 
-    try:
-        report.homothety_exponent = homothety_exponent(f, fac)
-    except UnsupportedFieldError:
-        report.homothety_exponent = UNAVAILABLE
-    except TolerantError as exc:
-        report.errors.append(ErrorRecord("homothety_exponent", exc.code, str(exc)))
+    # Without a factorization f is zero or constant, and the library
+    # functions give the value or record the precondition error.
+    t = attempt("tol", lambda: tol(f) if fac is None
+                else tol_from_factorization(fac))
+    report.tol = t
+    report.dupl = attempt("dupl", lambda: dupl(f) if t is None
+                          else tol_variant("dupl", f, t))
+    report.gdisc = attempt("gdisc", lambda: gdisc(f))
+    d = attempt("disc", lambda: discriminant(f))
+    if d is None:
+        report.separable = attempt("separable", lambda: f.is_separable())
+    else:
+        report.disc = d if d else REPEATED_ROOT
+        report.separable = bool(d)
+    if f.is_zero() or not f.constant_term():
+        report.in_T = UNDEFINED
+    else:
+        report.in_T = attempt("in_T", lambda: in_T(f) if fac is None
+                              else inversion_criterion(fac))
+    if fac_error is not None:
+        report.errors.append(fac_error)
+    report.homothety_exponent = attempt(
+        "homothety_exponent", lambda: homothety_exponent(f, fac))
 
-    if fac is not None and report.tol is not None:
-        alt = attempt("paths_agree",
-                      lambda: tol_from_factorization(fac, FactorFormula.CORRECTED))
-        if alt is not None:
-            report.paths_agree = (alt == report.tol)
+    if fac is not None and t is not None:
+        if f.degree < 2:
+            report.paths_agree = t.is_one()      # the empty product
+        elif report.gdisc is not None:
+            report.paths_agree = report.gdisc == tol_variant("gdisc", f, t)
     return report

@@ -26,6 +26,28 @@ def test_value_subcommands(capsys):
     assert run(capsys, "tol", "x^3+x+1", "--field", "fp:7")[1].strip() == "4"
 
 
+@pytest.mark.parametrize("argv,value", [
+    (("tol", "-x^2+1"), "4"),
+    (("tol", "-x^2+1", "--field", "fp:7"), "4"),
+    (("tol", "--field", "fp:7", "-x^2+1"), "4"),
+    (("tol", "--", "-x^2+1"), "4"),
+    (("tol", "--field", "fp:7", "--", "-x^2+1"), "4"),
+    (("tol", "-2*x^2+8", "--seed", "-1"), "64"),
+])
+def test_negative_leading_coefficient_is_an_expression(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.strip() == value
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["-h"], ["tol", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 def test_report_json_shape(capsys):
     code, out, _ = run(capsys, "report", "(x-2)^2*(x-3)")
     assert code == 0

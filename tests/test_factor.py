@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from tolerant import (Factorization, Polynomial, factor_prime_field,
+from tolerant import (Factorization, Polynomial, factor_prime_field, gdisc,
                       is_irreducible_prime_field, multiplicity_profile,
                       prime_field, rational_function_field, rationals,
-                      squarefree_decomposition)
+                      squarefree_decomposition, tol)
+from tolerant.invariants import tol_variant
 from tolerant.errors import (ConstantInputError, InvalidFactorizationError,
                              UnsupportedFieldError)
 
@@ -42,7 +43,6 @@ def test_squarefree_char0_yun(Q):
     f = linear_product(Q, [(1, 1), (2, 2), (3, 3)], lc=4)
     fac = squarefree_decomposition(f)
     assert fac.unit == Q.from_int(4)
-    assert not fac.partial
     assert fac.expand() == f
     assert sorted((g.degree, m) for g, m in fac.factors) == [(1, 1), (1, 2), (1, 3)]
     for g, _ in fac.factors:
@@ -63,7 +63,6 @@ def test_squarefree_charp_multiplicity_divisible_by_p():
     fac = squarefree_decomposition(f)
     assert fac.expand() == f
     assert sorted((g.degree, m) for g, m in fac.factors) == [(1, 1), (1, 5)]
-    assert not fac.partial                       # F_5 is perfect
 
 
 def test_squarefree_charp_pth_power():
@@ -74,13 +73,12 @@ def test_squarefree_charp_pth_power():
     assert all(m == 5 for _, m in fac.factors)
 
 
-def test_squarefree_fpt_clean_case_flagged_partial():
+def test_squarefree_fpt_clean_case():
     F5T = rational_function_field(5)
     t = Polynomial.constant(F5T, F5T.t())
     x = Polynomial.x(F5T)
     f = (x * x - t) * (x - Polynomial.one(F5T)) ** 2
     fac = squarefree_decomposition(f)
-    assert fac.partial                           # imperfect field: conservative flag
     assert fac.expand() == f
     assert fac.pairwise_coprime()
 
@@ -88,11 +86,17 @@ def test_squarefree_fpt_clean_case_flagged_partial():
 def test_squarefree_fpt_pth_power_unsupported():
     F5T = rational_function_field(5)
     t = Polynomial.constant(F5T, F5T.t())
-    f = Polynomial.x(F5T) ** 5 - t
-    with pytest.raises(UnsupportedFieldError):
-        squarefree_decomposition(f)
-    with pytest.raises(UnsupportedFieldError):
-        squarefree_decomposition(f ** 2)
+    f = Polynomial.x(F5T) ** 5 - t       # no p-th root of t in F_5(t)
+    assert squarefree_decomposition(f).factors == ((f, 1),)
+    sq = squarefree_decomposition(f ** 2)
+    assert sq.factors == ((f, 2),)
+    assert sq.expand() == f ** 2
+    assert multiplicity_profile(f) == [(5, 1)]
+    assert multiplicity_profile(f ** 2) == [(10, 1)]
+    # checked against the u-resultant elimination
+    for g in (f, f ** 2):
+        assert gdisc(g) == tol_variant("gdisc", g, tol(g))
+    assert tol(f).is_one() and tol(f ** 2).is_one()
 
 
 def test_squarefree_rejects_constants(Q):
@@ -177,3 +181,48 @@ def test_multiplicity_profile_prime_field_via_internal_factorization():
     F = prime_field(7)
     f = linear_product(F, [(1, 2), (2, 2), (3, 1)])
     assert multiplicity_profile(f) == [(2, 2), (1, 1)]
+
+
+def _mixed_fpt_input(K, rng, max_degree):
+    """lc * prod g_i(x^(p^e_i))^m_i with g_i separable and the factors
+    pairwise coprime, and the closure multiplicity profile it implies."""
+    p = K.p
+    x = Polynomial.x(K)
+    factors, counts, degree = [], {}, 0
+    while not factors or rng.random() < 0.7:
+        d, e, m = rng.randint(1, 2), rng.randint(0, 1), rng.randint(1, 3)
+        if degree + d * p ** e * m > max_degree:
+            continue
+        g = x ** d + Polynomial(K, [K.from_t_fraction(
+            [rng.randrange(p) for _ in range(2)]) for _ in range(d)])
+        if not g.is_separable():
+            continue
+        h = g.substitute_power(p ** e)
+        if any(h.gcd(other).degree > 0 for other, _ in factors):
+            continue
+        factors.append((h, m))
+        counts[m * p ** e] = counts.get(m * p ** e, 0) + d
+        degree += d * p ** e * m
+    lc = K.from_t_fraction([rng.randrange(1, p), 1])
+    f = Factorization(lc, tuple(factors)).expand()
+    return f, sorted(counts.items(), key=lambda mc: -mc[0])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_squarefree_fpt_mixed_inseparable_checked_by_u_resultant(p):
+    K = rational_function_field(p)
+    rng = random.Random(p)
+    inseparable = 0
+    for _ in range(10):
+        f, profile = _mixed_fpt_input(K, rng, max_degree=7)
+        fac = squarefree_decomposition(f)
+        assert fac.expand() == f
+        assert fac.pairwise_coprime()
+        for g, _ in fac.factors:
+            sep, e = g.desubstitute()
+            assert sep.is_separable()
+            inseparable += e > 0
+        assert multiplicity_profile(f) == profile
+        if f.degree >= 2:
+            assert gdisc(f) == tol_variant("gdisc", f, tol(f))
+    assert inseparable

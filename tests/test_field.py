@@ -119,18 +119,15 @@ def test_fpt_arithmetic_field_axioms_fuzz():
             assert (a / b) * b == a
 
 
-def test_frobenius_power_and_pth_root():
+def test_frobenius_power():
     F = prime_field(5)
     for n in range(5):
         a = F.from_int(n)
         assert a.frobenius_power(1) == a ** 5 == a    # Fermat
-        assert a.pth_root() == a
     K = rational_function_field(5)
     t = K.t()
     assert t.frobenius_power(1) == t ** 5
     assert (t + K.one()).frobenius_power(1) == t ** 5 + K.one()  # freshman's dream
-    with pytest.raises(UnsupportedFieldError):
-        t.pth_root()
 
 
 def test_frobenius_power_is_a_ring_homomorphism():
@@ -154,12 +151,12 @@ def test_frobenius_power_is_a_ring_homomorphism():
     F = prime_field(13)
     for n in range(13):
         c = F.from_int(n)
-        assert c.pth_root().frobenius_power(1) == c
+        assert c.frobenius_power(1) == c
 
 
-def test_pth_root_char_zero_unsupported():
+def test_frobenius_char_zero_unsupported():
     with pytest.raises(UnsupportedFieldError):
-        rationals().one().pth_root()
+        rationals().one().frobenius_power(1)
 
 
 def test_canonical_text_forms():

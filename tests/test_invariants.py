@@ -14,7 +14,7 @@ from tolerant import (Factorization, FactorFormula, Polynomial, RootMultiset,
 from tolerant.errors import (DegreeMismatchError, DegreeTooSmallError,
                              InseparableInSeparableModeError,
                              InvalidFactorizationError, ZeroPolynomialError)
-from tolerant.invariants import REPEATED_ROOT, UNAVAILABLE, UNDEFINED
+from tolerant.invariants import REPEATED_ROOT, UNDEFINED, tol_variant
 from tolerant.resultant import discriminant
 
 from conftest import fraction_tol, linear_product
@@ -344,7 +344,11 @@ def test_report_invalid_factorization_recorded_not_raised(Q):
 
 def test_report_homothety_unavailable_without_factorization():
     F5T = rational_function_field(5)
-    f = parse_polynomial("x^5-t", F5T)   # squarefree decomposition unsupported
+    f = parse_polynomial("x^5-t", F5T)   # one closure root of multiplicity 5
     rep = build_report(f)
-    assert rep.homothety_exponent == UNAVAILABLE
-    assert rep.tol.is_one()              # resultant route still fine
+    assert rep.homothety_exponent == 5 * 5 - 2 * 5 + 25 == 40
+    assert rep.tol.is_one()
+    assert rep.gdisc == tol_variant("gdisc", f, rep.tol)   # u-resultant
+    assert rep.paths_agree is True
+    t0 = F5T.from_int(2)
+    assert tol(f.homothety(t0)) == t0 ** 40 * tol(f)

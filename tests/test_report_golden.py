@@ -1,0 +1,101 @@
+"""`report` output pinned byte for byte, and one u-resultant per report.
+
+The cases cover Q, F_7, F_3(t) and F_5(t): the zero polynomial, a nonzero
+constant, degree 1, f(0) = 0, repeated roots, inseparable inputs, and caller
+factorizations that are valid, invalid, or come from --assert-irreducible.
+"""
+
+import json
+
+import pytest
+
+from tolerant import invariants
+from tolerant.cli import main
+
+GOLDEN = [
+    ('q', (), '0',
+     '{"field": "q", "input": "0", "degree": null, "tol": null, "dupl": null, "gdisc": null, "disc": null, "separable": null, "in_T": "UNDEFINED", "homothety_exponent": null, "paths_agree": null, "trusted_input": false, "errors": [{"op": "tol", "code": "ZERO_POLYNOMIAL", "message": "tol of the zero polynomial"}, {"op": "dupl", "code": "ZERO_POLYNOMIAL", "message": "dupl of the zero polynomial"}, {"op": "gdisc", "code": "ZERO_POLYNOMIAL", "message": "gdisc of the zero polynomial"}, {"op": "disc", "code": "CONSTANT_INPUT", "message": "discriminant needs degree >= 1"}, {"op": "separable", "code": "CONSTANT_INPUT", "message": "separability needs degree >= 1"}, {"op": "homothety_exponent", "code": "ZERO_POLYNOMIAL", "message": "homothety exponent of the zero polynomial"}]}'),
+    ('q', (), '5',
+     '{"field": "q", "input": "5", "degree": 0, "tol": "1", "dupl": "25", "gdisc": null, "disc": null, "separable": null, "in_T": true, "homothety_exponent": 0, "paths_agree": null, "trusted_input": false, "errors": [{"op": "gdisc", "code": "DEGREE_TOO_SMALL", "message": "gdisc needs degree >= 2"}, {"op": "disc", "code": "CONSTANT_INPUT", "message": "discriminant needs degree >= 1"}, {"op": "separable", "code": "CONSTANT_INPUT", "message": "separability needs degree >= 1"}]}'),
+    ('q', (), '3*x+1',
+     '{"field": "q", "input": "3*x + 1", "degree": 1, "tol": "1", "dupl": "9", "gdisc": null, "disc": "1", "separable": true, "in_T": true, "homothety_exponent": 0, "paths_agree": true, "trusted_input": false, "errors": [{"op": "gdisc", "code": "DEGREE_TOO_SMALL", "message": "gdisc needs degree >= 2"}]}'),
+    ('q', (), 'x^2-x',
+     '{"field": "q", "input": "x^2 - x", "degree": 2, "tol": "1", "dupl": "1", "gdisc": "-1", "disc": "1", "separable": true, "in_T": "UNDEFINED", "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', (), 'x^2+1',
+     '{"field": "q", "input": "x^2 + 1", "degree": 2, "tol": "-4", "dupl": "-4", "gdisc": "4", "disc": "-4", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', (), '-x^2+1',
+     '{"field": "q", "input": "-x^2 + 1", "degree": 2, "tol": "4", "dupl": "4", "gdisc": "-4", "disc": "4", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', (), '(x-2)^2*(x-3)',
+     '{"field": "q", "input": "x^3 - 7*x^2 + 16*x - 12", "degree": 3, "tol": "1", "dupl": "1", "gdisc": "-1", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 8, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', (), '(x-1)^3*(x+2)^2',
+     '{"field": "q", "input": "x^5 + x^4 - 5*x^3 - x^2 + 8*x - 4", "degree": 5, "tol": "531441", "dupl": "531441", "gdisc": "531441", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 28, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', (), 'x^4-x^3-x+1',
+     '{"field": "q", "input": "x^4 - x^3 - x + 1", "degree": 4, "tol": "-243", "dupl": "-243", "gdisc": "-243", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 14, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', (), '2*x^3-3*x+1/2',
+     '{"field": "q", "input": "2*x^3 - 3*x + 1/2", "degree": 3, "tol": "189", "dupl": "756", "gdisc": "-189", "disc": "189", "separable": true, "in_T": true, "homothety_exponent": 6, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('q', ('--factored',), '2*(x-1)^2*(x+3)',
+     '{"field": "q", "input": "2*x^3 + 2*x^2 - 10*x + 6", "degree": 3, "tol": "4096", "dupl": "16384", "gdisc": "-4096", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 8, "paths_agree": true, "trusted_input": true, "errors": []}'),
+    ('q', ('--factored',), '(x-1)*(x^2-1)',
+     '{"field": "q", "input": "x^3 - x^2 - x + 1", "degree": 3, "tol": "16", "dupl": "16", "gdisc": "-16", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 8, "paths_agree": true, "trusted_input": false, "errors": [{"op": "factorization", "code": "INVALID_FACTORIZATION", "message": "factors are not pairwise coprime"}]}'),
+    ('q', ('--assert-irreducible',), 'x^2+1',
+     '{"field": "q", "input": "x^2 + 1", "degree": 2, "tol": "-4", "dupl": "-4", "gdisc": "4", "disc": "-4", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": true, "errors": []}'),
+    ('q', ('--assert-irreducible',), '(x-1)^2',
+     '{"field": "q", "input": "x^2 - 2*x + 1", "degree": 2, "tol": "1", "dupl": "1", "gdisc": "-1", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 4, "paths_agree": true, "trusted_input": false, "errors": [{"op": "factorization", "code": "INVALID_FACTORIZATION", "message": "a desubstituted part has repeated roots"}]}'),
+    ('fp:7', (), '0',
+     '{"field": "fp:7", "input": "0", "degree": null, "tol": null, "dupl": null, "gdisc": null, "disc": null, "separable": null, "in_T": "UNDEFINED", "homothety_exponent": null, "paths_agree": null, "trusted_input": false, "errors": [{"op": "tol", "code": "ZERO_POLYNOMIAL", "message": "tol of the zero polynomial"}, {"op": "dupl", "code": "ZERO_POLYNOMIAL", "message": "dupl of the zero polynomial"}, {"op": "gdisc", "code": "ZERO_POLYNOMIAL", "message": "gdisc of the zero polynomial"}, {"op": "disc", "code": "CONSTANT_INPUT", "message": "discriminant needs degree >= 1"}, {"op": "separable", "code": "CONSTANT_INPUT", "message": "separability needs degree >= 1"}, {"op": "homothety_exponent", "code": "ZERO_POLYNOMIAL", "message": "homothety exponent of the zero polynomial"}]}'),
+    ('fp:7', (), 'x^3+x+1',
+     '{"field": "fp:7", "input": "x^3 + x + 1", "degree": 3, "tol": "4", "dupl": "4", "gdisc": "3", "disc": "4", "separable": true, "in_T": true, "homothety_exponent": 6, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fp:7', (), '(x-1)^2*(x-2)',
+     '{"field": "fp:7", "input": "x^3 + 3*x^2 + 5*x + 5", "degree": 3, "tol": "1", "dupl": "1", "gdisc": "6", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 8, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fp:7', (), 'x^7-1',
+     '{"field": "fp:7", "input": "x^7 + 6", "degree": 7, "tol": "1", "dupl": "1", "gdisc": "6", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 84, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fp:7', (), '3*x^4+2*x+5',
+     '{"field": "fp:7", "input": "3*x^4 + 2*x + 5", "degree": 4, "tol": "1", "dupl": "2", "gdisc": "1", "disc": "1", "separable": true, "in_T": true, "homothety_exponent": 12, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fp:7', (), 'x^3-x',
+     '{"field": "fp:7", "input": "x^3 + 6*x", "degree": 3, "tol": "4", "dupl": "4", "gdisc": "3", "disc": "4", "separable": true, "in_T": "UNDEFINED", "homothety_exponent": 6, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fp:7', ('--factored',), '(x-1)^2*(x^2+1)',
+     '{"field": "fp:7", "input": "x^4 + 5*x^3 + 2*x^2 + 5*x + 1", "degree": 4, "tol": "6", "dupl": "6", "gdisc": "6", "disc": "REPEATED_ROOT", "separable": false, "in_T": true, "homothety_exponent": 14, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fp:7', ('--factored',), '(x^2-1)',
+     '{"field": "fp:7", "input": "x^2 + 6", "degree": 2, "tol": "4", "dupl": "4", "gdisc": "3", "disc": "4", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": [{"op": "factorization", "code": "INVALID_FACTORIZATION", "message": "factor of degree 2 is reducible"}]}'),
+    ('fp:7', ('--assert-irreducible',), 'x^2+1',
+     '{"field": "fp:7", "input": "x^2 + 1", "degree": 2, "tol": "3", "dupl": "3", "gdisc": "4", "disc": "3", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:3', (), 'x^3-t',
+     '{"field": "fpt:3", "input": "x^3 + 2*t", "degree": 3, "tol": "1", "dupl": "1", "gdisc": "2", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 12, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:3', (), '(x-t)^2*(x+1)',
+     '{"field": "fpt:3", "input": "x^3 + (t + 1)*x^2 + (t^2 + t)*x + t^2", "degree": 3, "tol": "t^4 + t^3 + t + 1", "dupl": "t^4 + t^3 + t + 1", "gdisc": "2*t^4 + 2*t^3 + 2*t + 2", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 8, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:3', (), 'x^2+t*x+1',
+     '{"field": "fpt:3", "input": "x^2 + t*x + 1", "degree": 2, "tol": "t^2 + 2", "dupl": "t^2 + 2", "gdisc": "2*t^2 + 1", "disc": "t^2 + 2", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:3', (), '(x^3-t)*(x-1)^2',
+     '{"field": "fpt:3", "input": "x^5 + x^4 + x^3 + 2*t*x^2 + 2*t*x + 2*t", "degree": 5, "tol": "t^4 + 2*t^3 + 2*t + 1", "dupl": "t^4 + 2*t^3 + 2*t + 1", "gdisc": "t^4 + 2*t^3 + 2*t + 1", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 28, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:3', (), 't*x^4+x+t^2',
+     '{"field": "fpt:3", "input": "t*x^4 + x + t^2", "degree": 4, "tol": "t^9", "dupl": "t^11", "gdisc": "t^9", "disc": "t^9", "separable": true, "in_T": true, "homothety_exponent": 12, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:3', ('--factored',), '(x^3-t)*(x-1)',
+     '{"field": "fpt:3", "input": "x^4 + 2*x^3 + 2*t*x + t", "degree": 4, "tol": "t^2 + t + 1", "dupl": "t^2 + t + 1", "gdisc": "t^2 + t + 1", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 18, "paths_agree": true, "trusted_input": true, "errors": []}'),
+    ('fpt:5', (), 'x^5-t',
+     '{"field": "fpt:5", "input": "x^5 + 4*t", "degree": 5, "tol": "1", "dupl": "1", "gdisc": "1", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 40, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:5', ('--assert-irreducible',), 'x^5-t',
+     '{"field": "fpt:5", "input": "x^5 + 4*t", "degree": 5, "tol": "1", "dupl": "1", "gdisc": "1", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 40, "paths_agree": true, "trusted_input": true, "errors": []}'),
+    ('fpt:5', ('--factored',), '(x^5-t)*(x-1)',
+     '{"field": "fpt:5", "input": "x^6 + 4*x^5 + 4*t*x + t", "degree": 6, "tol": "t^2 + 3*t + 1", "dupl": "t^2 + 3*t + 1", "gdisc": "4*t^2 + 2*t + 4", "disc": "REPEATED_ROOT", "separable": false, "in_T": false, "homothety_exponent": 50, "paths_agree": true, "trusted_input": true, "errors": []}'),
+    ('fpt:5', (), 'x^2-t',
+     '{"field": "fpt:5", "input": "x^2 + 4*t", "degree": 2, "tol": "4*t", "dupl": "4*t", "gdisc": "t", "disc": "4*t", "separable": true, "in_T": true, "homothety_exponent": 2, "paths_agree": true, "trusted_input": false, "errors": []}'),
+    ('fpt:5', (), 'x^5+t*x',
+     '{"field": "fpt:5", "input": "x^5 + t*x", "degree": 5, "tol": "t^5", "dupl": "t^5", "gdisc": "t^5", "disc": "t^5", "separable": true, "in_T": "UNDEFINED", "homothety_exponent": 20, "paths_agree": true, "trusted_input": false, "errors": []}'),
+]
+
+
+@pytest.mark.parametrize("field,flags,expr,expected", GOLDEN,
+                         ids=[f"{c[0]}:{c[2]}{''.join(c[1])}" for c in GOLDEN])
+def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
+    calls = []
+    real = invariants.resultant_in_u
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "resultant_in_u", counting)
+    assert main(["report", "--field", field, *flags, "--", expr]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    # the elimination runs once, as gdisc, and only where gdisc is defined
+    assert len(calls) == (json.loads(expected)["gdisc"] is not None)
