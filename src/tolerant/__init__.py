@@ -13,9 +13,8 @@ from .errors import (ConstantInputError, DegreeMismatchError,
 from .factor import (Factorization, factor_prime_field,
                      is_irreducible_prime_field, multiplicity_profile,
                      squarefree_decomposition)
-from .field import (FieldDescriptor, FieldElement, FieldKind, field_arith,
-                    frobenius_power, parse_field, prime_field,
-                    rational_function_field, rationals)
+from .field import (FieldDescriptor, FieldElement, FieldKind, parse_field,
+                    prime_field, rational_function_field, rationals)
 from .invariants import (REPEATED_ROOT, UNDEFINED, ErrorRecord,
                          FactorFormula, InvariantReport, build_report, dupl,
                          gdisc, homothety_exponent, in_T, inversion_criterion,
@@ -23,7 +22,7 @@ from .invariants import (REPEATED_ROOT, UNDEFINED, ErrorRecord,
                          tol_irreducible)
 from .parsing import (factorization_text, parse_polynomial, polynomial_text)
 from .poly import (NEG_INFINITY, Polynomial, RootMultiset, SeparableForm,
-                   poly_arith, poly_from_roots)
+                   poly_from_roots)
 from .resultant import (UPolynomial, discriminant, resultant_in_u,
                         sylvester_resultant)
 from .selfcheck import SelfcheckSummary, run_selfcheck
@@ -42,11 +41,10 @@ __all__ = [
     "UnsupportedFieldError", "ZeroConstantTermError",
     "ZeroDiscriminantFactorError", "ZeroInputError", "ZeroPolynomialError",
     "ZeroScaleError", "build_report", "discriminant", "dupl",
-    "factor_prime_field", "factorization_text", "field_arith",
-    "frobenius_power", "gdisc", "homothety_exponent", "in_T",
-    "inversion_criterion", "is_irreducible_prime_field",
-    "multiplicity_profile", "parse_field", "parse_polynomial", "poly_arith",
-    "poly_from_roots", "polynomial_text", "prime_field",
+    "factor_prime_field", "factorization_text", "gdisc",
+    "homothety_exponent", "in_T", "inversion_criterion",
+    "is_irreducible_prime_field", "multiplicity_profile", "parse_field",
+    "parse_polynomial", "poly_from_roots", "polynomial_text", "prime_field",
     "rational_function_field", "rationals", "resultant_in_u",
     "run_selfcheck", "squarefree_decomposition", "sylvester_resultant",
     "tol", "tol_from_factorization", "tol_from_roots", "tol_irreducible",

@@ -127,17 +127,6 @@ def ppow_mod(base: tuple, e: int, mod: tuple, p: int) -> tuple:
     return result
 
 
-def pderiv(a: tuple, p: int) -> tuple:
-    return pstrip([i * c % p for i, c in enumerate(a)][1:])
-
-
-def peval(a: tuple, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def pstretch(a: tuple, k: int) -> tuple:
     """Substitute y^k for y: spread coefficients k apart."""
     if not a or k == 1:
@@ -146,11 +135,6 @@ def pstretch(a: tuple, k: int) -> tuple:
     for i, c in enumerate(a):
         out[i * k] = c
     return tuple(out)
-
-
-def pcompress(a: tuple, k: int) -> tuple:
-    """Inverse of pstretch; requires support on multiples of k."""
-    return tuple(a[i] for i in range(0, len(a), k))
 
 
 class Ring(NamedTuple):

@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=[m.value for m in FactorFormula],
                        default=FactorFormula.CORRECTED.value,
                        help="which per-factor formula --factored evaluates")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized factor splitting")
         p.add_argument("--pretty", action="store_true",
                        help="indent JSON output")
         add_output(p)
@@ -77,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="process one expression per line")
     p.add_argument("path", help="input file; '-' for stdin")
     add_field(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     add_output(p)
 
@@ -156,8 +153,7 @@ def _report_command(args) -> int:
     field = parse_field(args.field)
     f, fac = _parse_input(args, field)
     report = build_report(f, factorization=fac,
-                          assert_irreducible=args.assert_irreducible,
-                          seed=args.seed)
+                          assert_irreducible=args.assert_irreducible)
     payload = report_to_dict(report)
     _emit(json.dumps(payload, indent=2 if args.pretty else None), args.output)
     return 0
@@ -196,7 +192,7 @@ def _batch_command(args) -> int:
             out.append(json.dumps(_line_error(expr, exc.code, str(exc),
                                               field)))
             continue
-        report = build_report(f, seed=args.seed)
+        report = build_report(f)
         out.append(json.dumps(report_to_dict(report),
                               indent=2 if args.pretty else None))
     _emit("\n".join(out) if out else "", args.output)

@@ -85,11 +85,8 @@ def _canonical(factors: dict[int, list[Polynomial]] | list, field,
 
 
 def _int_key(g: Polynomial):
-    k = g.field.kind
-    if k is FieldKind.RATIONALS:
+    if g.field.kind is FieldKind.RATIONALS:
         return tuple((c.value.numerator, c.value.denominator) for c in g.coeffs)
-    if k is FieldKind.PRIME_FIELD:
-        return tuple(c.value for c in g.coeffs)
     return tuple(c.value for c in g.coeffs)
 
 

@@ -8,6 +8,11 @@ Canonical forms make equality a plain value comparison:
 * F_p: a residue in ``[0, p)``,
 * F_p(t): a reduced fraction of dense F_p[t] tuples with monic denominator.
 
+Each descriptor carries one :class:`FieldOps` table, built once per field,
+with the raw arithmetic on those values and the field's integral view for
+determinants; ``FieldElement`` operators and the resultant code call it
+instead of branching per field.
+
 Mixing elements of different descriptors raises ``FieldMismatchError``;
 Python ints coerce into any field, ``Fraction`` only into Q.
 """
@@ -15,9 +20,12 @@ Python ints coerce into any field, ``Fraction`` only into Q.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+import math
+import operator
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Union
+from typing import Any, Callable, NamedTuple, Union
 
 from . import _rings
 from .errors import (DivisionByZeroError, FieldMismatchError,
@@ -62,6 +70,7 @@ class FieldDescriptor:
 
     kind: FieldKind
     p: Union[int, None] = None
+    ops: "FieldOps" = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is FieldKind.RATIONALS:
@@ -74,6 +83,11 @@ class FieldDescriptor:
                 raise ValueError(f"modulus must be in [2, 2^31): {self.p}")
             if not is_prime(self.p):
                 raise ValueError(f"modulus is not prime: {self.p}")
+        object.__setattr__(self, "ops", _field_ops(self.kind, self.p))
+
+    def __reduce__(self):
+        # the ops table holds closures; a copy rebuilds it from (kind, p)
+        return FieldDescriptor, (self.kind, self.p)
 
     @property
     def characteristic(self) -> int:
@@ -97,18 +111,10 @@ class FieldDescriptor:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "FieldElement":
-        if self.kind is FieldKind.RATIONALS:
-            return FieldElement(self, Fraction(n))
-        if self.kind is FieldKind.PRIME_FIELD:
-            return FieldElement(self, n % self.p)
-        n %= self.p
-        return FieldElement(self, ((n,) if n else (), (1,)))
+        return FieldElement(self, self.ops.from_int(n))
 
     def from_fraction(self, q: Fraction) -> "FieldElement":
-        if self.kind is FieldKind.RATIONALS:
-            return FieldElement(self, Fraction(q))
-        num = self.from_int(q.numerator)
-        return num / self.from_int(q.denominator)
+        return self.from_int(q.numerator) / self.from_int(q.denominator)
 
     def t(self) -> "FieldElement":
         """The indeterminate t of F_p(t)."""
@@ -178,6 +184,91 @@ def _fpt_reduce(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
     return num, den
 
 
+class FieldOps(NamedTuple):
+    """Raw arithmetic of one field, and its integral view for determinants.
+
+    ``ring`` is the numerator ring (Z, F_p or F_p[t]) and ``u_ring`` the
+    polynomials in u over it.  ``den`` reads a value's denominator in
+    ``ring`` and ``den_lcm`` combines two; ``clear(v, d)`` is v * d in
+    ``ring`` for any multiple d of den(v); ``rebuild(det, scale)`` is the
+    value det / scale.  F_p has the trivial denominator 1."""
+
+    add: Callable[[Any, Any], Any]
+    neg: Callable[[Any], Any]
+    mul: Callable[[Any, Any], Any]
+    inverse: Callable[[Any], Any]           # of a nonzero value
+    nonzero: Callable[[Any], bool]
+    from_int: Callable[[int], Any]
+    text: Callable[[Any], str]
+    ring: _rings.Ring
+    u_ring: _rings.Ring
+    den: Callable[[Any], Any]
+    den_lcm: Callable[[Any, Any], Any]
+    clear: Callable[[Any, Any], Any]
+    rebuild: Callable[[Any, Any], Any]
+
+
+def _q_ops() -> FieldOps:
+    return FieldOps(
+        add=operator.add, neg=operator.neg, mul=operator.mul,
+        inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction, text=str,
+        ring=_rings.int_ring(), u_ring=_rings.int_poly_ring(),
+        den=lambda v: v.denominator, den_lcm=math.lcm,
+        clear=lambda v, d: v.numerator * (d // v.denominator),
+        rebuild=Fraction)
+
+
+def _fp_ops(p: int) -> FieldOps:
+    ring = _rings.mod_ring(p)
+    return FieldOps(
+        add=ring.add, neg=ring.neg, mul=ring.mul,
+        inverse=lambda v: pow(v, -1, p), nonzero=bool,
+        from_int=lambda n: n % p, text=str,
+        ring=ring, u_ring=_rings.fp_poly_ring(p),
+        den=lambda v: 1, den_lcm=lambda a, b: 1,
+        clear=lambda v, d: v, rebuild=lambda det, scale: det)
+
+
+def _fpt_ops(p: int) -> FieldOps:
+    """Values are reduced (numerator, monic denominator) pairs of F_p[t]."""
+    pmul = _rings.pmul
+
+    def add(a, b):
+        (an, ad), (bn, bd) = a, b
+        num = _rings.padd(pmul(an, bd, p), pmul(bn, ad, p), p)
+        return _fpt_reduce(num, pmul(ad, bd, p), p)
+
+    def from_int(n: int):
+        n %= p
+        return (n,) if n else (), (1,)
+
+    def text(v) -> str:
+        num, den = v
+        if den == (1,):
+            return t_poly_text(num, p)
+        return f"({t_poly_text(num, p)})/({t_poly_text(den, p)})"
+
+    ring = _rings.fp_poly_ring(p)
+    return FieldOps(
+        add=add, neg=lambda v: (_rings.pneg(v[0], p), v[1]),
+        mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
+        inverse=lambda v: _fpt_reduce(v[1], v[0], p),
+        nonzero=lambda v: bool(v[0]), from_int=from_int, text=text,
+        ring=ring, u_ring=_rings.tuple_poly_ring(ring),
+        den=lambda v: v[1], den_lcm=lambda a, b: _rings.plcm(a, b, p),
+        clear=lambda v, d: pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p),
+        rebuild=lambda det, scale: _fpt_reduce(det, scale, p))
+
+
+@functools.cache
+def _field_ops(kind: FieldKind, p: Union[int, None]) -> FieldOps:
+    if kind is FieldKind.RATIONALS:
+        return _q_ops()
+    if kind is FieldKind.PRIME_FIELD:
+        return _fp_ops(p)
+    return _fpt_ops(p)
+
+
 def t_poly_text(coeffs: tuple, p: int, var: str = "t") -> str:
     """Parseable text for a dense F_p polynomial, e.g. ``t^2 + 4*t + 3``."""
     if not coeffs:
@@ -222,9 +313,7 @@ class FieldElement:
         return NotImplemented
 
     def __bool__(self) -> bool:
-        if self.field.kind is FieldKind.RATIONAL_FUNCTION_FIELD:
-            return bool(self.value[0])
-        return bool(self.value)
+        return self.field.ops.nonzero(self.value)
 
     def is_zero(self) -> bool:
         return not self
@@ -248,26 +337,12 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        kind = self.field.kind
-        if kind is FieldKind.RATIONALS:
-            return FieldElement(self.field, self.value + other.value)
-        if kind is FieldKind.PRIME_FIELD:
-            return FieldElement(self.field, (self.value + other.value) % self.field.p)
-        p = self.field.p
-        (an, ad), (bn, bd) = self.value, other.value
-        num = _rings.padd(_rings.pmul(an, bd, p), _rings.pmul(bn, ad, p), p)
-        return FieldElement(self.field, _fpt_reduce(num, _rings.pmul(ad, bd, p), p))
+        return FieldElement(self.field, self.field.ops.add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        kind = self.field.kind
-        if kind is FieldKind.RATIONALS:
-            return FieldElement(self.field, -self.value)
-        if kind is FieldKind.PRIME_FIELD:
-            return FieldElement(self.field, (-self.value) % self.field.p)
-        num, den = self.value
-        return FieldElement(self.field, (_rings.pneg(num, self.field.p), den))
+        return FieldElement(self.field, self.field.ops.neg(self.value))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -282,28 +357,14 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        kind = self.field.kind
-        if kind is FieldKind.RATIONALS:
-            return FieldElement(self.field, self.value * other.value)
-        if kind is FieldKind.PRIME_FIELD:
-            return FieldElement(self.field, self.value * other.value % self.field.p)
-        p = self.field.p
-        (an, ad), (bn, bd) = self.value, other.value
-        return FieldElement(self.field, _fpt_reduce(
-            _rings.pmul(an, bn, p), _rings.pmul(ad, bd, p), p))
+        return FieldElement(self.field, self.field.ops.mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if not self:
             raise DivisionByZeroError("inverse of zero")
-        kind = self.field.kind
-        if kind is FieldKind.RATIONALS:
-            return FieldElement(self.field, 1 / self.value)
-        if kind is FieldKind.PRIME_FIELD:
-            return FieldElement(self.field, pow(self.value, -1, self.field.p))
-        num, den = self.value
-        return FieldElement(self.field, _fpt_reduce(den, num, self.field.p))
+        return FieldElement(self.field, self.field.ops.inverse(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -356,36 +417,10 @@ class FieldElement:
     # -- text --------------------------------------------------------------
 
     def canonical_text(self) -> str:
-        kind = self.field.kind
-        if kind is FieldKind.RATIONALS:
-            return str(self.value)
-        if kind is FieldKind.PRIME_FIELD:
-            return str(self.value)
-        num, den = self.value
-        p = self.field.p
-        if den == (1,):
-            return t_poly_text(num, p)
-        return f"({t_poly_text(num, p)})/({t_poly_text(den, p)})"
+        return self.field.ops.text(self.value)
 
     def __str__(self) -> str:
         return self.canonical_text()
 
     def __repr__(self) -> str:
         return f"<{self.canonical_text()} in {self.field.text()}>"
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Named dispatch kept for symmetry with the operator API."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op: {op!r}")
-
-
-def frobenius_power(c: FieldElement, a: int) -> FieldElement:
-    return c.frobenius_power(a)

@@ -29,9 +29,8 @@ from .errors import (DegreeMismatchError, DegreeTooSmallError,
                      InvalidFactorizationError, TolerantError,
                      ZeroConstantTermError, ZeroDiscriminantFactorError,
                      ZeroPolynomialError)
-from .factor import (Factorization, factor_prime_field,
-                     is_irreducible_prime_field, multiplicity_profile,
-                     squarefree_decomposition)
+from .factor import (Factorization, is_irreducible_prime_field,
+                     multiplicity_profile, squarefree_decomposition)
 from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial, RootMultiset
 from .resultant import UPolynomial, discriminant, resultant_in_u, sylvester_resultant
@@ -175,8 +174,18 @@ def tol_from_factorization(
         agrees with PAPER_SEPARABLE when every e_i = 0 and with
         tol_irreducible on single factors.
     """
+    _check_coprime(fac)
+    return _tol_per_factor(fac, mode)
+
+
+def _check_coprime(fac: Factorization) -> None:
     if not fac.pairwise_coprime():
         raise InvalidFactorizationError("factors are not pairwise coprime")
+
+
+def _tol_per_factor(fac: Factorization,
+                    mode: FactorFormula = FactorFormula.CORRECTED) -> FieldElement:
+    """tol_from_factorization on a factorization known to be coprime."""
     field = fac.field
     if not fac.factors:
         return field.one()
@@ -259,8 +268,12 @@ def inversion_criterion(fac: Factorization) -> bool:
     """Root-free inversion test on a factorization of f:
     prod sep_i(0)^(2 m_i (n - m_i p^(e_i)))  ==  (a_0/a_n)^(2n-2),
     where a_0/a_n is the constant-coefficient ratio of the monic product."""
-    if not fac.pairwise_coprime():
-        raise InvalidFactorizationError("factors are not pairwise coprime")
+    _check_coprime(fac)
+    return _inversion_test(fac)
+
+
+def _inversion_test(fac: Factorization) -> bool:
+    """inversion_criterion on a factorization known to be coprime."""
     field = fac.field
     n = fac.degree()
     q = field.char_exponent
@@ -305,15 +318,6 @@ class InvariantReport:
     errors: list[ErrorRecord] = dc_field(default_factory=list)
 
 
-def _internal_factorization(f: Polynomial, seed: int):
-    """Best factorization obtainable without caller help, or None."""
-    if f.degree < 1:
-        return None
-    if f.field.kind is FieldKind.PRIME_FIELD:
-        return factor_prime_field(f, seed)
-    return squarefree_decomposition(f)
-
-
 def _verify_caller_factorization(f: Polynomial, fac: Factorization) -> bool:
     """Reconstruction, coprimality, and separability of desubstituted parts;
     over F_p additionally an irreducibility test per factor.  Returns whether
@@ -321,8 +325,7 @@ def _verify_caller_factorization(f: Polynomial, fac: Factorization) -> bool:
     if fac.expand() != f:
         raise InvalidFactorizationError(
             "factorization does not re-expand to the input")
-    if not fac.pairwise_coprime():
-        raise InvalidFactorizationError("factors are not pairwise coprime")
+    _check_coprime(fac)
     for _, sep, _, _ in _split_parts(fac):
         if sep.degree >= 1 and not sep.is_separable():
             raise InvalidFactorizationError(
@@ -340,15 +343,16 @@ def _verify_caller_factorization(f: Polynomial, fac: Factorization) -> bool:
 
 def build_report(f: Polynomial,
                  factorization: Optional[Factorization] = None,
-                 assert_irreducible: bool = False,
-                 seed: int = 0) -> InvariantReport:
+                 assert_irreducible: bool = False) -> InvariantReport:
     """Every computable invariant of f, with structured error records in
     place of exceptions and explicit markers for unmet preconditions.
 
-    Each quantity is computed once.  tol comes from a factorization (the
-    caller's if it verifies, else the internal one); dupl, the sign law and
-    in_T are derived from it.  gdisc is the one u-resultant elimination, and
-    paths_agree compares it with (-1)^C(n,2) * tol."""
+    Each quantity is computed once.  tol comes from a factorization: the
+    caller's if it verifies, else the squarefree decomposition, which is
+    coprime by construction, so coprimality is checked only on a caller's
+    factorization.  dupl, the sign law and in_T are derived from it.  gdisc
+    is the one u-resultant elimination, and paths_agree compares it with
+    (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):
@@ -368,13 +372,13 @@ def build_report(f: Polynomial,
         except TolerantError as exc:
             fac_error = ErrorRecord("factorization", exc.code, str(exc))
             fac = None
-    if fac is None and not f.is_zero():
-        fac = _internal_factorization(f, seed)
+    if fac is None and f.degree >= 1:
+        fac = squarefree_decomposition(f)
 
     # Without a factorization f is zero or constant, and the library
     # functions give the value or record the precondition error.
     t = attempt("tol", lambda: tol(f) if fac is None
-                else tol_from_factorization(fac))
+                else _tol_per_factor(fac))
     report.tol = t
     report.dupl = attempt("dupl", lambda: dupl(f) if t is None
                           else tol_variant("dupl", f, t))
@@ -389,7 +393,7 @@ def build_report(f: Polynomial,
         report.in_T = UNDEFINED
     else:
         report.in_T = attempt("in_T", lambda: in_T(f) if fac is None
-                              else inversion_criterion(fac))
+                              else _inversion_test(fac))
     if fac_error is not None:
         report.errors.append(fac_error)
     report.homothety_exponent = attempt(

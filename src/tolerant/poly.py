@@ -362,18 +362,3 @@ def poly_from_roots(rm: RootMultiset, field: FieldDescriptor) -> Polynomial:
     for r, m in rm.entries:
         f = f * (x - Polynomial.constant(field, r)) ** m
     return f
-
-
-def poly_arith(f: Polynomial, g: Polynomial, op: str):
-    """Named dispatch kept for symmetry with the operator API."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "divmod":
-        return divmod(f, g)
-    if op == "gcd":
-        return f.gcd(g)
-    raise ValueError(f"unknown op: {op!r}")

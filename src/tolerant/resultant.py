@@ -2,21 +2,20 @@
 
 Both entry points reduce to one exact determinant (``bareiss_det``).  Matrix
 entries never carry boxed field elements into the elimination loop: rows are
-cleared to integers, residues, or F_p[t] tuples first and the determinant is
-unscaled at the end.  Row convention: res(f, g) uses deg(g) rows of f above
-deg(f) rows of g, so res(f, g) = lc(f)^deg(g) * prod g(r) over the roots of f.
+cleared to the field's numerator ring (integers, residues, or F_p[t] tuples;
+see ``FieldOps``) first and the determinant is unscaled at the end.  Row
+convention: res(f, g) uses deg(g) rows of f above deg(f) rows of g, so
+res(f, g) = lc(f)^deg(g) * prod g(r) over the roots of f.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from itertools import chain
 from typing import Iterable
 
-from ._rings import (bareiss_det, fp_poly_ring, int_poly_ring, int_ring,
-                     mod_ring, pdivmod, plcm, pmul, tuple_poly_ring)
+from ._rings import bareiss_det
 from .errors import ConstantInputError, FieldMismatchError, ZeroInputError
-from .field import FieldDescriptor, FieldElement, FieldKind, _fpt_reduce
+from .field import FieldDescriptor, FieldElement
 from .poly import Polynomial
 
 
@@ -77,76 +76,32 @@ class UPolynomial:
         return f"<UPolynomial of u-degree {self.u_degree}, x-degree {self.x_degree}>"
 
 
-# -- determinants with row-wise denominator clearing ------------------------
+# -- the determinant, cleared row by row to the numerator ring ---------------
 
 
-def _det_scalar(rows: list[list[FieldElement]], field: FieldDescriptor) -> FieldElement:
-    """Determinant of a FieldElement matrix, exactly."""
-    if field.kind is FieldKind.PRIME_FIELD:
-        raw = [[c.value for c in row] for row in rows]
-        return FieldElement(field, bareiss_det(raw, mod_ring(field.p)))
-    if field.kind is FieldKind.RATIONALS:
-        raw = []
-        scale = 1
-        for row in rows:
-            den = 1
-            for c in row:
-                den = lcm(den, c.value.denominator)
-            scale *= den
-            raw.append([int(c.value * den) for c in row])
-        det = bareiss_det(raw, int_ring())
-        return field.from_fraction(Fraction(det, scale))
-    p = field.p
+def _det(rows: list[list], field: FieldDescriptor, in_u: bool):
+    """Exact determinant of a matrix of raw field values or, with ``in_u``,
+    of u-vectors of raw values; the result is raw, a u-vector with ``in_u``.
+
+    Each row is multiplied by the lcm of its entries' denominators, the
+    integral matrix goes to ``bareiss_det`` over the field's numerator ring
+    (or its u-ring), and the product of the row multipliers is divided out
+    at the end."""
+    ops = field.ops
+    ring, den, den_lcm, clear = ops.ring, ops.den, ops.den_lcm, ops.clear
     raw = []
-    scale = (1,)
+    scale = ring.one
     for row in rows:
-        den = (1,)
-        for c in row:
-            den = plcm(den, c.value[1], p)
-        scale = pmul(scale, den, p)
-        raw.append([pmul(c.value[0], pdivmod(den, c.value[1], p)[0], p)
-                    for c in row])
-    det = bareiss_det(raw, fp_poly_ring(p))
-    return FieldElement(field, _fpt_reduce(det, scale, p))
-
-
-def _det_upoly(rows: list[list[tuple[FieldElement, ...]]],
-               field: FieldDescriptor) -> Polynomial:
-    """Determinant of a matrix whose entries are u-coefficient vectors;
-    the result is the determinant as a polynomial in u."""
-    if field.kind is FieldKind.PRIME_FIELD:
-        # u-polynomials over F_p share the dense-tuple layout of F_p[t], so
-        # the determinant runs on the direct kernels.
-        raw = [[tuple(c.value for c in e) for e in row] for row in rows]
-        det = bareiss_det(raw, fp_poly_ring(field.p))
-        return Polynomial(field, [FieldElement(field, c) for c in det])
-    if field.kind is FieldKind.RATIONALS:
-        raw = []
-        scale = 1
-        for row in rows:
-            den = 1
-            for e in row:
-                for c in e:
-                    den = lcm(den, c.value.denominator)
-            scale *= den
-            raw.append([tuple(int(c.value * den) for c in e) for e in row])
-        det = bareiss_det(raw, int_poly_ring())
-        return Polynomial(field,
-                          [field.from_fraction(Fraction(c, scale)) for c in det])
-    p = field.p
-    raw = []
-    scale = (1,)
-    for row in rows:
-        den = (1,)
-        for e in row:
-            for c in e:
-                den = plcm(den, c.value[1], p)
-        scale = pmul(scale, den, p)
-        raw.append([tuple(pmul(c.value[0], pdivmod(den, c.value[1], p)[0], p)
-                          for c in e) for e in row])
-    det = bareiss_det(raw, tuple_poly_ring(fp_poly_ring(p)))
-    return Polynomial(field,
-                      [FieldElement(field, _fpt_reduce(c, scale, p)) for c in det])
+        d = ring.one
+        for c in chain.from_iterable(row) if in_u else row:
+            d = den_lcm(d, den(c))
+        scale = ring.mul(scale, d)
+        raw.append([tuple(clear(c, d) for c in e) if in_u else clear(e, d)
+                    for e in row])
+    det = bareiss_det(raw, ops.u_ring if in_u else ring)
+    if in_u:
+        return [ops.rebuild(c, scale) for c in det]
+    return ops.rebuild(det, scale)
 
 
 # -- resultants --------------------------------------------------------------
@@ -165,15 +120,15 @@ def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
     if n == 0:
         return f.leading_coefficient() ** m
     size = n + m
-    zero = field.zero()
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
+    zero = field.zero().value
+    fc = [c.value for c in reversed(f.coeffs)]
+    gc = [c.value for c in reversed(g.coeffs)]
     rows = []
     for i in range(m):
         rows.append([zero] * i + fc + [zero] * (size - i - n - 1))
     for i in range(n):
         rows.append([zero] * i + gc + [zero] * (size - i - m - 1))
-    return _det_scalar(rows, field)
+    return FieldElement(field, _det(rows, field, in_u=False))
 
 
 def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
@@ -194,15 +149,17 @@ def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
     if d < 1:
         return Polynomial(field, G.x_coefficient(0)) ** n
     size = n + d
-    empty: tuple[FieldElement, ...] = ()
-    f_entries = [(c,) if c else empty for c in reversed(f.coeffs)]
-    g_entries = [G.x_coefficient(j) for j in range(d, -1, -1)]
+    empty = ()
+    f_entries = [(c.value,) if c else empty for c in reversed(f.coeffs)]
+    g_entries = [tuple(c.value for c in G.x_coefficient(j))
+                 for j in range(d, -1, -1)]
     rows = []
     for i in range(d):
         rows.append([empty] * i + f_entries + [empty] * (size - i - n - 1))
     for i in range(n):
         rows.append([empty] * i + g_entries + [empty] * (size - i - d - 1))
-    return _det_upoly(rows, field)
+    return Polynomial(field, [FieldElement(field, c)
+                              for c in _det(rows, field, in_u=True)])
 
 
 def discriminant(f: Polynomial) -> FieldElement:

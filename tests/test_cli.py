@@ -32,7 +32,6 @@ def test_value_subcommands(capsys):
     (("tol", "--field", "fp:7", "-x^2+1"), "4"),
     (("tol", "--", "-x^2+1"), "4"),
     (("tol", "--field", "fp:7", "--", "-x^2+1"), "4"),
-    (("tol", "-2*x^2+8", "--seed", "-1"), "64"),
 ])
 def test_negative_leading_coefficient_is_an_expression(capsys, argv, value):
     code, out, err = run(capsys, *argv)
@@ -46,6 +45,20 @@ def test_help_still_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def test_negative_option_value_is_read_as_the_value(capsys):
+    code, out, _ = run(capsys, "selfcheck", "--seed", "-1", "--count", "2")
+    assert code == 0
+    assert "seed=-1" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("command", ["tol", "report", "batch"])
+def test_seed_is_a_selfcheck_option_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", "x^2+1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_report_json_shape(capsys):

@@ -35,6 +35,15 @@ def test_parse_field_rejects_bad_descriptors(bad):
         parse_field(bad)
 
 
+def test_one_ops_table_per_field_survives_pickling():
+    import pickle
+    assert parse_field("fp:7").ops is prime_field(7).ops
+    assert rationals().ops is not prime_field(7).ops
+    K = rational_function_field(5)
+    back = pickle.loads(pickle.dumps(K))
+    assert back == K and back.ops is K.ops
+
+
 def test_characteristic_and_perfection():
     assert rationals().characteristic == 0
     assert rationals().char_exponent == 1

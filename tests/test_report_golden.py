@@ -1,4 +1,6 @@
-"""`report` output pinned byte for byte, and one u-resultant per report.
+"""`report` output pinned byte for byte, and the work one report does: one
+u-resultant, no irreducible factorization, and a coprimality check only on
+a caller's factorization.
 
 The cases cover Q, F_7, F_3(t) and F_5(t): the zero polynomial, a nonzero
 constant, degree 1, f(0) = 0, repeated roots, inseparable inputs, and caller
@@ -9,7 +11,7 @@ import json
 
 import pytest
 
-from tolerant import invariants
+from tolerant import factor, invariants
 from tolerant.cli import main
 
 GOLDEN = [
@@ -95,7 +97,26 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
         return real(*args)
 
     monkeypatch.setattr(invariants, "resultant_in_u", counting)
+
+    def no_factoring(*args):
+        raise AssertionError("report ran the irreducible factorization")
+
+    monkeypatch.setattr(factor, "factor_prime_field", no_factoring)
+    monkeypatch.setattr(invariants, "factor_prime_field", no_factoring,
+                        raising=False)
+    coprime_checks = []
+    real_coprime = factor.Factorization.pairwise_coprime
+
+    def counting_coprime(self):
+        coprime_checks.append(self)
+        return real_coprime(self)
+
+    monkeypatch.setattr(factor.Factorization, "pairwise_coprime",
+                        counting_coprime)
     assert main(["report", "--field", field, *flags, "--", expr]) == 0
     assert capsys.readouterr().out == expected + "\n"
     # the elimination runs once, as gdisc, and only where gdisc is defined
     assert len(calls) == (json.loads(expected)["gdisc"] is not None)
+    # the squarefree decomposition is coprime by construction; a caller's
+    # factorization (--factored, --assert-irreducible) is checked once
+    assert len(coprime_checks) == (1 if flags else 0)

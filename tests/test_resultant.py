@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tolerant import Polynomial, UPolynomial, prime_field, rationals
+from tolerant import (Polynomial, UPolynomial, prime_field,
+                      rational_function_field, rationals)
 from tolerant.errors import ConstantInputError, ZeroInputError
 from tolerant.resultant import discriminant, resultant_in_u, sylvester_resultant
 
@@ -21,6 +22,14 @@ def oracle_res_fraction(froots, flc, g):
             gr += c.value * Fraction(r) ** i
         acc *= gr ** m
     return acc
+
+
+def t_fraction_pool(F):
+    """Small F_p(t) values, several with a t-denominator; 0 included."""
+    t = F.t()
+    one = F.one()
+    return [F.zero(), one, t, t + one, one / (t + one), t / (t + one),
+            (t + one + one) / t]
 
 
 def test_resultant_matches_root_product_oracle(Q):
@@ -42,6 +51,27 @@ def test_resultant_matches_root_product_oracle(Q):
             continue
         expected = oracle_res_fraction(roots, lc, g)
         assert sylvester_resultant(f, g).value == expected
+    # F_3(t): roots and coefficients with t-denominators, so the determinant
+    # clears rows to F_3[t]; the oracle is lc^deg(g) * prod g(r)^m in boxed
+    # field arithmetic
+    F3T = rational_function_field(3)
+    pool = t_fraction_pool(F3T)
+    x = Polynomial.x(F3T)
+    for _ in range(30):
+        roots = {}
+        for _ in range(rng.randint(1, 3)):
+            roots[rng.choice(pool)] = rng.randint(1, 2)
+        lc = rng.choice(pool[1:])
+        f = Polynomial.constant(F3T, lc)
+        for r, m in roots.items():
+            f = f * (x - Polynomial.constant(F3T, r)) ** m
+        g = Polynomial(F3T, [rng.choice(pool) for _ in range(rng.randint(1, 4))])
+        if g.is_zero():
+            continue
+        expected = lc ** g.degree
+        for r, m in roots.items():
+            expected = expected * g(r) ** m
+        assert sylvester_resultant(f, g) == expected
 
 
 def test_resultant_multiplicative_in_second_argument(F7):
@@ -161,25 +191,37 @@ def test_upolynomial_accessors(Q):
 
 
 def test_resultant_in_u_matches_specialization(Q, F7):
-    # res_x(f, G)(u0) = res_x(f, G(u0)) whenever specializing keeps deg_x
+    # res_x(f, G)(u0) = res_x(f, G(u0)) whenever specializing keeps deg_x;
+    # over F_3(t) the coefficients carry t-denominators such as 1/(t+1)
     rng = random.Random(4)
-    for field in (Q, F7):
-        span = 6 if field.characteristic == 0 else 6
-        for _ in range(40):
-            f = Polynomial(field, [field.from_int(rng.randint(-span, span))
-                                   for _ in range(rng.randint(3, 5))])
+    F3T = rational_function_field(3)
+    pool = t_fraction_pool(F3T)
+    with_denominator = 0
+    for field, rounds in ((Q, 40), (F7, 40), (F3T, 15)):
+        if field is F3T:
+            def coeff():
+                return rng.choice(pool)
+            u_values = (F3T.one(), F3T.from_int(2), F3T.t())
+        else:
+            def coeff():
+                return field.from_int(rng.randint(-6, 6))
+            u_values = tuple(field.from_int(v) for v in (1, 2, 3))
+        for _ in range(rounds):
+            f = Polynomial(field, [coeff() for _ in range(rng.randint(3, 5))])
             if f.is_zero() or f.degree < 2:
                 continue
             n = f.degree
             G = UPolynomial(field, [f.hasse_derivative(i)
                                     for i in range(1, n + 1)])
             R = resultant_in_u(f, G)
-            for v in (1, 2, 3):
-                u0 = field.from_int(v)
+            for u0 in u_values:
                 spec = G.evaluate(u0)
                 if spec.degree != G.x_degree:
                     continue
                 assert R(u0) == sylvester_resultant(f, spec)
+                if field is F3T and any(c.value[1] != (1,) for c in f.coeffs):
+                    with_denominator += 1
+    assert with_denominator > 0
 
 
 def test_resultant_in_u_constant_in_x_shortcut():
