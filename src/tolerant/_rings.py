@@ -1,7 +1,7 @@
 """Internal exact-arithmetic kernels on raw Python values.
 
 The boxed field/polynomial classes are convenient but too slow inside a
-determinant loop, so everything performance-critical runs here on plain ints
+resultant loop, so everything performance-critical runs here on plain ints
 and tuples:
 
 * ``pXXX`` functions: dense polynomials over F_p as tuples of residues,
@@ -9,12 +9,13 @@ and tuples:
   double as F_p[t] scalars for the rational function field and as F_p[x]
   values for factorization.
 * ``Ring`` bundles: a minimal integral-domain interface (add/sub/mul/exact
-  division/zero test) over some raw element type, used by the fraction-free
-  determinant.  ``int_ring`` covers Z, ``mod_ring(p)`` covers F_p,
-  ``tuple_poly_ring`` covers dense R[y] for any base ``Ring`` R, so
-  F_p[t][u] is ``tuple_poly_ring(tuple_poly_ring(mod_ring(p)))``.
-* ``bareiss_det``: exact determinant by one-step Bareiss elimination with
-  lazy row scaling.
+  division/zero test) over some raw element type.  ``int_ring`` covers Z,
+  ``mod_ring(p)`` covers F_p, ``tuple_poly_ring`` covers dense R[y] for any
+  base ``Ring`` R, so F_p[t][u] is ``tuple_poly_ring(fp_poly_ring(p))``.
+* ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS, the
+  kernel behind every resultant in the package.
+* ``bareiss_det`` and ``naive_det``: exact determinants, kept as test
+  oracles for the kernel.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class Ring(NamedTuple):
 
 
 class InexactDivision(ArithmeticError):
-    """Internal bug guard: a Bareiss division did not come out exact."""
+    """Internal bug guard: a division that must be exact was not."""
 
 
 def int_ring() -> Ring:
@@ -315,8 +316,8 @@ def tuple_poly_ring(R: Ring) -> Ring:
 
     def exact_div(a: tuple, b: tuple) -> tuple:
         # Synthetic division; every leading-coefficient division is exact
-        # when b divides a, which Bareiss guarantees.  The remainder check
-        # stays on as a bug guard.
+        # when b divides a, which the resultant kernel guarantees.  The
+        # remainder check stays on as a bug guard.
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         if not a:
@@ -345,84 +346,98 @@ def tuple_poly_ring(R: Ring) -> Ring:
                 lambda a: not a)
 
 
-def bareiss_det(rows: list[list], R: Ring):
-    """Exact determinant of a square matrix over an integral domain.
+def ring_pow(x, e: int, R: Ring):
+    """x**e in R for e >= 0, by square and multiply."""
+    result = R.one
+    while e:
+        if e & 1:
+            result = R.mul(result, x)
+        e >>= 1
+        if e:
+            x = R.mul(x, x)
+    return result
 
-    One-step Bareiss with lazy row scaling: after step k every true entry of
-    a participating row is an exact (k+1)-minor, and a row whose pivot-column
-    entry was zero for steps s..k-1 owes exactly the factor piv[k-1]/piv[s-1]
-    (the per-step factors piv/prev telescope), so it is brought current with
-    one multiply and one exact divide per entry instead of being rescaled at
-    every step it sits out.  That keeps structured (sparse, strided) Sylvester
-    matrices cheap without leaving exact arithmetic.
+
+def subresultant(a: list, b: list, R: Ring):
+    """res(a, b) over the integral domain R by the subresultant PRS.
+
+    ``a`` and ``b`` are coefficient lists, lowest degree first, with a
+    nonzero last entry; the result is lc(a)^deg(b) * prod b(r) over the roots
+    r of a, the Sylvester determinant with the deg(b) rows of a on top.
+    This is Cohen's Algorithm 3.3.7 (after Collins and Brown-Traub) without
+    content removal: every division below is exact in R, and each remainder
+    coefficient is, up to sign, a minor of the Sylvester matrix.  Values
+    stay as small as under Bareiss elimination of that matrix, while the
+    work is O(deg a * deg b) ring operations instead of O((deg a + deg b)^3).
     """
+    mul, sub, div, is_zero, one = R.mul, R.sub, R.exact_div, R.is_zero, R.one
+    da, db = len(a) - 1, len(b) - 1
+    negate = False
+    if da < db:
+        a, b, da, db = b, a, db, da
+        negate = bool(da & db & 1)        # res(b, a) = (-1)^(da*db) res(a, b)
+    if db == 0:
+        return ring_pow(b[0], da, R)
+    g = h = one
+    while True:
+        delta = da - db
+        if da & db & 1:
+            negate = not negate
+        # pseudo-remainder: lc(b)^(delta+1) * a reduced by b
+        lb = b[-1]
+        r = list(a)
+        for k in range(da, db - 1, -1):
+            c = r[k]
+            if lb != one:
+                for i in range(k):
+                    if not is_zero(r[i]):
+                        r[i] = mul(lb, r[i])
+            if not is_zero(c):
+                for j in range(db):
+                    if not is_zero(b[j]):
+                        r[k - db + j] = sub(r[k - db + j], mul(c, b[j]))
+        n = db
+        while n and is_zero(r[n - 1]):
+            n -= 1
+        if n == 0:
+            return R.zero
+        scale = mul(g, ring_pow(h, delta, R))
+        a, da = b, db
+        b = r[:n] if scale == one else [div(c, scale) for c in r[:n]]
+        db = n - 1
+        g = lb
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = div(ring_pow(g, delta, R), ring_pow(h, delta - 1, R))
+        if db == 0:
+            res = b[0]
+            if da > 1:
+                res = div(ring_pow(res, da, R), ring_pow(h, da - 1, R))
+            return R.neg(res) if negate else res
+
+
+def bareiss_det(rows: list[list], R: Ring):
+    """Exact determinant of a square matrix over an integral domain by
+    one-step Bareiss elimination; test oracle for ``subresultant``."""
     n = len(rows)
-    if n == 0:
-        return R.one
     m = [list(r) for r in rows]
-    stamp = [0] * n           # step each row's stored values are current at
-    pivs = [R.one]            # pivs[k] = pivot of step k-1 (true value)
-    mul, sub, exact_div, is_zero = R.mul, R.sub, R.exact_div, R.is_zero
-    zero = R.zero
     sign = 1
-
-    def materialize(row: list, s: int, k: int, lo: int) -> None:
-        if s == k:
-            return
-        num, den = pivs[k], pivs[s]
-        trivial_den = is_zero(sub(den, R.one))
-        for j in range(lo, n):
-            v = row[j]
-            if not is_zero(v):
-                v = mul(v, num)
-                if not trivial_den:
-                    v = exact_div(v, den)
-                row[j] = v
-
+    prev = R.one
     for k in range(n):
-        piv_row = -1
-        for i in range(k, n):
-            if not is_zero(m[i][k]):
-                piv_row = i
-                break
+        piv_row = next((i for i in range(k, n) if not R.is_zero(m[i][k])), -1)
         if piv_row < 0:
             return R.zero
-        materialize(m[piv_row], stamp[piv_row], k, k)
-        stamp[piv_row] = k
         if piv_row != k:
             m[k], m[piv_row] = m[piv_row], m[k]
-            stamp[k], stamp[piv_row] = stamp[piv_row], stamp[k]
             sign = -sign
         piv = m[k][k]
-        pivs.append(piv)
-        if k == n - 1:
-            break
-        prev = pivs[k]
-        prev_trivial = is_zero(sub(prev, R.one))
-        pivot_row = m[k]
         for i in range(k + 1, n):
-            row = m[i]
-            if is_zero(row[k]):
-                continue        # lazy: settle the scale when next touched
-            materialize(row, stamp[i], k, k)
-            stamp[i] = k + 1
-            rik = row[k]
-            row[k] = zero
             for j in range(k + 1, n):
-                a = row[j]
-                b = pivot_row[j]
-                if is_zero(a):
-                    if is_zero(b):
-                        continue
-                    v = R.neg(mul(rik, b))
-                elif is_zero(b):
-                    v = mul(piv, a)
-                else:
-                    v = sub(mul(piv, a), mul(rik, b))
-                if not prev_trivial:
-                    v = exact_div(v, prev)
-                row[j] = v
-    det = m[n - 1][n - 1]
+                m[i][j] = R.exact_div(
+                    R.sub(R.mul(piv, m[i][j]), R.mul(m[i][k], m[k][j])), prev)
+        prev = piv
+    det = m[n - 1][n - 1] if n else R.one
     return R.neg(det) if sign < 0 else det
 
 

@@ -10,7 +10,7 @@ Canonical forms make equality a plain value comparison:
 
 Each descriptor carries one :class:`FieldOps` table, built once per field,
 with the raw arithmetic on those values and the field's integral view for
-determinants; ``FieldElement`` operators and the resultant code call it
+resultants; ``FieldElement`` operators and the resultant code call it
 instead of branching per field.
 
 Mixing elements of different descriptors raises ``FieldMismatchError``;
@@ -185,13 +185,13 @@ def _fpt_reduce(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
 
 
 class FieldOps(NamedTuple):
-    """Raw arithmetic of one field, and its integral view for determinants.
+    """Raw arithmetic of one field, and its integral view for resultants.
 
     ``ring`` is the numerator ring (Z, F_p or F_p[t]) and ``u_ring`` the
     polynomials in u over it.  ``den`` reads a value's denominator in
     ``ring`` and ``den_lcm`` combines two; ``clear(v, d)`` is v * d in
-    ``ring`` for any multiple d of den(v); ``rebuild(det, scale)`` is the
-    value det / scale.  F_p has the trivial denominator 1."""
+    ``ring`` for any multiple d of den(v); ``rebuild(num, scale)`` is the
+    value num / scale.  F_p has the trivial denominator 1."""
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
@@ -226,7 +226,7 @@ def _fp_ops(p: int) -> FieldOps:
         from_int=lambda n: n % p, text=str,
         ring=ring, u_ring=_rings.fp_poly_ring(p),
         den=lambda v: 1, den_lcm=lambda a, b: 1,
-        clear=lambda v, d: v, rebuild=lambda det, scale: det)
+        clear=lambda v, d: v, rebuild=lambda num, scale: num)
 
 
 def _fpt_ops(p: int) -> FieldOps:
@@ -257,7 +257,7 @@ def _fpt_ops(p: int) -> FieldOps:
         ring=ring, u_ring=_rings.tuple_poly_ring(ring),
         den=lambda v: v[1], den_lcm=lambda a, b: _rings.plcm(a, b, p),
         clear=lambda v, d: pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p),
-        rebuild=lambda det, scale: _fpt_reduce(det, scale, p))
+        rebuild=lambda num, scale: _fpt_reduce(num, scale, p))
 
 
 @functools.cache

@@ -1,19 +1,19 @@
-"""Sylvester resultants over a field and over the ring of u-polynomials.
+"""Resultants over a field and over the ring of u-polynomials.
 
-Both entry points reduce to one exact determinant (``bareiss_det``).  Matrix
-entries never carry boxed field elements into the elimination loop: rows are
-cleared to the field's numerator ring (integers, residues, or F_p[t] tuples;
-see ``FieldOps``) first and the determinant is unscaled at the end.  Row
-convention: res(f, g) uses deg(g) rows of f above deg(f) rows of g, so
-res(f, g) = lc(f)^deg(g) * prod g(r) over the roots of f.
+Both entry points reduce to one call of the subresultant kernel
+(``_rings.subresultant``).  Coefficients never carry boxed field elements
+into the kernel: each operand is cleared to the field's numerator ring
+(integers, residues, or F_p[t] tuples; see ``FieldOps``) with one lcm of its
+denominators, and the resultant is unscaled at the end.  Convention:
+res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f, the Sylvester
+determinant with the deg(g) rows of f on top.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
-from ._rings import bareiss_det
+from ._rings import ring_pow, subresultant
 from .errors import ConstantInputError, FieldMismatchError, ZeroInputError
 from .field import FieldDescriptor, FieldElement
 from .poly import Polynomial
@@ -76,59 +76,42 @@ class UPolynomial:
         return f"<UPolynomial of u-degree {self.u_degree}, x-degree {self.x_degree}>"
 
 
-# -- the determinant, cleared row by row to the numerator ring ---------------
+# -- resultants, cleared once per operand to the numerator ring --------------
 
 
-def _det(rows: list[list], field: FieldDescriptor, in_u: bool):
-    """Exact determinant of a matrix of raw field values or, with ``in_u``,
-    of u-vectors of raw values; the result is raw, a u-vector with ``in_u``.
-
-    Each row is multiplied by the lcm of its entries' denominators, the
-    integral matrix goes to ``bareiss_det`` over the field's numerator ring
-    (or its u-ring), and the product of the row multipliers is divided out
-    at the end."""
-    ops = field.ops
-    ring, den, den_lcm, clear = ops.ring, ops.den, ops.den_lcm, ops.clear
-    raw = []
-    scale = ring.one
-    for row in rows:
-        d = ring.one
-        for c in chain.from_iterable(row) if in_u else row:
-            d = den_lcm(d, den(c))
-        scale = ring.mul(scale, d)
-        raw.append([tuple(clear(c, d) for c in e) if in_u else clear(e, d)
-                    for e in row])
-    det = bareiss_det(raw, ops.u_ring if in_u else ring)
-    if in_u:
-        return [ops.rebuild(c, scale) for c in det]
-    return ops.rebuild(det, scale)
+def _den_lcm(values, ops):
+    """lcm of the values' denominators, in the numerator ring."""
+    d = ops.ring.one
+    for v in values:
+        d = ops.den_lcm(d, ops.den(v))
+    return d
 
 
-# -- resultants --------------------------------------------------------------
+def _cleared(values: list, ops) -> tuple[list, object]:
+    """(values * d, d) in the numerator ring, d = _den_lcm(values)."""
+    d = _den_lcm(values, ops)
+    return [ops.clear(v, d) for v in values], d
+
+
+def _scale(d_f, m: int, d_g, n: int, ring):
+    """d_f^m * d_g^n, since res(F/d_f, G/d_g) = res(F, G) / (d_f^m * d_g^n)
+    for m = deg G and n = deg F."""
+    return ring.mul(ring_pow(d_f, m, ring), ring_pow(d_g, n, ring))
 
 
 def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
-    """res(f, g) as the Sylvester determinant on exact degrees."""
+    """res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f."""
     if f.field != g.field:
         raise FieldMismatchError("resultant arguments over different fields")
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("resultant of the zero polynomial")
     field = f.field
-    n, m = f.degree, g.degree
-    if m == 0:
-        return g.leading_coefficient() ** n
-    if n == 0:
-        return f.leading_coefficient() ** m
-    size = n + m
-    zero = field.zero().value
-    fc = [c.value for c in reversed(f.coeffs)]
-    gc = [c.value for c in reversed(g.coeffs)]
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + fc + [zero] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([zero] * i + gc + [zero] * (size - i - m - 1))
-    return FieldElement(field, _det(rows, field, in_u=False))
+    ops = field.ops
+    fc, d_f = _cleared([c.value for c in f.coeffs], ops)
+    gc, d_g = _cleared([c.value for c in g.coeffs], ops)
+    res = subresultant(fc, gc, ops.ring)
+    scale = _scale(d_f, g.degree, d_g, f.degree, ops.ring)
+    return FieldElement(field, ops.rebuild(res, scale))
 
 
 def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
@@ -144,22 +127,18 @@ def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
     if f.degree < 1:
         raise ConstantInputError("resultant in u needs deg f >= 1")
     field = f.field
-    n = f.degree
+    ops = field.ops
     d = G.x_degree
-    if d < 1:
-        return Polynomial(field, G.x_coefficient(0)) ** n
-    size = n + d
-    empty = ()
-    f_entries = [(c.value,) if c else empty for c in reversed(f.coeffs)]
-    g_entries = [tuple(c.value for c in G.x_coefficient(j))
-                 for j in range(d, -1, -1)]
-    rows = []
-    for i in range(d):
-        rows.append([empty] * i + f_entries + [empty] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([empty] * i + g_entries + [empty] * (size - i - d - 1))
-    return Polynomial(field, [FieldElement(field, c)
-                              for c in _det(rows, field, in_u=True)])
+    fc, d_f = _cleared([c.value for c in f.coeffs], ops)
+    f_entries = [() if ops.ring.is_zero(c) else (c,) for c in fc]
+    g_vectors = [[c.value for c in G.x_coefficient(j)] for j in range(d + 1)]
+    d_g = _den_lcm((v for vector in g_vectors for v in vector), ops)
+    g_entries = [tuple(ops.clear(v, d_g) for v in vector)
+                 for vector in g_vectors]
+    res = subresultant(f_entries, g_entries, ops.u_ring)
+    scale = _scale(d_f, d, d_g, f.degree, ops.ring)
+    return Polynomial(field, [FieldElement(field, ops.rebuild(c, scale))
+                              for c in res])
 
 
 def discriminant(f: Polynomial) -> FieldElement:

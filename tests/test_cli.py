@@ -26,6 +26,15 @@ def test_value_subcommands(capsys):
     assert run(capsys, "tol", "x^3+x+1", "--field", "fp:7")[1].strip() == "4"
 
 
+def test_tol_of_a_degree_2000_binomial(capsys):
+    # separable and monic: tol = (-1)^C(n,2) disc = n^n * a^(n-1), here
+    # 2000^2000 mod 7 = 4.  The degree is chosen so that a resultant kernel
+    # cubic in the degree would make this test take seconds.
+    code, out, err = run(capsys, "tol", "x^2000+1", "--field", "fp:7")
+    assert code == 0 and err == ""
+    assert out.strip() == str(pow(2000, 2000, 7)) == "4"
+
+
 @pytest.mark.parametrize("argv,value", [
     (("tol", "-x^2+1"), "4"),
     (("tol", "-x^2+1", "--field", "fp:7"), "4"),

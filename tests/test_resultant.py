@@ -168,6 +168,14 @@ def test_discriminant_product_law(Q):
         done += 1
 
 
+def test_discriminant_of_degree_200_binomial(Q):
+    # disc(x^n + a) = (-1)^C(n,2) * n^n * a^(n-1), with a non-integer a
+    n, a = 200, Fraction(-3, 2)
+    f = Polynomial(Q, [Q.from_fraction(a)] + [Q.zero()] * (n - 1) + [Q.one()])
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    assert discriminant(f).value == sign * n ** n * a ** (n - 1)
+
+
 def test_discriminant_zero_derivative_char_p():
     from tolerant import rational_function_field
     F5T = rational_function_field(5)

@@ -1,14 +1,17 @@
-"""Kernel checks: tuple polynomial helpers and the Bareiss determinant
-against a cofactor-expansion oracle over every ring the package uses."""
+"""Kernel checks: tuple polynomial helpers, the Bareiss determinant against
+a cofactor-expansion oracle, and the subresultant resultant against Bareiss
+on the Sylvester matrix, over every ring the package uses."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from tolerant._rings import (InexactDivision, bareiss_det, fp_poly_ring,
                              int_poly_ring, int_ring, mod_ring, naive_det,
                              pdivmod, pgcd, plcm, pmod, pmonic, pmul,
-                             ppow_mod, pstrip, tuple_poly_ring)
+                             ppow_mod, pstrip, ring_pow, subresultant,
+                             tuple_poly_ring)
 
 
 def rand_tuple(rng, p, max_deg):
@@ -156,3 +159,160 @@ def test_int_poly_ring_exact_division_guard():
     R = int_poly_ring()
     with pytest.raises(InexactDivision):
         R.exact_div((1, 1), (2,))   # (x + 1) / 2 not integral
+
+
+# -- the subresultant kernel against Bareiss on the Sylvester matrix ---------
+
+
+def sylvester(a, b, R):
+    """Sylvester matrix, deg(b) rows of a above deg(a) rows of b; each row
+    holds coefficients highest degree first."""
+    da, db = len(a) - 1, len(b) - 1
+    size = da + db
+    rows = []
+    for coeffs, shifts in ((a, db), (b, da)):
+        for i in range(shifts):
+            row = [R.zero] * size
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def poly_mul(a, b, R):
+    out = [R.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = R.add(out[i + j], R.mul(x, y))
+    return out
+
+
+def int_tuple(rng, lo, hi, max_len):
+    return pstrip(tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, max_len))))
+
+
+def nested_tuple(rng):
+    """An F_3[t][u] element: up to two u-coefficients in F_3[t]."""
+    out = [rand_tuple(rng, 3, 1) for _ in range(rng.randint(0, 2))]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+# (ring, random element, a fixed non-unit for leading coefficients); these are
+# the numerator rings and u-rings of Q, F_p and F_p(t) in ``FieldOps``.
+KERNEL_RINGS = {
+    "Z": (int_ring(), lambda rng: rng.randint(-5, 5), 2),
+    "F_101": (mod_ring(101), lambda rng: rng.randrange(101), 3),
+    "F_3[t]": (fp_poly_ring(3), lambda rng: rand_tuple(rng, 3, 2), (1, 1)),
+    "Z[u]": (int_poly_ring(), lambda rng: int_tuple(rng, -3, 3, 3), (2, 1)),
+    "F_7[u]": (fp_poly_ring(7), lambda rng: rand_tuple(rng, 7, 2), (0, 1)),
+    "F_3[t][u]": (tuple_poly_ring(fp_poly_ring(3)), nested_tuple,
+                  ((1,), (0, 1))),
+}
+
+
+def rand_poly(rng, ring, degree, support=None):
+    """Degree-``degree`` coefficient list over ``ring`` (a KERNEL_RINGS
+    entry) whose leading coefficient is the non-unit times a nonzero value;
+    lower terms only at the degrees in ``support``."""
+    R, gen, weight = ring
+    coeffs = [R.zero] * degree
+    for i in range(degree) if support is None else support:
+        coeffs[i] = gen(rng)
+    lead = R.zero
+    while R.is_zero(lead):
+        lead = gen(rng)
+    return coeffs + [R.mul(weight, lead)]
+
+
+def remainder_degrees(a, b):
+    """Degrees of the Euclidean remainder sequence of two integer lists over
+    Q, starting with deg a >= deg b."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    out = [len(a) - 1, len(b) - 1]
+    while len(b) > 1:
+        r = a[:]
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        a, b = b, r
+        out.append(len(b) - 1)
+    return out
+
+
+def kernel_cases(rng, ring):
+    """Operand pairs covering every branch of the kernel's sign and scale
+    rules."""
+    R = ring[0]
+    # dense, every pair of degrees up to 4: constants, both degrees odd,
+    # deg a < deg b
+    cases = [(rand_poly(rng, ring, da), rand_poly(rng, ring, db))
+             for da in range(5) for db in range(5)]
+    # sparse operands give degree gaps inside the remainder sequence:
+    # 7,5,3,2,..; 9,6,4,3,..; swapped 5,7; and 7,3,1,0 or 7,3,0, which ends
+    # on a constant after a gap
+    for (da, sa), (db, sb) in [((7, range(3)), (5, range(2))),
+                               ((9, range(3)), (6, range(2))),
+                               ((5, range(2)), (7, range(3))),
+                               ((7, (0,)), (3, (1,)))]:
+        for _ in range(2):
+            cases.append((rand_poly(rng, ring, da, sa),
+                          rand_poly(rng, ring, db, sb)))
+    # a shared factor of degree 1 or 2: the resultant is zero
+    for dc, da, db in [(1, 2, 3), (2, 1, 1), (1, 3, 0)]:
+        c = rand_poly(rng, ring, dc)
+        cases.append((poly_mul(c, rand_poly(rng, ring, da), R),
+                      poly_mul(c, rand_poly(rng, ring, db), R)))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(KERNEL_RINGS))
+def test_subresultant_matches_bareiss_on_sylvester(name):
+    R = KERNEL_RINGS[name][0]
+    rng = random.Random(60 + list(KERNEL_RINGS).index(name))
+    zeros = 0
+    for a, b in kernel_cases(rng, KERNEL_RINGS[name]):
+        expected = bareiss_det(sylvester(a, b, R), R)
+        assert subresultant(a, b, R) == expected, (name, a, b)
+        zeros += R.is_zero(expected)
+    assert zeros >= 3
+
+
+def test_kernel_cases_cover_gaps_and_sign_rules():
+    cases = kernel_cases(random.Random(60), KERNEL_RINGS["Z"])
+    inner_gaps = 0
+    for a, b in cases:
+        if len(a) >= len(b) > 1:
+            degrees = remainder_degrees(a, b)
+            inner_gaps += any(x - y >= 2 for x, y in zip(degrees[1:], degrees[2:]))
+    assert inner_gaps >= 4
+    assert any(len(a) < len(b) and len(a) % 2 == 0 and len(b) % 2 == 0
+               for a, b in cases)                  # swapped, both degrees odd
+    assert any(len(a) % 2 == 0 and len(b) % 2 == 0 and len(a) > len(b)
+               for a, b in cases)
+    assert any(len(a) == 1 and len(b) > 1 for a, b in cases)
+    assert any(len(b) == 1 and len(a) > 1 for a, b in cases)
+
+
+def test_subresultant_constants_and_swap_sign():
+    R = int_ring()
+    assert subresultant([3], [5], R) == 1
+    assert subresultant([3], [1, 2, 1], R) == 9        # 3^deg b
+    assert subresultant([1, 0, 1], [-2], R) == 4       # (-2)^deg a
+    a, b = [1, 2, 0, 3], [5, 0, 1, 0, 2, 7]
+    assert subresultant(a, b, R) == -subresultant(b, a, R)   # 3 * 5 odd
+    assert subresultant([-6, 1], [-1, 0, 1], R) == 35  # (x-6) vs x^2-1: 36-1
+
+
+def test_ring_pow():
+    assert ring_pow(3, 0, int_ring()) == 1
+    assert ring_pow(-2, 7, int_ring()) == -128
+    assert ring_pow((1, 1), 3, fp_poly_ring(2)) == (1, 1, 1, 1)
