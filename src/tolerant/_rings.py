@@ -1,8 +1,8 @@
 """Internal exact-arithmetic kernels on raw Python values.
 
-The boxed field/polynomial classes are convenient but too slow inside a
-resultant loop, so everything performance-critical runs here on plain ints
-and tuples:
+Field-generic code reaches raw values through a ``FieldOps`` call per
+operation, which is too slow inside a resultant loop, so everything
+performance-critical runs here on plain ints and tuples:
 
 * ``pXXX`` functions: dense polynomials over F_p as tuples of residues,
   lowest degree first, normalized (no trailing zeros, ``()`` is zero).  These

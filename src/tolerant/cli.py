@@ -164,12 +164,8 @@ def _batch_command(args) -> int:
     if args.path == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        try:
-            with open(args.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            print(f"error[IO_ERROR]: {exc}", file=sys.stderr)
-            return 1
+        with open(args.path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     out = []
     for raw in lines:
         line = raw.strip()
@@ -250,6 +246,10 @@ def main(argv=None) -> int:
         return _fail(exc)
     except ValueError as exc:
         print(f"error[VALUE_ERROR]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an unreadable batch input or an unwritable --output path
+        print(f"error[IO_ERROR]: {exc}", file=sys.stderr)
         return 1
 
 

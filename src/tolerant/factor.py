@@ -86,8 +86,8 @@ def _canonical(factors: dict[int, list[Polynomial]] | list, field,
 
 def _int_key(g: Polynomial):
     if g.field.kind is FieldKind.RATIONALS:
-        return tuple((c.value.numerator, c.value.denominator) for c in g.coeffs)
-    return tuple(c.value for c in g.coeffs)
+        return tuple((v.numerator, v.denominator) for v in g.raw)
+    return g.raw
 
 
 def _sqf_char0(f: Polynomial) -> dict[int, list[Polynomial]]:
@@ -126,7 +126,7 @@ def _sqf_charp(f: Polynomial) -> dict[int, list[Polynomial]]:
         w = y
         i += 1
     if c.degree > 0:
-        inner = _sqf_charp(Polynomial(f.field, c.coeffs[::p]))
+        inner = _sqf_charp(Polynomial.from_raw(f.field, c.raw[::p]))
         for m, gs in inner.items():
             if f.field.is_perfect:
                 out.setdefault(m * p, []).extend(gs)
@@ -210,10 +210,9 @@ def factor_prime_field(f: Polynomial, seed: int = 0) -> Factorization:
     sqf = squarefree_decomposition(f)
     flat: list[tuple[Polynomial, int]] = []
     for part, m in sqf.factors:
-        part_t = tuple(c.value for c in part.coeffs)
-        for d, prod in _ddf(part_t, p):
+        for d, prod in _ddf(part.raw, p):
             for irr in _edf(prod, d, p, rng):
-                flat.append((Polynomial.from_ints(f.field, irr), m))
+                flat.append((Polynomial.from_raw(f.field, irr), m))
     return _canonical(flat, f.field, f.leading_coefficient())
 
 
@@ -228,7 +227,7 @@ def is_irreducible_prime_field(f: Polynomial) -> bool:
     if n == 1:
         return True
     p = f.field.p
-    f_t = pmonic(tuple(c.value for c in f.coeffs), p)
+    f_t = pmonic(f.raw, p)
     powers = {}
     r = pmod(_X, f_t, p)
     for m in range(1, n + 1):

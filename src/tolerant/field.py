@@ -10,8 +10,8 @@ Canonical forms make equality a plain value comparison:
 
 Each descriptor carries one :class:`FieldOps` table, built once per field,
 with the raw arithmetic on those values and the field's integral view for
-resultants; ``FieldElement`` operators and the resultant code call it
-instead of branching per field.
+resultants; ``FieldElement`` operators, ``Polynomial`` and the resultant
+code call it instead of branching per field.
 
 Mixing elements of different descriptors raises ``FieldMismatchError``;
 Python ints coerce into any field, ``Fraction`` only into Q.
@@ -208,10 +208,27 @@ class FieldOps(NamedTuple):
     rebuild: Callable[[Any, Any], Any]
 
 
+def _int_text(n: int) -> str:
+    """Decimal text of an int of any size: str() refuses ints past the
+    interpreter's digit limit (640 at the least), so long ones are split."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20            # about half of the digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _q_text(v: Fraction) -> str:
+    den = "" if v.denominator == 1 else "/" + _int_text(v.denominator)
+    return _int_text(v.numerator) + den
+
+
 def _q_ops() -> FieldOps:
     return FieldOps(
         add=operator.add, neg=operator.neg, mul=operator.mul,
-        inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction, text=str,
+        inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction, text=_q_text,
         ring=_rings.int_ring(), u_ring=_rings.int_poly_ring(),
         den=lambda v: v.denominator, den_lcm=math.lcm,
         clear=lambda v, d: v.numerator * (d // v.denominator),
@@ -245,8 +262,8 @@ def _fpt_ops(p: int) -> FieldOps:
     def text(v) -> str:
         num, den = v
         if den == (1,):
-            return t_poly_text(num, p)
-        return f"({t_poly_text(num, p)})/({t_poly_text(den, p)})"
+            return t_poly_text(num)
+        return f"({t_poly_text(num)})/({t_poly_text(den)})"
 
     ring = _rings.fp_poly_ring(p)
     return FieldOps(
@@ -269,7 +286,7 @@ def _field_ops(kind: FieldKind, p: Union[int, None]) -> FieldOps:
     return _fpt_ops(p)
 
 
-def t_poly_text(coeffs: tuple, p: int, var: str = "t") -> str:
+def t_poly_text(coeffs: tuple) -> str:
     """Parseable text for a dense F_p polynomial, e.g. ``t^2 + 4*t + 3``."""
     if not coeffs:
         return "0"
@@ -282,7 +299,7 @@ def t_poly_text(coeffs: tuple, p: int, var: str = "t") -> str:
             terms.append(str(c))
         else:
             head = "" if c == 1 else f"{c}*"
-            terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+            terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
     return " + ".join(terms)
 
 

@@ -23,10 +23,14 @@ from __future__ import annotations
 
 from .errors import FieldLiteralError, ParseError
 from .factor import Factorization
-from .field import FieldDescriptor, FieldKind, t_poly_text
+from .field import FieldDescriptor, FieldKind
 from .poly import Polynomial
 
 _OPS = set("+-*/^()")
+
+# Each '(' and each unary '-' opens one level of recursion in the parser;
+# deeper input is refused before it can exhaust the interpreter's stack.
+MAX_NESTING = 64
 
 
 class _Token:
@@ -74,6 +78,7 @@ class _Parser:
         self.field = field
         self.tokens = _tokenize(text.replace("−", "-"))
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -92,6 +97,24 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.pos)
+
+    def nested(self, parse):
+        """parse() one level deeper, just past a '(' or a unary '-'."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.tokens[self.i - 1].pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def group(self) -> Polynomial:
+        """'(' expr ')', the '(' being the next token."""
+        self.advance()
+        value = self.nested(self.expr)
+        if not self.accept_op(")"):
+            self.fail("expected ')'")
+        return value
 
     # -- grammar ------------------------------------------------------------
 
@@ -125,7 +148,7 @@ class _Parser:
 
     def unary(self) -> Polynomial:
         if self.accept_op("-"):
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self) -> Polynomial:
@@ -154,11 +177,7 @@ class _Parser:
                     f"t is not an element of {self.field.text()}", tok.pos)
             return Polynomial.constant(self.field, self.field.t())
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            value = self.expr()
-            if not self.accept_op(")"):
-                self.fail("expected ')'")
-            return value
+            return self.group()
         self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
 
     def expect_end(self):
@@ -220,10 +239,7 @@ class _Parser:
             negate = not negate
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            value = self.expr()
-            if not self.accept_op(")"):
-                self.fail("expected ')'")
+            value = self.group()
             mult = 1
             if self.accept_op("^"):
                 num = self.peek()
@@ -255,84 +271,28 @@ def parse_polynomial(text: str, field: FieldDescriptor, factored: bool = False):
 # -- printing -----------------------------------------------------------------
 
 
-def _xpart(i: int, var: str) -> str:
-    if i == 0:
-        return ""
-    return var if i == 1 else f"{var}^{i}"
-
-
 def polynomial_text(f: Polynomial, var: str = "x") -> str:
-    """Canonical, re-parseable text, highest degree first."""
-    if f.is_zero():
-        return "0"
-    kind = f.field.kind
-    if kind is FieldKind.RATIONALS:
-        return _text_signed(f, var)
-    if kind is FieldKind.PRIME_FIELD:
-        return _text_residues(f, var)
-    return _text_t_fractions(f, var)
-
-
-def _text_signed(f: Polynomial, var: str) -> str:
-    out = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i].value
-        if not c:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        xp = _xpart(i, var)
-        if not xp:
-            body = str(mag)
-        elif mag == 1:
-            body = xp
-        else:
-            body = f"{mag}*{xp}"
-        if not out:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
-
-
-def _text_residues(f: Polynomial, var: str) -> str:
+    """Canonical, re-parseable text, highest degree first.  A coefficient's
+    leading '-' becomes the joining sign, and a multi-term coefficient is
+    parenthesized before its power of x."""
+    ops = f.field.ops
     terms = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i].value
-        if not c:
+    for i in range(len(f.raw) - 1, -1, -1):
+        if not ops.nonzero(f.raw[i]):
             continue
-        xp = _xpart(i, var)
-        if not xp:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(xp)
-        else:
-            terms.append(f"{c}*{xp}")
-    return " + ".join(terms)
-
-
-def _text_t_fractions(f: Polynomial, var: str) -> str:
-    p = f.field.p
-    terms = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        num, den = f.coeffs[i].value
-        if not num:
-            continue
-        xp = _xpart(i, var)
-        if den == (1,):
-            monomial = sum(1 for c in num if c) == 1
-            body = t_poly_text(num, p)
-            if not monomial and xp:
+        body = ops.text(f.raw[i])
+        sign = "-" if body.startswith("-") else "+"
+        body = body.removeprefix("-")
+        if i:
+            xp = var if i == 1 else f"{var}^{i}"
+            if " " in body and not body.startswith("("):
                 body = f"({body})"
-        else:
-            body = f"({t_poly_text(num, p)})/({t_poly_text(den, p)})"
-        if not xp:
-            terms.append(body)
-        elif num == (1,) and den == (1,):
-            terms.append(xp)
-        else:
-            terms.append(f"{body}*{xp}")
-    return " + ".join(terms)
+            body = xp if body == "1" else f"{body}*{xp}"
+        terms.append(f" {sign} {body}")
+    text = "".join(terms)                   # " - 2*x^2 + 3"
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def factorization_text(fac: Factorization) -> str:

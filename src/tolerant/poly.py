@@ -1,8 +1,9 @@
 """Dense univariate polynomials over one of the supported fields.
 
-Coefficients are stored lowest degree first and normalized: the last entry is
-nonzero, the zero polynomial is the empty tuple, and ``degree`` of zero is the
-distinguished ``NEG_INFINITY`` marker (which compares below every int).
+Coefficients are the field's raw values (``FieldOps``), stored lowest degree
+first and normalized: the last entry is nonzero, the zero polynomial is the
+empty tuple, and ``degree`` of zero is the distinguished ``NEG_INFINITY``
+marker (which compares below every int).
 
 Beyond ring arithmetic this module carries every transform the invariant
 formulas need: Hasse derivatives, Taylor shift f(x+a), homothety f(ax),
@@ -28,17 +29,23 @@ Degree = Union[int, float]
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    """Coefficients live in ``raw``: the field's own values (see ``FieldOps``),
+    lowest degree first, and every operation runs on them through
+    ``field.ops``.  ``coeffs`` is a boxed read-only view of the same tuple."""
+
+    __slots__ = ("field", "raw")
 
     def __init__(self, field: FieldDescriptor, coeffs: Iterable[FieldElement]):
         coeffs = list(coeffs)
-        for c in coeffs:
-            if c.field != field:
-                raise FieldMismatchError("coefficient from a different field")
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        if any(c.field != field for c in coeffs):
+            raise FieldMismatchError("coefficient from a different field")
+        self._store(field, [c.value for c in coeffs])
+
+    def _store(self, field: FieldDescriptor, raw: list) -> None:
+        while raw and not field.ops.nonzero(raw[-1]):
+            raw.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "raw", tuple(raw))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -46,60 +53,73 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_raw(cls, field: FieldDescriptor, raw: Sequence) -> "Polynomial":
+        """From raw ``field.ops`` values, lowest degree first."""
+        f = object.__new__(cls)
+        f._store(field, list(raw))
+        return f
+
+    @classmethod
     def from_ints(cls, field: FieldDescriptor, ints: Sequence[int]) -> "Polynomial":
-        return cls(field, [field.from_int(n) for n in ints])
+        return cls.from_raw(field, [field.ops.from_int(n) for n in ints])
 
     @classmethod
     def constant(cls, field: FieldDescriptor, c) -> "Polynomial":
         if isinstance(c, int):
-            c = field.from_int(c)
+            return cls.from_ints(field, [c])
         return cls(field, [c])
 
     @classmethod
     def x(cls, field: FieldDescriptor) -> "Polynomial":
-        return cls(field, [field.zero(), field.one()])
+        return cls.from_ints(field, [0, 1])
 
     @classmethod
     def zero(cls, field: FieldDescriptor) -> "Polynomial":
-        return cls(field, [])
+        return cls.from_raw(field, [])
 
     @classmethod
     def one(cls, field: FieldDescriptor) -> "Polynomial":
-        return cls.constant(field, 1)
+        return cls.from_ints(field, [1])
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, v) for v in self.raw)
+
+    @property
     def degree(self) -> Degree:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.raw) - 1 if self.raw else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.raw)
 
     def leading_coefficient(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.raw:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.raw[-1])
 
     def constant_term(self) -> FieldElement:
-        return self.coeffs[0] if self.coeffs else self.field.zero()
+        return self.coefficient(0)
 
     def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+        if 0 <= i < len(self.raw):
+            return FieldElement(self.field, self.raw[i])
+        return self.field.zero()
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
+        return bool(self.raw) and self.raw[-1] == self.field.ops.from_int(1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.raw))
 
     def __repr__(self) -> str:
         from .parsing import polynomial_text
@@ -111,44 +131,56 @@ class Polynomial:
         if not isinstance(other, Polynomial) or other.field != self.field:
             raise FieldMismatchError("mixed-field polynomial arithmetic")
 
+    def _scalar(self, c) -> object:
+        """Raw value of a scalar argument: an int or an element of this field."""
+        if isinstance(c, int):
+            return self.field.ops.from_int(c)
+        if not isinstance(c, FieldElement) or c.field != self.field:
+            raise FieldMismatchError("scalar from a different field")
+        return c.value
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.raw, other.raw
         if len(a) < len(b):
             a, b = b, a
+        add = self.field.ops.add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.field, out)
+            out[i] = add(out[i], c)
+        return Polynomial.from_raw(self.field, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return Polynomial.from_raw(self.field, map(self.field.ops.neg, self.raw))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, FieldElement):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.field.from_int(other))
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.raw, other.raw
         if not a or not b:
             return Polynomial.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
+        ops = self.field.ops
+        add, mul, nonzero = ops.add, ops.mul, ops.nonzero
+        terms = [(j, y) for j, y in enumerate(b) if nonzero(y)]
+        out = [ops.from_int(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        return Polynomial(self.field, out)
+            if nonzero(x):
+                for j, y in terms:
+                    out[i + j] = add(out[i + j], mul(x, y))
+        return Polynomial.from_raw(self.field, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: FieldElement) -> "Polynomial":
-        return Polynomial(self.field, [a * c for a in self.coeffs])
+        return self._times(self._scalar(c))
+
+    def _times(self, v) -> "Polynomial":
+        mul = self.field.ops.mul
+        return Polynomial.from_raw(self.field, [mul(a, v) for a in self.raw])
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
@@ -166,23 +198,25 @@ class Polynomial:
         self._check(other)
         if not other:
             raise DivisionByZeroError("polynomial division by zero")
-        da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
+        b = other.raw
+        da, db = len(self.raw) - 1, len(b) - 1
         if da < db:
             return Polynomial.zero(self.field), self
-        inv = other.coeffs[-1].inverse()
-        rem = list(self.coeffs)
-        q = [self.field.zero()] * (da - db + 1)
+        ops = self.field.ops
+        add, mul, neg, nonzero = ops.add, ops.mul, ops.neg, ops.nonzero
+        inv = ops.inverse(b[-1])
+        rem = list(self.raw)
+        q = [ops.from_int(0)] * (da - db + 1)
         for k in range(da - db, -1, -1):
             c = rem[k + db]
-            if c:
-                c = c * inv
+            if nonzero(c):
+                c = mul(c, inv)
                 q[k] = c
+                c = neg(c)
                 for j in range(db + 1):
-                    rem[k + j] = rem[k + j] - c * other.coeffs[j]
-        return Polynomial(self.field, q), Polynomial(self.field, rem[:db])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
+                    rem[k + j] = add(rem[k + j], mul(c, b[j]))
+        return (Polynomial.from_raw(self.field, q),
+                Polynomial.from_raw(self.field, rem[:db]))
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -202,26 +236,24 @@ class Polynomial:
         return a.monic() if a else a
 
     def monic(self) -> "Polynomial":
-        if not self.coeffs:
+        if not self.raw:
             raise ValueError("cannot normalize the zero polynomial")
         if self.is_monic():
             return self
-        return self.scale(self.coeffs[-1].inverse())
+        return self._times(self.field.ops.inverse(self.raw[-1]))
 
     def __call__(self, alpha: FieldElement) -> FieldElement:
-        if isinstance(alpha, int):
-            alpha = self.field.from_int(alpha)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * alpha + c
-        return acc
+        a = self._scalar(alpha)
+        ops = self.field.ops
+        acc = ops.from_int(0)
+        for c in reversed(self.raw):
+            acc = ops.add(ops.mul(acc, a), c)
+        return FieldElement(self.field, acc)
 
     # -- calculus-style transforms -------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            self.field,
-            [c * i for i, c in enumerate(self.coeffs)][1:])
+        return self.hasse_derivative(1)
 
     def hasse_derivative(self, r: int) -> "Polynomial":
         """D^r: x^n -> C(n, r) x^(n-r), binomials taken over Z then mapped
@@ -230,49 +262,42 @@ class Polynomial:
             raise ValueError("Hasse derivative order must be >= 0")
         if r == 0:
             return self
-        out = []
-        for i in range(r, len(self.coeffs)):
-            out.append(self.coeffs[i] * self.field.from_int(comb(i, r)))
-        return Polynomial(self.field, out)
+        ops = self.field.ops
+        return Polynomial.from_raw(
+            self.field, [ops.mul(self.raw[i], ops.from_int(comb(i, r)))
+                         for i in range(r, len(self.raw))])
 
     def taylor_shift(self, alpha: FieldElement) -> "Polynomial":
         """f(x + alpha), by Horner over the shifted variable."""
-        if isinstance(alpha, int):
-            alpha = self.field.from_int(alpha)
-        if alpha.field != self.field:
-            raise FieldMismatchError("shift amount from a different field")
-        zero = self.field.zero()
-        out: list[FieldElement] = []
-        for c in reversed(self.coeffs):
-            shifted = [zero] + out
+        a = self._scalar(alpha)
+        add, mul = self.field.ops.add, self.field.ops.mul
+        out: list = []
+        for c in reversed(self.raw):
+            # out * (x + alpha) + c
+            shifted = [c] + out
             for i, v in enumerate(out):
-                shifted[i] = shifted[i] + v * alpha
-            if shifted:
-                shifted[0] = shifted[0] + c
-            else:
-                shifted = [c]
+                shifted[i] = add(shifted[i], mul(v, a))
             out = shifted
-        return Polynomial(self.field, out)
+        return Polynomial.from_raw(self.field, out)
 
     def homothety(self, alpha: FieldElement) -> "Polynomial":
         """f(alpha x): coefficient i scaled by alpha^i."""
-        if isinstance(alpha, int):
-            alpha = self.field.from_int(alpha)
-        if not alpha:
+        a = self._scalar(alpha)
+        ops = self.field.ops
+        if not ops.nonzero(a):
             raise ZeroScaleError("homothety scale must be nonzero")
         out = []
-        power = self.field.one()
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * alpha
-            out.append(c * power)
-        return Polynomial(self.field, out)
+        power = ops.from_int(1)
+        for c in self.raw:
+            out.append(ops.mul(c, power))
+            power = ops.mul(power, a)
+        return Polynomial.from_raw(self.field, out)
 
     def reciprocal(self) -> "Polynomial":
         """x^(deg f) f(1/x); needs f(0) != 0 so the degree is preserved."""
-        if not self.constant_term():
+        if not self.raw or not self.field.ops.nonzero(self.raw[0]):
             raise ZeroConstantTermError("reciprocal needs f(0) != 0")
-        return Polynomial(self.field, reversed(self.coeffs))
+        return Polynomial.from_raw(self.field, self.raw[::-1])
 
     def is_separable(self) -> bool:
         """No repeated roots over the closure: gcd(f, f') is constant."""
@@ -284,13 +309,11 @@ class Polynomial:
         """f(x^k)."""
         if k < 1:
             raise ValueError("substitution power must be >= 1")
-        if k == 1 or not self.coeffs:
+        if k == 1 or not self.raw:
             return self
-        zero = self.field.zero()
-        out = [zero] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Polynomial(self.field, out)
+        out = [self.field.ops.from_int(0)] * ((len(self.raw) - 1) * k + 1)
+        out[::k] = self.raw
+        return Polynomial.from_raw(self.field, out)
 
     def desubstitute(self) -> "SeparableForm":
         """Largest e with f = g(x^(p^e)) and g' != 0.
@@ -308,7 +331,7 @@ class Polynomial:
         # g' = 0 over a field exactly when every exponent with a nonzero
         # coefficient is divisible by p.
         while not g.derivative():
-            g = Polynomial(self.field, [g.coeffs[i] for i in range(0, len(g.coeffs), p)])
+            g = Polynomial.from_raw(self.field, g.raw[::p])
             e += 1
         return SeparableForm(g, e)
 

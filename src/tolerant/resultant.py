@@ -1,10 +1,10 @@
 """Resultants over a field and over the ring of u-polynomials.
 
 Both entry points reduce to one call of the subresultant kernel
-(``_rings.subresultant``).  Coefficients never carry boxed field elements
-into the kernel: each operand is cleared to the field's numerator ring
-(integers, residues, or F_p[t] tuples; see ``FieldOps``) with one lcm of its
-denominators, and the resultant is unscaled at the end.  Convention:
+(``_rings.subresultant``).  Each operand's raw coefficients are cleared
+to the field's numerator ring (integers, residues, or F_p[t] tuples; see
+``FieldOps``) with one lcm of their denominators, and the resultant is
+unscaled at the end.  Convention:
 res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f, the Sylvester
 determinant with the deg(g) rows of f on top.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._rings import ring_pow, subresultant
+from ._rings import pstrip, ring_pow, subresultant
 from .errors import ConstantInputError, FieldMismatchError, ZeroInputError
 from .field import FieldDescriptor, FieldElement
 from .poly import Polynomial
@@ -87,7 +87,7 @@ def _den_lcm(values, ops):
     return d
 
 
-def _cleared(values: list, ops) -> tuple[list, object]:
+def _cleared(values, ops) -> tuple[list, object]:
     """(values * d, d) in the numerator ring, d = _den_lcm(values)."""
     d = _den_lcm(values, ops)
     return [ops.clear(v, d) for v in values], d
@@ -107,8 +107,8 @@ def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
         raise ZeroInputError("resultant of the zero polynomial")
     field = f.field
     ops = field.ops
-    fc, d_f = _cleared([c.value for c in f.coeffs], ops)
-    gc, d_g = _cleared([c.value for c in g.coeffs], ops)
+    fc, d_f = _cleared(f.raw, ops)
+    gc, d_g = _cleared(g.raw, ops)
     res = subresultant(fc, gc, ops.ring)
     scale = _scale(d_f, g.degree, d_g, f.degree, ops.ring)
     return FieldElement(field, ops.rebuild(res, scale))
@@ -129,16 +129,16 @@ def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
     field = f.field
     ops = field.ops
     d = G.x_degree
-    fc, d_f = _cleared([c.value for c in f.coeffs], ops)
+    fc, d_f = _cleared(f.raw, ops)
     f_entries = [() if ops.ring.is_zero(c) else (c,) for c in fc]
-    g_vectors = [[c.value for c in G.x_coefficient(j)] for j in range(d + 1)]
-    d_g = _den_lcm((v for vector in g_vectors for v in vector), ops)
-    g_entries = [tuple(ops.clear(v, d_g) for v in vector)
-                 for vector in g_vectors]
+    # entry j is the u-vector of the x^j coefficient of G, cleared
+    d_g = _den_lcm((v for c in G.coeffs for v in c.raw), ops)
+    g_entries = [pstrip([ops.clear(c.raw[j], d_g) if j < len(c.raw)
+                         else ops.ring.zero for c in G.coeffs])
+                 for j in range(d + 1)]
     res = subresultant(f_entries, g_entries, ops.u_ring)
     scale = _scale(d_f, d, d_g, f.degree, ops.ring)
-    return Polynomial(field, [FieldElement(field, ops.rebuild(c, scale))
-                              for c in res])
+    return Polynomial.from_raw(field, [ops.rebuild(c, scale) for c in res])
 
 
 def discriminant(f: Polynomial) -> FieldElement:

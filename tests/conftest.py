@@ -28,6 +28,19 @@ def F5T() -> FieldDescriptor:
     return rational_function_field(5)
 
 
+@pytest.fixture(scope="session")
+def F3T() -> FieldDescriptor:
+    return rational_function_field(3)
+
+
+def t_fraction_pool(F):
+    """Small F_p(t) values, several with a t-denominator; 0 included."""
+    t = F.t()
+    one = F.one()
+    return [F.zero(), one, t, t + one, one / (t + one), t / (t + one),
+            (t + one + one) / t]
+
+
 def linear_product(field, pairs, lc=1):
     """lc * prod (x - r)^m; roots given as ints or Fractions."""
     if isinstance(lc, Fraction):

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, flags, exit codes, serialization."""
 
 import json
+import sys
 
 import pytest
 
@@ -171,6 +172,29 @@ def test_batch_stdin(capsys, monkeypatch):
 def test_batch_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "batch", str(tmp_path / "absent.txt"))
     assert code == 1 and "IO_ERROR" in err
+
+
+def test_unwritable_output_path_exits_one(capsys, tmp_path):
+    target = tmp_path / "absent" / "out.txt"
+    code, out, err = run(capsys, "tol", "x^2", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error[IO_ERROR]: ")
+    assert not target.exists()
+
+
+def test_value_past_the_int_string_limit_prints(capsys):
+    # tol(x^n + 1) = n^n; 1400^1400 has 4405 digits, more than the
+    # interpreter's default limit of 4300 for int-to-text conversion
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(1400 ** 1400)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4300
+    code, out, err = run(capsys, "tol", "x^1400+1")
+    assert code == 0 and err == ""
+    assert out.strip() == expected
 
 
 def test_selfcheck_cli_pass_and_determinism(capsys):

@@ -9,6 +9,7 @@ from tolerant import (Factorization, Polynomial, factorization_text,
                       parse_polynomial, polynomial_text, prime_field,
                       rational_function_field, rationals)
 from tolerant.errors import FieldLiteralError, ParseError
+from tolerant.parsing import MAX_NESTING
 
 from conftest import linear_product
 
@@ -80,6 +81,21 @@ def test_error_offsets(Q, text, offset):
         parse_polynomial(text, Q)
     assert e.value.position == offset
     assert f"offset {offset}" in str(e.value)
+
+
+def test_deep_nesting_is_a_syntax_error(Q, capsys):
+    # 200 parentheses or 1200 unary minuses would exhaust the interpreter's
+    # stack; the parser refuses them with its fixed nesting limit
+    from tolerant.cli import main
+    assert main(["tol", "--", "(" * 200 + "x^2+1" + ")" * 200]) == 1
+    assert capsys.readouterr().err.startswith("error[SYNTAX_ERROR]: nesting")
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("-" * 1200 + "x", Q)
+    assert info.value.code == "SYNTAX_ERROR"
+    assert info.value.position == MAX_NESTING      # the first '-' too deep
+    depth = MAX_NESTING
+    assert parse_polynomial("(" * depth + "x" + ")" * depth, Q) == \
+        parse_polynomial("x", Q)
 
 
 def test_unknown_name_rejected(Q):

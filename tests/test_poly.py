@@ -6,19 +6,33 @@ from fractions import Fraction
 
 import pytest
 
-from tolerant import (Polynomial, RootMultiset, poly_from_roots, prime_field,
-                      rational_function_field, rationals)
+from tolerant import (FieldElement, FieldKind, Polynomial, RootMultiset,
+                      poly_from_roots, prime_field, rational_function_field,
+                      rationals)
 from tolerant.errors import (ConstantInputError, DuplicateRootsError,
                              FieldMismatchError, UnsupportedFieldError,
                              ZeroConstantTermError, ZeroScaleError)
 
-from conftest import linear_product
+from conftest import linear_product, t_fraction_pool
 
 
 def rand_poly(field, rng, max_deg, span=9):
-    coeffs = [field.from_int(rng.randint(-span, span))
-              for _ in range(rng.randint(0, max_deg) + 1)]
+    """Small integer coefficients; over F_p(t), values of t_fraction_pool,
+    several with a t-denominator."""
+    if field.kind is FieldKind.RATIONAL_FUNCTION_FIELD:
+        pool = t_fraction_pool(field)
+        coeffs = [rng.choice(pool) for _ in range(rng.randint(0, max_deg) + 1)]
+    else:
+        coeffs = [field.from_int(rng.randint(-span, span))
+                  for _ in range(rng.randint(0, max_deg) + 1)]
     return Polynomial(field, coeffs)
+
+
+def rand_scalar(field, rng, ints):
+    """One of `ints` in the field; over F_p(t), a nonzero pool value."""
+    if field.kind is FieldKind.RATIONAL_FUNCTION_FIELD:
+        return rng.choice(t_fraction_pool(field)[1:])
+    return field.from_int(rng.choice(ints))
 
 
 def test_normalization_strips_trailing_zeros(Q):
@@ -46,16 +60,17 @@ def test_mul_matches_naive_convolution(Q):
         assert [c.value for c in h.coeffs] == (conv or [])
 
 
-def test_divmod_property(F7):
+def test_divmod_property(F7, F3T):
     rng = random.Random(1)
-    for _ in range(200):
-        g = rand_poly(F7, rng, 5)
-        if g.is_zero():
-            continue
-        f = rand_poly(F7, rng, 8)
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.is_zero() or r.degree < g.degree
+    for field, rounds in ((F7, 200), (F3T, 40)):
+        for _ in range(rounds):
+            g = rand_poly(field, rng, 5)
+            if g.is_zero():
+                continue
+            f = rand_poly(field, rng, 8)
+            q, r = divmod(f, g)
+            assert q * g + r == f
+            assert r.is_zero() or r.degree < g.degree
 
 
 def test_exact_div_raises_on_remainder(Q):
@@ -66,19 +81,20 @@ def test_exact_div_raises_on_remainder(Q):
     assert f.exact_div(linear_product(Q, [(1, 1)])) == linear_product(Q, [(2, 1)])
 
 
-def test_gcd_is_monic_and_divides(F7):
+def test_gcd_is_monic_and_divides(F7, F3T):
     rng = random.Random(2)
-    for _ in range(100):
-        f, g = rand_poly(F7, rng, 6), rand_poly(F7, rng, 6)
-        d = f.gcd(g)
-        if f.is_zero() and g.is_zero():
-            assert d.is_zero()
-            continue
-        assert d.is_monic()
-        if f:
-            assert (f % d).is_zero()
-        if g:
-            assert (g % d).is_zero()
+    for field, rounds in ((F7, 100), (F3T, 30)):
+        for _ in range(rounds):
+            f, g = rand_poly(field, rng, 6), rand_poly(field, rng, 6)
+            d = f.gcd(g)
+            if f.is_zero() and g.is_zero():
+                assert d.is_zero()
+                continue
+            assert d.is_monic()
+            if f:
+                assert (f % d).is_zero()
+            if g:
+                assert (g % d).is_zero()
 
 
 def test_gcd_known_common_factor(Q):
@@ -107,12 +123,12 @@ def test_pow_square_multiply(F7):
         acc = acc * f
 
 
-def test_taylor_shift_is_translation(Q, F7):
+def test_taylor_shift_is_translation(Q, F7, F3T):
     rng = random.Random(4)
-    for field in (Q, F7):
-        for _ in range(50):
+    for field, rounds in ((Q, 50), (F7, 50), (F3T, 15)):
+        for _ in range(rounds):
             f = rand_poly(field, rng, 6)
-            a = field.from_int(rng.randint(-6, 6))
+            a = rand_scalar(field, rng, range(-6, 7))
             g = f.taylor_shift(a)
             for v in range(-3, 4):
                 x0 = field.from_int(v)
@@ -120,13 +136,13 @@ def test_taylor_shift_is_translation(Q, F7):
             assert g.taylor_shift(-a) == f
 
 
-def test_taylor_shift_group_law(Q, F7):
+def test_taylor_shift_group_law(Q, F7, F3T):
     rng = random.Random(14)
-    for field in (Q, F7):
-        for _ in range(40):
+    for field, rounds in ((Q, 40), (F7, 40), (F3T, 15)):
+        for _ in range(rounds):
             f = rand_poly(field, rng, 6)
-            a = field.from_int(rng.randint(-6, 6))
-            b = field.from_int(rng.randint(-6, 6))
+            a = rand_scalar(field, rng, range(-6, 7))
+            b = rand_scalar(field, rng, range(-6, 7))
             assert f.taylor_shift(a).taylor_shift(b) == f.taylor_shift(a + b)
 
 
@@ -164,11 +180,11 @@ def test_hasse_derivative_char_p_survives_where_derivative_dies():
     assert f.hasse_derivative(5) == Polynomial.one(F5T)
 
 
-def test_hasse_derivative_composition(Q, F7):
+def test_hasse_derivative_composition(Q, F7, F3T):
     # D^r after D^s is C(r+s, r) D^(r+s); holds even where r! vanishes
     rng = random.Random(16)
-    for field in (Q, F7):
-        for _ in range(25):
+    for field, rounds in ((Q, 25), (F7, 25), (F3T, 10)):
+        for _ in range(rounds):
             f = rand_poly(field, rng, 8)
             for r in range(4):
                 for s in range(4):
@@ -207,14 +223,14 @@ def test_homothety_scales_the_variable(Q):
         Polynomial.x(Q).homothety(Q.zero())
 
 
-def test_homothety_group_law(Q, F7):
+def test_homothety_group_law(Q, F7, F3T):
     rng = random.Random(15)
-    scales = [1, 2, 3, 5, -1, -2]           # units in both fields
-    for field in (Q, F7):
-        for _ in range(40):
+    scales = [1, 2, 3, 5, -1, -2]           # units in Q and F_7
+    for field, rounds in ((Q, 40), (F7, 40), (F3T, 15)):
+        for _ in range(rounds):
             f = rand_poly(field, rng, 6)
-            a = field.from_int(rng.choice(scales))
-            b = field.from_int(rng.choice(scales))
+            a = rand_scalar(field, rng, scales)
+            b = rand_scalar(field, rng, scales)
             assert f.homothety(a).homothety(b) == f.homothety(a * b)
 
 
@@ -270,6 +286,37 @@ def test_frobenius_twist_powers_coefficients():
 def test_field_mismatch_between_polynomials(Q, F7):
     with pytest.raises(FieldMismatchError):
         _ = Polynomial.x(Q) + Polynomial.x(F7)
+    f = Polynomial.from_ints(Q, [1, 2, 1])
+    c = F7.from_int(3)
+    for scalar_op in (f.scale, f, f.taylor_shift, f.homothety):
+        with pytest.raises(FieldMismatchError):
+            scalar_op(c)
+
+
+def test_arithmetic_runs_on_raw_values(Q, F7, F3T, monkeypatch):
+    # Polynomial keeps the fields' raw values and calls field.ops on them:
+    # the hot operations build no FieldElement and call none of its operators
+    rng = random.Random(17)
+    cases = []
+    for field in (Q, F7, F3T):
+        f, g = rand_poly(field, rng, 6), rand_poly(field, rng, 4)
+        cases.append((f, g if g else Polynomial.x(field),
+                      rand_scalar(field, rng, range(1, 6))))
+    calls = []
+    for name in ("__init__", "__add__", "__radd__", "__neg__", "__sub__",
+                 "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__pow__", "__eq__", "__bool__", "inverse"):
+        def counted(*args, _name=name, _method=getattr(FieldElement, name)):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(FieldElement, name, counted)
+    for f, g, a in cases:
+        f * g
+        divmod(f, g)
+        f.gcd(g)
+        f.hasse_derivative(2)
+        f.taylor_shift(a)
+    assert calls == []
 
 
 def test_root_multiset_validation(Q):

@@ -10,7 +10,7 @@ from tolerant import (Polynomial, UPolynomial, prime_field,
 from tolerant.errors import ConstantInputError, ZeroInputError
 from tolerant.resultant import discriminant, resultant_in_u, sylvester_resultant
 
-from conftest import linear_product
+from conftest import linear_product, t_fraction_pool
 
 
 def oracle_res_fraction(froots, flc, g):
@@ -22,14 +22,6 @@ def oracle_res_fraction(froots, flc, g):
             gr += c.value * Fraction(r) ** i
         acc *= gr ** m
     return acc
-
-
-def t_fraction_pool(F):
-    """Small F_p(t) values, several with a t-denominator; 0 included."""
-    t = F.t()
-    one = F.one()
-    return [F.zero(), one, t, t + one, one / (t + one), t / (t + one),
-            (t + one + one) / t]
 
 
 def test_resultant_matches_root_product_oracle(Q):
