@@ -5,7 +5,8 @@ per-factor formulas, and inversion-invariance decision procedures."""
 from .errors import (ConstantInputError, DegreeMismatchError,
                      DegreeTooSmallError, DivisionByZeroError,
                      DuplicateRootsError, FieldLiteralError,
-                     FieldMismatchError, InseparableInSeparableModeError,
+                     FieldMismatchError, InputTooLargeError,
+                     InseparableInSeparableModeError,
                      InvalidFactorizationError, ParseError, TolerantError,
                      UnsupportedFieldError, ZeroConstantTermError,
                      ZeroDiscriminantFactorError, ZeroInputError,
@@ -34,8 +35,9 @@ __all__ = [
     "DivisionByZeroError", "DuplicateRootsError", "ErrorRecord",
     "FactorFormula", "Factorization", "FieldDescriptor", "FieldElement",
     "FieldKind", "FieldLiteralError", "FieldMismatchError",
-    "InseparableInSeparableModeError", "InvalidFactorizationError",
-    "InvariantReport", "NEG_INFINITY", "ParseError", "Polynomial",
+    "InputTooLargeError", "InseparableInSeparableModeError",
+    "InvalidFactorizationError", "InvariantReport", "NEG_INFINITY",
+    "ParseError", "Polynomial",
     "REPEATED_ROOT", "RootMultiset", "SelfcheckSummary", "SeparableForm",
     "TolerantError", "UNDEFINED", "UPolynomial",
     "UnsupportedFieldError", "ZeroConstantTermError",

@@ -12,6 +12,8 @@ performance-critical runs here on plain ints and tuples:
   division/zero test) over some raw element type.  ``int_ring`` covers Z,
   ``mod_ring(p)`` covers F_p, ``tuple_poly_ring`` covers dense R[y] for any
   base ``Ring`` R, so F_p[t][u] is ``tuple_poly_ring(fp_poly_ring(p))``.
+* ``kron_mul`` and ``kron_tmul``: products in Z[y] and F_p[t][y] by
+  Kronecker substitution, the kernel behind every ``Polynomial`` product.
 * ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS, the
   kernel behind every resultant in the package.
 * ``bareiss_det`` and ``naive_det``: exact determinants, kept as test
@@ -106,6 +108,10 @@ def plcm(a: tuple, b: tuple, p: int) -> tuple:
     """Monic least common multiple in F_p[t]; lcm with 0 is 0."""
     if not a or not b:
         return ()
+    if b == (1,) or a == b:             # lcm(a, 1) = lcm(a, a) = a, no gcd
+        return pmonic(a, p)
+    if a == (1,):
+        return pmonic(b, p)
     q = pdivmod(a, pgcd(a, b, p), p)[0]
     return pmonic(pmul(q, b, p), p)
 
@@ -136,6 +142,55 @@ def pstretch(a: tuple, k: int) -> tuple:
     for i, c in enumerate(a):
         out[i * k] = c
     return tuple(out)
+
+
+def kron_mul(a: list, b: list) -> list:
+    """a * b in Z[y] for nonempty int lists, lowest degree first, by
+    Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 8.4): each operand becomes one int with its coefficients in
+    slots of w bytes, the two ints are multiplied once, and the product's
+    slots are read back as its coefficients.
+
+    A product coefficient is a sum of at most min(len a, len b) terms, so
+    |c| <= bound below < 2^(8w-1) = half.  Every value is stored as
+    c + half, which lies in [0, 2^(8w)): no slot carries into the next and
+    signs need no borrows, so the product is exact.  A square (b is a)
+    packs once, and CPython squares faster than it multiplies."""
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    lift = bytes(w - 1) + b"\x80"           # one slot holding `half`
+
+    def pack(c: list) -> int:
+        digits = b"".join([(x + half).to_bytes(w, "little") for x in c])
+        return (int.from_bytes(digits, "little")
+                - int.from_bytes(lift * len(c), "little"))
+
+    packed = pack(a)
+    product = (packed * (packed if b is a else pack(b))
+               + int.from_bytes(lift * n, "little"))
+    digits = product.to_bytes(n * w, "little")
+    return [int.from_bytes(digits[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
+
+
+def kron_tmul(a: list, b: list, p: int) -> list:
+    """a * b in F_p[t][y] for nonempty lists of F_p[t] tuples.  Two-level
+    packing: each y-coefficient fills a y-slot of T t-slots, and T is one
+    less than the longest t-tuples of a and b together, so no product
+    coefficient spills into the next y-slot; one ``kron_mul`` then does
+    the whole product."""
+    T = max(map(len, a)) + max(map(len, b)) - 1
+    pad = (0,) * T
+
+    def flat(c: list) -> list:
+        return [x for v in c for x in v + pad[len(v):]]
+
+    flat_a = flat(a)
+    product = kron_mul(flat_a, flat_a if b is a else flat(b))
+    return [pstrip([c % p for c in product[i:i + T]])
+            for i in range(0, (len(a) + len(b) - 1) * T, T)]
 
 
 class Ring(NamedTuple):

@@ -83,3 +83,9 @@ class FieldLiteralError(ParseError):
     """Literal that is not a valid element of the target field."""
 
     code = "FIELD_LITERAL_ERROR"
+
+
+class InputTooLargeError(ParseError):
+    """Input whose degree would pass the parser's cap."""
+
+    code = "INPUT_TOO_LARGE"

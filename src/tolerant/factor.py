@@ -28,6 +28,7 @@ from .errors import (ConstantInputError, FieldMismatchError,
                      InvalidFactorizationError, UnsupportedFieldError)
 from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial
+from .resultant import sylvester_resultant
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,12 @@ class Factorization:
         return f
 
     def pairwise_coprime(self) -> bool:
+        """No two factors share a root: for nonconstant g_i, g_j that is
+        res(g_i, g_j) != 0, taken by the fraction-free PRS."""
         fs = self.factors
         for i in range(len(fs)):
             for j in range(i + 1, len(fs)):
-                if fs[i][0].gcd(fs[j][0]).degree != 0:
+                if not sylvester_resultant(fs[i][0], fs[j][0]):
                     return False
         return True
 

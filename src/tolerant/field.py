@@ -9,7 +9,8 @@ Canonical forms make equality a plain value comparison:
 * F_p(t): a reduced fraction of dense F_p[t] tuples with monic denominator.
 
 Each descriptor carries one :class:`FieldOps` table, built once per field,
-with the raw arithmetic on those values and the field's integral view for
+with the raw arithmetic on those values, the product of two coefficient
+lists by Kronecker substitution, and the field's integral view for
 resultants; ``FieldElement`` operators, ``Polynomial`` and the resultant
 code call it instead of branching per field.
 
@@ -25,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from . import _rings
 from .errors import (DivisionByZeroError, FieldMismatchError,
@@ -173,6 +174,8 @@ def _fpt_reduce(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
         raise DivisionByZeroError("zero denominator in F_p(t)")
     if not num:
         return (), (1,)
+    if den == (1,):
+        return num, den
     g = _rings.pgcd(num, den, p)
     if len(g) > 1:
         num = _rings.pdivmod(num, g, p)[0]
@@ -191,7 +194,11 @@ class FieldOps(NamedTuple):
     polynomials in u over it.  ``den`` reads a value's denominator in
     ``ring`` and ``den_lcm`` combines two; ``clear(v, d)`` is v * d in
     ``ring`` for any multiple d of den(v); ``rebuild(num, scale)`` is the
-    value num / scale.  F_p has the trivial denominator 1."""
+    value num / scale.  F_p has the trivial denominator 1.  ``poly_mul``
+    multiplies two nonempty coefficient lists (lowest degree first): both
+    are cleared to ``ring``, multiplied with one big-int product by
+    Kronecker substitution, and each coefficient is rebuilt once (over
+    F_p, where clearing and rebuilding do nothing, it is reduced mod p)."""
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
@@ -206,6 +213,32 @@ class FieldOps(NamedTuple):
     den_lcm: Callable[[Any, Any], Any]
     clear: Callable[[Any, Any], Any]
     rebuild: Callable[[Any, Any], Any]
+    poly_mul: Callable[[Sequence, Sequence], list]
+
+
+def common_den(values, ops: FieldOps):
+    """lcm of the values' denominators, in the numerator ring."""
+    d = ops.ring.one
+    for v in values:
+        d = ops.den_lcm(d, ops.den(v))
+    return d
+
+
+def cleared(values, ops: FieldOps) -> tuple[list, Any]:
+    """(values * d, d) in the numerator ring, d = common_den(values)."""
+    d = common_den(values, ops)
+    return [ops.clear(v, d) for v in values], d
+
+
+def _with_kronecker(ops: FieldOps, ring_product) -> FieldOps:
+    """``ops`` with ``poly_mul`` over ``ring_product``, the product of two
+    numerator lists in the numerator ring."""
+    def poly_mul(a: Sequence, b: Sequence) -> list:
+        num_a, d_a = cleared(a, ops)
+        num_b, d_b = (num_a, d_a) if b is a else cleared(b, ops)
+        scale = ops.ring.mul(d_a, d_b)
+        return [ops.rebuild(c, scale) for c in ring_product(num_a, num_b)]
+    return ops._replace(poly_mul=poly_mul)
 
 
 def _int_text(n: int) -> str:
@@ -226,13 +259,13 @@ def _q_text(v: Fraction) -> str:
 
 
 def _q_ops() -> FieldOps:
-    return FieldOps(
+    return _with_kronecker(FieldOps(
         add=operator.add, neg=operator.neg, mul=operator.mul,
         inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction, text=_q_text,
         ring=_rings.int_ring(), u_ring=_rings.int_poly_ring(),
         den=lambda v: v.denominator, den_lcm=math.lcm,
         clear=lambda v, d: v.numerator * (d // v.denominator),
-        rebuild=Fraction)
+        rebuild=Fraction, poly_mul=None), _rings.kron_mul)
 
 
 def _fp_ops(p: int) -> FieldOps:
@@ -243,7 +276,8 @@ def _fp_ops(p: int) -> FieldOps:
         from_int=lambda n: n % p, text=str,
         ring=ring, u_ring=_rings.fp_poly_ring(p),
         den=lambda v: 1, den_lcm=lambda a, b: 1,
-        clear=lambda v, d: v, rebuild=lambda num, scale: num)
+        clear=lambda v, d: v, rebuild=lambda num, scale: num,
+        poly_mul=lambda a, b: [c % p for c in _rings.kron_mul(a, b)])
 
 
 def _fpt_ops(p: int) -> FieldOps:
@@ -266,15 +300,17 @@ def _fpt_ops(p: int) -> FieldOps:
         return f"({t_poly_text(num)})/({t_poly_text(den)})"
 
     ring = _rings.fp_poly_ring(p)
-    return FieldOps(
+    return _with_kronecker(FieldOps(
         add=add, neg=lambda v: (_rings.pneg(v[0], p), v[1]),
         mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
         inverse=lambda v: _fpt_reduce(v[1], v[0], p),
         nonzero=lambda v: bool(v[0]), from_int=from_int, text=text,
         ring=ring, u_ring=_rings.tuple_poly_ring(ring),
         den=lambda v: v[1], den_lcm=lambda a, b: _rings.plcm(a, b, p),
-        clear=lambda v, d: pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p),
-        rebuild=lambda num, scale: _fpt_reduce(num, scale, p))
+        clear=lambda v, d: (v[0] if v[1] == d else
+                            pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p)),
+        rebuild=lambda num, scale: _fpt_reduce(num, scale, p),
+        poly_mul=None), lambda a, b: _rings.kron_tmul(a, b, p))
 
 
 @functools.cache

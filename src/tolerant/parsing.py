@@ -8,10 +8,13 @@ Grammar (whitespace-insensitive, U+2212 accepted for '-'):
     power  := atom ('^' NUMBER)*
     atom   := NUMBER | 'x' | 't' | '(' expr ')'
 
-Exponents are nonnegative integer literals.  '/' forms coefficients: the
-divisor must be constant in x and nonzero in the target field (so `1/2`
-over F_2 is rejected as a field-literal error, not a syntax error).  The
-variable t only exists over F_p(t).
+Exponents are nonnegative integer literals.  An exponent above
+``MAX_DEGREE``, or a power, product or factored group whose degree in x or
+(over F_p(t)) in t would be, is refused with ``INPUT_TOO_LARGE`` before it
+is built.  Integer literals may have any number of digits.  '/' forms
+coefficients: the divisor must be constant in x and nonzero in the target
+field (so `1/2` over F_2 is rejected as a field-literal error, not a syntax
+error).  The variable t only exists over F_p(t).
 
 Factored mode accepts `unit * (g1)^m1 * (g2)^m2 * ...`: any number of
 '*'-separated constant pieces and parenthesized nonconstant groups; groups
@@ -21,7 +24,7 @@ and textually repeated groups have their multiplicities merged.
 
 from __future__ import annotations
 
-from .errors import FieldLiteralError, ParseError
+from .errors import FieldLiteralError, InputTooLargeError, ParseError
 from .factor import Factorization
 from .field import FieldDescriptor, FieldKind
 from .poly import Polynomial
@@ -31,6 +34,31 @@ _OPS = set("+-*/^()")
 # Each '(' and each unary '-' opens one level of recursion in the parser;
 # deeper input is refused before it can exhaust the interpreter's stack.
 MAX_NESTING = 64
+
+# Largest exponent, and largest degree in x or t of any value the parser
+# builds; a dense list of this length still takes a fraction of a second.
+MAX_DEGREE = 100_000
+
+
+def _int_value(digits: str) -> int:
+    """The int of a digit string of any length.  int() refuses strings past
+    the interpreter's digit limit (640 at the least), so long ones are split
+    in halves, the way ``field._int_text`` prints them."""
+    if len(digits) <= 600:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_value(digits[:-k]) * 10 ** k + _int_value(digits[-k:])
+
+
+def _degrees(f: Polynomial) -> tuple[int, int]:
+    """(degree in x, largest degree in t of a numerator or denominator) of
+    f; a power multiplies both and a product adds them.  Off F_p(t) the
+    t-degree is 0."""
+    t_degree = 0
+    if f.field.kind is FieldKind.RATIONAL_FUNCTION_FIELD:
+        t_degree = max((len(part) - 1 for v in f.raw for part in v),
+                       default=0)
+    return max(f.degree, 0), t_degree
 
 
 class _Token:
@@ -108,6 +136,22 @@ class _Parser:
         self.depth -= 1
         return value
 
+    def exponent(self, base: Polynomial) -> int:
+        """The NUMBER after a '^' that raises `base`, refused when the
+        exponent or the power's degree would pass MAX_DEGREE."""
+        num = self.peek()
+        if num.kind != "NUMBER":
+            self.fail("exponent must be a nonnegative integer literal")
+        self.advance()
+        e = _int_value(num.text)
+        self.check_size(max(1, *_degrees(base)) * e, num.pos)
+        return e
+
+    def check_size(self, size: int, pos: int) -> None:
+        if size > MAX_DEGREE:
+            raise InputTooLargeError(
+                f"exponent or degree above the cap of {MAX_DEGREE}", pos)
+
     def group(self) -> Polynomial:
         """'(' expr ')', the '(' being the next token."""
         self.advance()
@@ -136,6 +180,8 @@ class _Parser:
             rhs_pos = self.peek().pos
             rhs = self.unary()
             if tok.text == "*":
+                self.check_size(max(map(sum, zip(_degrees(value),
+                                                 _degrees(rhs)))), rhs_pos)
                 value = value * rhs
                 continue
             if rhs.degree > 0:
@@ -153,21 +199,15 @@ class _Parser:
 
     def power(self) -> Polynomial:
         value = self.atom()
-        while True:
-            tok = self.accept_op("^")
-            if tok is None:
-                return value
-            num = self.peek()
-            if num.kind != "NUMBER":
-                self.fail("exponent must be a nonnegative integer literal")
-            self.advance()
-            value = value ** int(num.text)
+        while self.accept_op("^"):
+            value = value ** self.exponent(value)
+        return value
 
     def atom(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Polynomial.constant(self.field, int(tok.text))
+            return Polynomial.constant(self.field, _int_value(tok.text))
         if tok.kind == "NAME":
             self.advance()
             if tok.text == "x":
@@ -242,11 +282,7 @@ class _Parser:
             value = self.group()
             mult = 1
             if self.accept_op("^"):
-                num = self.peek()
-                if num.kind != "NUMBER":
-                    self.fail("exponent must be a nonnegative integer literal")
-                self.advance()
-                mult = int(num.text)
+                mult = self.exponent(value)
             return value, mult, negate
         value = self.power()
         if value.degree > 0:

@@ -5,10 +5,12 @@ first and normalized: the last entry is nonzero, the zero polynomial is the
 empty tuple, and ``degree`` of zero is the distinguished ``NEG_INFINITY``
 marker (which compares below every int).
 
-Beyond ring arithmetic this module carries every transform the invariant
-formulas need: Hasse derivatives, Taylor shift f(x+a), homothety f(ax),
-the reciprocal x^n f(1/x), separability, desubstitution f = f_sep(x^(p^e)),
-and the coefficient-wise Frobenius twist.
+A product is one big-int multiplication by Kronecker substitution, through
+the field's ``FieldOps.poly_mul``.  Beyond ring arithmetic this module
+carries every transform the invariant formulas need: Hasse derivatives,
+Taylor shift f(x+a), homothety f(ax), the reciprocal x^n f(1/x),
+separability, desubstitution f = f_sep(x^(p^e)), and the coefficient-wise
+Frobenius twist.
 """
 
 from __future__ import annotations
@@ -157,21 +159,19 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
+        """One big-int product by Kronecker substitution
+        (``FieldOps.poly_mul``); a constant operand scales the other one."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         a, b = self.raw, other.raw
         if not a or not b:
             return Polynomial.zero(self.field)
-        ops = self.field.ops
-        add, mul, nonzero = ops.add, ops.mul, ops.nonzero
-        terms = [(j, y) for j, y in enumerate(b) if nonzero(y)]
-        out = [ops.from_int(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if nonzero(x):
-                for j, y in terms:
-                    out[i + j] = add(out[i + j], mul(x, y))
-        return Polynomial.from_raw(self.field, out)
+        if len(b) == 1:
+            return self._times(b[0])
+        if len(a) == 1:
+            return other._times(a[0])
+        return Polynomial.from_raw(self.field, self.field.ops.poly_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -185,6 +185,16 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take nonnegative ints")
+        raw, ops = self.raw, self.field.ops
+        if raw and not any(map(ops.nonzero, raw[:-1])):
+            # a monomial: (c x^d)^e = c^e x^(de), built directly
+            power = ops.from_int(1)
+            for bit in bin(e)[2:]:
+                power = ops.mul(power, power)
+                if bit == "1":
+                    power = ops.mul(power, raw[-1])
+            zeros = [ops.from_int(0)] * ((len(raw) - 1) * e)
+            return Polynomial.from_raw(self.field, zeros + [power])
         result = Polynomial.one(self.field)
         base = self
         while e:

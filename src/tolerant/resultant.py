@@ -15,7 +15,7 @@ from typing import Iterable
 
 from ._rings import pstrip, ring_pow, subresultant
 from .errors import ConstantInputError, FieldMismatchError, ZeroInputError
-from .field import FieldDescriptor, FieldElement
+from .field import FieldDescriptor, FieldElement, cleared, common_den
 from .poly import Polynomial
 
 
@@ -79,20 +79,6 @@ class UPolynomial:
 # -- resultants, cleared once per operand to the numerator ring --------------
 
 
-def _den_lcm(values, ops):
-    """lcm of the values' denominators, in the numerator ring."""
-    d = ops.ring.one
-    for v in values:
-        d = ops.den_lcm(d, ops.den(v))
-    return d
-
-
-def _cleared(values, ops) -> tuple[list, object]:
-    """(values * d, d) in the numerator ring, d = _den_lcm(values)."""
-    d = _den_lcm(values, ops)
-    return [ops.clear(v, d) for v in values], d
-
-
 def _scale(d_f, m: int, d_g, n: int, ring):
     """d_f^m * d_g^n, since res(F/d_f, G/d_g) = res(F, G) / (d_f^m * d_g^n)
     for m = deg G and n = deg F."""
@@ -107,8 +93,8 @@ def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
         raise ZeroInputError("resultant of the zero polynomial")
     field = f.field
     ops = field.ops
-    fc, d_f = _cleared(f.raw, ops)
-    gc, d_g = _cleared(g.raw, ops)
+    fc, d_f = cleared(f.raw, ops)
+    gc, d_g = cleared(g.raw, ops)
     res = subresultant(fc, gc, ops.ring)
     scale = _scale(d_f, g.degree, d_g, f.degree, ops.ring)
     return FieldElement(field, ops.rebuild(res, scale))
@@ -129,10 +115,10 @@ def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
     field = f.field
     ops = field.ops
     d = G.x_degree
-    fc, d_f = _cleared(f.raw, ops)
+    fc, d_f = cleared(f.raw, ops)
     f_entries = [() if ops.ring.is_zero(c) else (c,) for c in fc]
     # entry j is the u-vector of the x^j coefficient of G, cleared
-    d_g = _den_lcm((v for c in G.coeffs for v in c.raw), ops)
+    d_g = common_den((v for c in G.coeffs for v in c.raw), ops)
     g_entries = [pstrip([ops.clear(c.raw[j], d_g) if j < len(c.raw)
                          else ops.ring.zero for c in G.coeffs])
                  for j in range(d + 1)]

@@ -41,6 +41,19 @@ def t_fraction_pool(F):
             (t + one + one) / t]
 
 
+def naive_product(f, g):
+    """f * g by the schoolbook convolution in boxed field arithmetic: the
+    oracle for the Kronecker product behind ``Polynomial.__mul__``."""
+    F = f.field
+    if not f or not g:
+        return Polynomial.zero(F)
+    out = [F.zero()] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Polynomial(F, out)
+
+
 def linear_product(field, pairs, lc=1):
     """lc * prod (x - r)^m; roots given as ints or Fractions."""
     if isinstance(lc, Fraction):

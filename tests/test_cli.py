@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tolerant import parse_polynomial, rationals
 from tolerant.cli import main
 
 
@@ -195,6 +196,28 @@ def test_value_past_the_int_string_limit_prints(capsys):
     code, out, err = run(capsys, "tol", "x^1400+1")
     assert code == 0 and err == ""
     assert out.strip() == expected
+
+
+def test_printed_long_value_parses_back(capsys):
+    # the 4405-digit value above is read back as an input literal
+    code, out, _ = run(capsys, "tol", "x^1400+1")
+    value = out.strip()
+    assert code == 0 and len(value) > 4300
+    parsed = parse_polynomial(value, rationals())
+    assert parsed.constant_term().value == 1400 ** 1400
+    # disc(x^2 - v) = 4v, printed again in full
+    code, out, _ = run(capsys, "disc", f"x^2 - {value}")
+    assert code == 0
+    assert parse_polynomial(out.strip(), rationals()) == parsed.scale(
+        rationals().from_int(4))
+
+
+def test_degree_past_the_cap_exits_one(capsys):
+    # refused by the parser before a dense list of 10^9 entries is built
+    code, out, err = run(capsys, "tol", "x^1000000000+1", "--field", "fp:7")
+    assert code == 1 and out == ""
+    assert err.startswith("error[INPUT_TOO_LARGE]: ")
+    assert "offset 2" in err
 
 
 def test_selfcheck_cli_pass_and_determinism(capsys):

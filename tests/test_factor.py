@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from tolerant import (Factorization, Polynomial, factor_prime_field, gdisc,
-                      is_irreducible_prime_field, multiplicity_profile,
-                      prime_field, rational_function_field, rationals,
+from tolerant import (Factorization, FieldKind, Polynomial,
+                      factor_prime_field, gdisc, is_irreducible_prime_field,
+                      multiplicity_profile, prime_field,
+                      rational_function_field, rationals,
                       squarefree_decomposition, tol)
 from tolerant.invariants import tol_variant
 from tolerant.errors import (ConstantInputError, InvalidFactorizationError,
                              UnsupportedFieldError)
 
-from conftest import linear_product
+from conftest import linear_product, t_fraction_pool
 
 
 def test_factorization_validates_shape(Q):
@@ -37,6 +38,38 @@ def test_expand_and_coprimality(Q):
     assert fac.pairwise_coprime()
     shared = Factorization(Q.one(), ((x - two, 1), ((x - two) * x, 1)))
     assert not shared.pairwise_coprime()
+
+
+@pytest.mark.parametrize("field", [rationals(), prime_field(7),
+                                   rational_function_field(3)],
+                         ids=["q", "fp7", "fpt3"])
+def test_pairwise_coprime_agrees_with_gcd(field):
+    # the resultant test against the field gcd, on random monic factors;
+    # every third factorization gets a shared factor h on two of its entries
+    rng = random.Random(f"coprime/{field.text()}")
+    pool = [field.from_int(c) for c in range(-3, 4)]
+    if field.kind is FieldKind.RATIONAL_FUNCTION_FIELD:
+        pool += t_fraction_pool(field)
+
+    def rand_monic(degree):
+        coeffs = [rng.choice(pool) for _ in range(degree)]
+        return Polynomial(field, coeffs + [field.one()])
+
+    shared = 0
+    for k in range(60):
+        factors = [rand_monic(rng.randint(1, 3))
+                   for _ in range(rng.randint(2, 4))]
+        if k % 3 == 0:
+            h = rand_monic(rng.randint(1, 2))
+            factors[0] = factors[0] * h
+            factors[-1] = factors[-1] * h
+        fac = Factorization(field.one(), tuple((g, 1) for g in factors))
+        by_gcd = all(factors[i].gcd(factors[j]).degree == 0
+                     for i in range(len(factors))
+                     for j in range(i + 1, len(factors)))
+        assert fac.pairwise_coprime() == by_gcd
+        shared += not by_gcd
+    assert 20 <= shared < 60
 
 
 def test_squarefree_char0_yun(Q):

@@ -9,7 +9,8 @@ from tolerant import (FieldKind, parse_field, prime_field,
                       rational_function_field, rationals)
 from tolerant.errors import (DivisionByZeroError, FieldMismatchError,
                              TolerantError, UnsupportedFieldError)
-from tolerant.field import is_prime
+from tolerant._rings import pmul, pstrip
+from tolerant.field import _fpt_reduce, is_prime
 
 
 def test_is_prime_small_and_carmichael():
@@ -106,6 +107,22 @@ def test_fpt_reduction_is_canonical():
     # denominator is forced monic: 1/(2t) = 3/t over F_5 (2*3=6=1)
     r = one / (K.from_int(2) * t)
     assert r.canonical_text() == "(3)/(t)"
+
+
+def test_fpt_reduce_short_path_matches_full_reduction():
+    # a denominator of 1 returns at once; the pair must be the one the full
+    # reduction (gcd, division, monic denominator) gives for num*d / d,
+    # d of positive degree and often not monic
+    p = 3
+    rng = random.Random(6)
+    for _ in range(200):
+        num = pstrip([rng.randrange(p) for _ in range(rng.randint(0, 8))])
+        d = pstrip([rng.randrange(p) for _ in range(rng.randint(2, 5))])
+        if len(d) < 2:
+            continue
+        full = _fpt_reduce(pmul(num, d, p), d, p)
+        assert _fpt_reduce(num, (1,), p) == full
+        assert full == (num, (1,))
 
 
 def test_fpt_arithmetic_field_axioms_fuzz():

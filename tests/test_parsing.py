@@ -1,15 +1,16 @@
 """Expression grammar, error offsets, factored form, and print round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tolerant import (Factorization, Polynomial, factorization_text,
-                      parse_polynomial, polynomial_text, prime_field,
-                      rational_function_field, rationals)
-from tolerant.errors import FieldLiteralError, ParseError
-from tolerant.parsing import MAX_NESTING
+                      parse_field, parse_polynomial, polynomial_text,
+                      prime_field, rational_function_field, rationals)
+from tolerant.errors import FieldLiteralError, InputTooLargeError, ParseError
+from tolerant.parsing import MAX_DEGREE, MAX_NESTING
 
 from conftest import linear_product
 
@@ -96,6 +97,56 @@ def test_deep_nesting_is_a_syntax_error(Q, capsys):
     depth = MAX_NESTING
     assert parse_polynomial("(" * depth + "x" + ")" * depth, Q) == \
         parse_polynomial("x", Q)
+
+
+def test_integer_literals_past_the_digit_limit(Q, F7):
+    # int() refuses more than 4300 digits by default; the parser splits them
+    digits = "7" + "0123456789" * 700
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = int(digits)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parse_polynomial(f"{digits}*x - 1", Q).coefficient(1).value == value
+    assert parse_polynomial(digits, F7).constant_term().value == value % 7
+    assert parse_polynomial(f"x^{'0' * 5000}7", Q).degree == 7
+
+
+@pytest.mark.parametrize("text,field,offset", [
+    ("x^1000000000+1", "fp:7", 2),
+    ("x^100001", "q", 2),
+    ("(x^2+1)^50001", "q", 8),
+    ("x^60000*x^50000", "q", 8),
+    ("t^100001*x+1", "fpt:3", 2),
+    ("(x+t^50001)^2", "fpt:3", 12),
+    ("t^50000*t^50001", "fpt:3", 8),
+    ("2^100001*x", "q", 2),
+    ("x^" + "9" * 5000, "q", 2),
+])
+def test_degree_cap_is_input_too_large(text, field, offset):
+    with pytest.raises(InputTooLargeError) as info:
+        parse_polynomial(text, parse_field(field))
+    assert info.value.code == "INPUT_TOO_LARGE"
+    assert info.value.position == offset
+
+
+def test_degree_cap_in_factored_mode(F3T):
+    for text in ("(x+1)^100001", "(t)^100001 * (x+1)", "(x^50001+t)^2"):
+        with pytest.raises(InputTooLargeError):
+            parse_polynomial(text, F3T, factored=True)
+    fac = parse_polynomial("(x^50000+t)^2", F3T, factored=True)
+    assert fac.degree() == MAX_DEGREE
+
+
+def test_degree_at_the_cap_parses(Q, F3T):
+    assert parse_polynomial(f"x^{MAX_DEGREE}+1", Q).degree == MAX_DEGREE
+    assert parse_polynomial("x^50000*x^50000", Q).degree == MAX_DEGREE
+    f = parse_polynomial(f"t^{MAX_DEGREE}*x^{MAX_DEGREE}", F3T)
+    assert f.degree == MAX_DEGREE
+    assert f.leading_coefficient() == F3T.t() ** MAX_DEGREE
+    assert parse_polynomial("2^100000 + 0^0", Q).constant_term() == \
+        Q.from_int(2 ** 100000 + 1)
 
 
 def test_unknown_name_rejected(Q):

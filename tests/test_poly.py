@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 from tolerant import (FieldElement, FieldKind, Polynomial, RootMultiset,
-                      poly_from_roots, prime_field, rational_function_field,
+                      parse_field, poly_from_roots, rational_function_field,
                       rationals)
 from tolerant.errors import (ConstantInputError, DuplicateRootsError,
                              FieldMismatchError, UnsupportedFieldError,
                              ZeroConstantTermError, ZeroScaleError)
 
-from conftest import linear_product, t_fraction_pool
+from conftest import linear_product, naive_product, t_fraction_pool
 
 
 def rand_poly(field, rng, max_deg, span=9):
@@ -44,20 +44,68 @@ def test_normalization_strips_trailing_zeros(Q):
     assert z.degree == float("-inf")
 
 
+def wide_poly(field, rng, max_deg):
+    """Up to max_deg + 1 coefficients, about a third of them zero.  Over Q
+    they carry mixed signs and numerators and denominators of up to 300
+    digits; over F_p(t) random t-fractions with nontrivial denominators."""
+    def coeff():
+        if rng.random() < 0.3:
+            return field.zero()
+        if field.kind is FieldKind.RATIONALS:
+            big = 10 ** rng.choice((1, 30, 300))
+            return field.from_fraction(Fraction(rng.randint(-big, big),
+                                                rng.randint(1, big)))
+        if field.kind is FieldKind.PRIME_FIELD:
+            return field.from_int(rng.randrange(field.p))
+        num = [rng.randrange(field.p) for _ in range(rng.randint(1, 5))]
+        den = [rng.randrange(field.p) for _ in range(rng.randint(1, 4))]
+        return field.from_t_fraction(num, den if any(den) else (1,))
+    length = rng.randint(0, max_deg) + 1
+    return Polynomial(field, [coeff() for _ in range(length)])
+
+
 def test_mul_matches_naive_convolution(Q):
     rng = random.Random(0)
     for _ in range(100):
         f, g = rand_poly(Q, rng, 6), rand_poly(Q, rng, 6)
-        h = f * g
-        fa = [c.value for c in f.coeffs]
-        ga = [c.value for c in g.coeffs]
-        conv = [Fraction(0)] * (len(fa) + len(ga) - 1 if fa and ga else 0)
-        for i, a in enumerate(fa):
-            for j, b in enumerate(ga):
-                conv[i + j] += a * b
-        while conv and not conv[-1]:
-            conv.pop()
-        assert [c.value for c in h.coeffs] == (conv or [])
+        assert f * g == naive_product(f, g)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fp:2147483647", "fpt:3"])
+def test_kronecker_product_matches_naive_convolution(name):
+    field = parse_field(name)
+    rng = random.Random(f"kron/{name}")
+    zero, one = Polynomial.zero(field), Polynomial.one(field)
+    for _ in range(60):
+        f, g = wide_poly(field, rng, 12), wide_poly(field, rng, 12)
+        # the zero polynomial and length-1 operands are among the draws;
+        # also put them in explicitly, on either side
+        for a, b in ((f, g), (g, f), (f, zero), (zero, g), (f, one),
+                     (g.scale(field.from_int(3)), f), (f, f)):
+            h = a * b
+            assert h == naive_product(a, b)
+            assert h.degree == a.degree + b.degree
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fpt:3"])
+def test_monomial_powers_are_built_directly(name):
+    field = parse_field(name)
+    rng = random.Random(f"monomial/{name}")
+    x = Polynomial.x(field)
+    for _ in range(30):
+        c = wide_poly(field, rng, 0)
+        d, e = rng.randint(0, 4), rng.randint(0, 6)
+        monomial = c * x ** d
+        expected = Polynomial.one(field)
+        for _ in range(e):
+            expected = naive_product(expected, monomial)
+        assert monomial ** e == expected
+    assert (x ** 100000).raw[-1] == field.ops.from_int(1)
+    assert (x ** 100000).degree == 100000
+    if name == "fpt:3":
+        t = Polynomial.constant(field, field.t())
+        assert (t ** 5000).leading_coefficient() == field.from_t_fraction(
+            (0,) * 5000 + (1,))
 
 
 def test_divmod_property(F7, F3T):

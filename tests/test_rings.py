@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from tolerant._rings import (InexactDivision, bareiss_det, fp_poly_ring,
-                             int_poly_ring, int_ring, mod_ring, naive_det,
-                             pdivmod, pgcd, plcm, pmod, pmonic, pmul,
-                             ppow_mod, pstrip, ring_pow, subresultant,
-                             tuple_poly_ring)
+                             int_poly_ring, int_ring, kron_mul, kron_tmul,
+                             mod_ring, naive_det, padd, pdivmod, pgcd, plcm,
+                             pmod, pmonic, pmul, ppow_mod, pstrip, ring_pow,
+                             subresultant, tuple_poly_ring)
 
 
 def rand_tuple(rng, p, max_deg):
@@ -66,6 +66,54 @@ def test_plcm_divisible_by_both():
         assert m[-1] == 1
         assert pmod(m, pmonic(f, p), p) == ()
         assert pmod(m, pmonic(g, p), p) == ()
+
+
+def test_plcm_with_one_or_itself():
+    p = 5
+    for f in ((1,), (2, 1), (3, 0, 2)):
+        monic = pmonic(f, p)
+        assert plcm(f, (1,), p) == plcm((1,), f, p) == monic
+        assert plcm(f, f, p) == monic
+
+
+def test_kron_mul_matches_convolution():
+    # signed coefficients of 1 to 3000 bits, and values at the slot limits
+    rng = random.Random(31)
+
+    def conv(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    cases = []
+    for _ in range(300):
+        bits = rng.choice((1, 8, 64, 3000))
+        a, b = ([rng.randint(-2 ** bits, 2 ** bits)
+                 for _ in range(rng.randint(1, 10))] for _ in range(2))
+        cases.append((a, b))
+    for w in (1, 2, 3):
+        m = 2 ** (8 * w)
+        cases += [([m] * 9, [-m] * 9), ([-m] * 9, [-m] * 9),
+                  ([m - 1, 0, 1 - m], [1 - m]), ([0, 0, 1], [m, 0, m])]
+    for a, b in cases:
+        assert kron_mul(a, b) == conv(a, b)
+        assert kron_mul(a, a) == conv(a, a)
+
+
+def test_kron_tmul_matches_convolution():
+    rng = random.Random(32)
+    for p in (2, 3, 2 ** 31 - 1):
+        for _ in range(100):
+            a, b = ([rand_tuple(rng, p, 5) for _ in range(rng.randint(1, 6))]
+                    for _ in range(2))
+            a[-1], b[-1] = a[-1] or (1,), b[-1] or (p - 1,)
+            out = [()] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = padd(out[i + j], pmul(x, y, p), p)
+            assert kron_tmul(a, b, p) == out
 
 
 def test_ppow_mod_matches_repeated_multiplication():
