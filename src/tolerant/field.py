@@ -286,6 +286,8 @@ def _fpt_ops(p: int) -> FieldOps:
 
     def add(a, b):
         (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return _fpt_reduce(_rings.padd(an, bn, p), ad, p)
         num = _rings.padd(pmul(an, bd, p), pmul(bn, ad, p), p)
         return _fpt_reduce(num, pmul(ad, bd, p), p)
 
@@ -305,7 +307,7 @@ def _fpt_ops(p: int) -> FieldOps:
         mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
         inverse=lambda v: _fpt_reduce(v[1], v[0], p),
         nonzero=lambda v: bool(v[0]), from_int=from_int, text=text,
-        ring=ring, u_ring=_rings.tuple_poly_ring(ring),
+        ring=ring, u_ring=_rings.fpt_u_ring(p),
         den=lambda v: v[1], den_lcm=lambda a, b: _rings.plcm(a, b, p),
         clear=lambda v, d: (v[0] if v[1] == d else
                             pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p)),

@@ -179,8 +179,9 @@ class Polynomial:
         return self._times(self._scalar(c))
 
     def _times(self, v) -> "Polynomial":
-        mul = self.field.ops.mul
-        return Polynomial.from_raw(self.field, [mul(a, v) for a in self.raw])
+        mul, nonzero = self.field.ops.mul, self.field.ops.nonzero
+        return Polynomial.from_raw(
+            self.field, [mul(a, v) if nonzero(a) else a for a in self.raw])
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
@@ -189,10 +190,11 @@ class Polynomial:
         if raw and not any(map(ops.nonzero, raw[:-1])):
             # a monomial: (c x^d)^e = c^e x^(de), built directly
             power = ops.from_int(1)
-            for bit in bin(e)[2:]:
-                power = ops.mul(power, power)
-                if bit == "1":
-                    power = ops.mul(power, raw[-1])
+            if raw[-1] != power:
+                for bit in bin(e)[2:]:
+                    power = ops.mul(power, power)
+                    if bit == "1":
+                        power = ops.mul(power, raw[-1])
             zeros = [ops.from_int(0)] * ((len(raw) - 1) * e)
             return Polynomial.from_raw(self.field, zeros + [power])
         result = Polynomial.one(self.field)

@@ -1,11 +1,13 @@
 """Shared fixtures and small builders used across the suite."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from tolerant import (FieldDescriptor, Polynomial, prime_field,
                       rational_function_field, rationals)
+from tolerant._rings import pstrip
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +54,33 @@ def naive_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out[i + j] + a * b
     return Polynomial(F, out)
+
+
+def naive_pmul(a, b, p):
+    """a * b in F_p[t] (tuples of residues, lowest degree first) by the
+    schoolbook convolution: the oracle for ``_rings.pmul`` on both sides of
+    its crossover."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return pstrip([c % p for c in out])
+
+
+def naive_tmul(a, b, p):
+    """a * b in F_p[t][u] (tuples of F_p[t] tuples) by the schoolbook
+    convolution over ``naive_pmul``: the oracle for ``_rings.kron_tmul`` and
+    the u-ring of F_p(t)."""
+    if not a or not b:
+        return ()
+    out = [()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = pstrip([(c + d) % p for c, d in zip_longest(
+                out[i + j], naive_pmul(x, y, p), fillvalue=0)])
+    return pstrip(out)
 
 
 def linear_product(field, pairs, lc=1):

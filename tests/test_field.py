@@ -9,8 +9,10 @@ from tolerant import (FieldKind, parse_field, prime_field,
                       rational_function_field, rationals)
 from tolerant.errors import (DivisionByZeroError, FieldMismatchError,
                              TolerantError, UnsupportedFieldError)
-from tolerant._rings import pmul, pstrip
+from tolerant._rings import padd, pstrip
 from tolerant.field import _fpt_reduce, is_prime
+
+from conftest import naive_pmul
 
 
 def test_is_prime_small_and_carmichael():
@@ -120,9 +122,38 @@ def test_fpt_reduce_short_path_matches_full_reduction():
         d = pstrip([rng.randrange(p) for _ in range(rng.randint(2, 5))])
         if len(d) < 2:
             continue
-        full = _fpt_reduce(pmul(num, d, p), d, p)
+        full = _fpt_reduce(naive_pmul(num, d, p), d, p)
         assert _fpt_reduce(num, (1,), p) == full
         assert full == (num, (1,))
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_fpt_sum_matches_the_general_formula(p):
+    # a sum over equal denominators adds the numerators and reduces once;
+    # it must give the pair an/ad + bn/bd = (an*bd + bn*ad)/(ad*bd) does
+    add = rational_function_field(p).ops.add
+    rng = random.Random(f"fpt-add/{p}")
+    dens = [(1,), (0, 1), (1, 1), (2, 0, 1), (1, 2, 0, 1)]    # monic
+
+    def value(d):
+        """A reduced value whose denominator is exactly d."""
+        while True:
+            num = pstrip([rng.randrange(p) for _ in range(rng.randint(0, 5))])
+            v = _fpt_reduce(num, d, p)
+            if v[1] == d:
+                return v
+
+    shared = 0
+    for _ in range(400):
+        ad = rng.choice(dens)
+        bd = ad if rng.random() < 0.5 else rng.choice(dens)
+        (an, _), (bn, _) = a, b = value(ad), value(bd)
+        general = _fpt_reduce(
+            padd(naive_pmul(an, bd, p), naive_pmul(bn, ad, p), p),
+            naive_pmul(ad, bd, p), p)
+        assert add(a, b) == general
+        shared += ad == bd != (1,)
+    assert shared >= 100
 
 
 def test_fpt_arithmetic_field_axioms_fuzz():

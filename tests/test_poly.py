@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from tolerant import (FieldElement, FieldKind, Polynomial, RootMultiset,
-                      parse_field, poly_from_roots, rational_function_field,
-                      rationals)
+                      parse_field, parse_polynomial, poly_from_roots,
+                      rational_function_field, rationals)
 from tolerant.errors import (ConstantInputError, DuplicateRootsError,
                              FieldMismatchError, UnsupportedFieldError,
                              ZeroConstantTermError, ZeroScaleError)
@@ -365,6 +365,36 @@ def test_arithmetic_runs_on_raw_values(Q, F7, F3T, monkeypatch):
         f.hasse_derivative(2)
         f.taylor_shift(a)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fpt:3"])
+def test_scaled_monomials_take_one_field_product(name, monkeypatch):
+    # x^k is built with no field product, and c*x^k with one: the zero
+    # coefficients below x^k are not multiplied by c
+    field = parse_field(name)
+    calls = []
+
+    def counted(a, b, _mul=field.ops.mul):
+        calls.append(1)
+        return _mul(a, b)
+
+    c = field.from_int(2)
+    if name == "fpt:3":
+        c = c / (field.t() + 1)
+    zero = field.ops.from_int(0)
+    monkeypatch.setitem(vars(field), "ops", field.ops._replace(mul=counted))
+    x = Polynomial.x(field)
+    for k in (1, 2, 31, 1000):
+        calls.clear()
+        power = x ** k
+        assert calls == []
+        assert (Polynomial.constant(field, c) * power).raw == (zero,) * k + (
+            c.value,)
+        assert calls == [1]
+        calls.clear()
+        assert parse_polynomial(f"2*x^{k}", field).raw == (zero,) * k + (
+            field.ops.from_int(2),)
+        assert calls == [1]
 
 
 def test_root_multiset_validation(Q):

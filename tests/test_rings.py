@@ -7,11 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from tolerant._rings import (InexactDivision, bareiss_det, fp_poly_ring,
-                             int_poly_ring, int_ring, kron_mul, kron_tmul,
-                             mod_ring, naive_det, padd, pdivmod, pgcd, plcm,
-                             pmod, pmonic, pmul, ppow_mod, pstrip, ring_pow,
-                             subresultant, tuple_poly_ring)
+from tolerant import _rings
+from tolerant._rings import (PMUL_KRON_MIN, TMUL_KRON_MIN, TMUL_KRON_SPREAD,
+                             InexactDivision, bareiss_det, fp_poly_ring,
+                             fpt_u_ring, int_poly_ring, int_ring, kron_mul,
+                             kron_tmul, mod_ring, naive_det, pdivmod, pgcd,
+                             plcm, pmod, pmonic, pmul, ppow_mod, pstrip,
+                             ring_pow, subresultant, tuple_poly_ring)
+
+from conftest import naive_pmul, naive_tmul
 
 
 def rand_tuple(rng, p, max_deg):
@@ -109,11 +113,94 @@ def test_kron_tmul_matches_convolution():
             a, b = ([rand_tuple(rng, p, 5) for _ in range(rng.randint(1, 6))]
                     for _ in range(2))
             a[-1], b[-1] = a[-1] or (1,), b[-1] or (p - 1,)
-            out = [()] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] = padd(out[i + j], pmul(x, y, p), p)
-            assert kron_tmul(a, b, p) == out
+            assert tuple(kron_tmul(a, b, p)) == naive_tmul(a, b, p)
+
+
+def sparse_tuple(rng, p, length, nonzero):
+    """A length-``length`` F_p[t] tuple with exactly ``nonzero`` nonzero
+    entries, the last among them; ``p - 1`` often, so that product
+    coefficients reach the slot bound."""
+    out = [0] * length
+    for i in rng.sample(range(length - 1), nonzero - 1) + [length - 1]:
+        out[i] = p - 1 if rng.random() < 0.3 else rng.randrange(1, p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007, 2 ** 31 - 1])
+def test_pmul_matches_schoolbook_across_the_crossover(p):
+    # shorter-operand nonzero counts 1..64 put the product on both sides of
+    # PMUL_KRON_MIN: dense operands, interior zeros, monomials, squares
+    assert 1 < PMUL_KRON_MIN <= 64
+    rng = random.Random(f"pmul/{p}")
+    for s in range(1, 65):
+        dense = sparse_tuple(rng, p, s, s)
+        spread = sparse_tuple(rng, p, 3 * s, s)
+        longer = sparse_tuple(rng, p, s + rng.randint(0, 80), s)
+        top = (p - 1,) * s                  # every coefficient at the bound
+        monomial = (0,) * rng.randint(0, 40) + (rng.randrange(1, p),)
+        for a, b in ((dense, longer), (longer, dense), (spread, longer),
+                     (spread, dense), (top, top), (monomial, spread),
+                     (dense, monomial)):
+            assert pmul(a, b, p) == naive_pmul(a, b, p), (p, s, a, b)
+        for a in (dense, spread, top):
+            assert pmul(a, a, p) == naive_pmul(a, a, p)
+        # F_p[t] has no zero divisors: only a zero operand gives ()
+        assert pmul(dense, (), p) == pmul((), spread, p) == ()
+
+
+def u_poly(rng, p, length, nonzero, t_len):
+    """An F_p[t][u] element of u-length ``length`` with ``nonzero`` nonzero
+    u-coefficients, the last among them, each of t-length 1 to ``t_len``."""
+    out = [()] * length
+    for i in rng.sample(range(length - 1), nonzero - 1) + [length - 1]:
+        out[i] = rand_tuple(rng, p, t_len - 1) or (rng.randrange(1, p),)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007])
+def test_fpt_u_ring_product_matches_schoolbook(p):
+    # the u-ring of F_p(t) against the ring it replaces and the oracle, with
+    # operands on both sides of TMUL_KRON_MIN and TMUL_KRON_SPREAD
+    R, plain = fpt_u_ring(p), tuple_poly_ring(fp_poly_ring(p))
+    rng = random.Random(f"tmul/{p}")
+    edge = TMUL_KRON_MIN * TMUL_KRON_SPREAD
+    # (u-length, nonzero u-coefficients): dense at every length up to 8,
+    # sparse at the spread bound and one past it, long and very sparse
+    shapes = [(n, n) for n in range(1, 9)] + [
+        (edge, TMUL_KRON_MIN), (edge + 1, TMUL_KRON_MIN), (20, 16), (40, 4),
+        (30, 2)]
+    for length, nonzero in shapes:
+        for _ in range(4):
+            a = u_poly(rng, p, length, nonzero, rng.choice((1, 3, 20)))
+            n = rng.randint(1, 12)
+            b = u_poly(rng, p, n, rng.randint(1, n), 3)
+            for x, y in ((a, a), (a, b), (b, a)):
+                assert R.mul(x, y) == plain.mul(x, y) == naive_tmul(x, y, p)
+    assert R.mul((), ((1,),)) == R.mul(((1,),), ()) == ()
+
+
+def test_fpt_u_ring_takes_both_paths(monkeypatch):
+    # the product runs kron_tmul exactly when both operands have at least
+    # TMUL_KRON_MIN nonzero u-coefficients, one in TMUL_KRON_SPREAD or more
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(1)
+        return kron_tmul(a, b, p)
+
+    monkeypatch.setattr(_rings, "kron_tmul", counted)
+    R = fpt_u_ring(3)
+    rng = random.Random(7)
+    edge = TMUL_KRON_MIN * TMUL_KRON_SPREAD
+    dense = u_poly(rng, 3, TMUL_KRON_MIN, TMUL_KRON_MIN, 3)
+    for a, b, kron in (
+            (dense, dense, True),
+            (dense, u_poly(rng, 3, edge, TMUL_KRON_MIN, 3), True),
+            (dense, u_poly(rng, 3, edge + 1, TMUL_KRON_MIN, 3), False),
+            (dense, u_poly(rng, 3, 5, TMUL_KRON_MIN - 1, 3), False)):
+        calls.clear()
+        assert R.mul(a, b) == naive_tmul(a, b, 3)
+        assert calls == ([1] if kron else [])
 
 
 def test_ppow_mod_matches_repeated_multiplication():
@@ -247,6 +334,12 @@ def nested_tuple(rng):
     return tuple(out)
 
 
+def wide_nested_tuple(rng):
+    """An F_3[t][u] element with up to four u-coefficients, mostly nonzero,
+    so that products in ``fpt_u_ring`` fall on both sides of its bounds."""
+    return pstrip([rand_tuple(rng, 3, 1) for _ in range(rng.randint(0, 4))])
+
+
 # (ring, random element, a fixed non-unit for leading coefficients); these are
 # the numerator rings and u-rings of Q, F_p and F_p(t) in ``FieldOps``.
 KERNEL_RINGS = {
@@ -257,6 +350,8 @@ KERNEL_RINGS = {
     "F_7[u]": (fp_poly_ring(7), lambda rng: rand_tuple(rng, 7, 2), (0, 1)),
     "F_3[t][u]": (tuple_poly_ring(fp_poly_ring(3)), nested_tuple,
                   ((1,), (0, 1))),
+    "F_3(t) u-ring": (fpt_u_ring(3), wide_nested_tuple,
+                      ((1,), (0, 1), (1, 1))),
 }
 
 
