@@ -11,12 +11,12 @@ performance-critical runs here on plain ints and tuples:
   substitution from ``PMUL_KRON_MIN`` nonzero entries in the shorter operand
   on, and the schoolbook loop below.
 * ``Ring`` bundles: a minimal integral-domain interface (add/sub/mul/exact
-  division/zero test) over some raw element type.  ``int_ring`` covers Z,
-  ``mod_ring(p)`` covers F_p, ``tuple_poly_ring`` covers dense R[y] for any
-  base ``Ring`` R.  ``fpt_u_ring(p)`` is F_p[t][u], the u-ring of F_p(t):
-  ``tuple_poly_ring(fp_poly_ring(p))`` whose products go through
-  ``kron_tmul`` once both operands are dense enough (``TMUL_KRON_MIN``,
-  ``TMUL_KRON_SPREAD``).
+  division) over some raw element type whose zero is falsy.  ``int_ring``
+  covers Z, ``mod_ring(p)`` covers F_p, ``tuple_poly_ring`` covers dense
+  R[y] for any base ``Ring`` R.  ``fpt_u_ring(p)`` is F_p[t][u], the
+  u-ring of F_p(t): ``tuple_poly_ring(fp_poly_ring(p))`` whose products go
+  through ``kron_tmul`` once both operands are dense enough
+  (``TMUL_KRON_MIN``, ``TMUL_KRON_SPREAD``).
 * ``kron_mul`` and ``kron_tmul``: products in Z[y] and F_p[t][y] by
   Kronecker substitution, the kernel behind every ``Polynomial`` product
   and the dense products of ``fpt_u_ring``.
@@ -231,7 +231,8 @@ def kron_tmul(a: list, b: list, p: int) -> list:
 
 
 class Ring(NamedTuple):
-    """Integral-domain operations over one raw element type."""
+    """Integral-domain operations over one raw element type; its zero is
+    the one falsy element (0 or the empty tuple), so ``not x`` tests it."""
 
     zero: Any
     one: Any
@@ -240,7 +241,6 @@ class Ring(NamedTuple):
     mul: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     exact_div: Callable[[Any, Any], Any]
-    is_zero: Callable[[Any], bool]
 
 
 class InexactDivision(ArithmeticError):
@@ -259,8 +259,7 @@ def int_ring() -> Ring:
                 lambda a, b: a - b,
                 lambda a, b: a * b,
                 lambda a: -a,
-                exact_div,
-                lambda a: not a)
+                exact_div)
 
 
 def mod_ring(p: int) -> Ring:
@@ -272,8 +271,7 @@ def mod_ring(p: int) -> Ring:
                 lambda a, b: (a - b) % p,
                 lambda a, b: a * b % p,
                 lambda a: (-a) % p,
-                exact_div,
-                lambda a: not a)
+                exact_div)
 
 
 def fp_poly_ring(p: int) -> Ring:
@@ -290,8 +288,7 @@ def fp_poly_ring(p: int) -> Ring:
                 lambda a, b: psub(a, b, p),
                 lambda a, b: pmul(a, b, p),
                 lambda a: pneg(a, p),
-                exact_div,
-                lambda a: not a)
+                exact_div)
 
 
 def int_poly_ring() -> Ring:
@@ -363,18 +360,17 @@ def int_poly_ring() -> Ring:
 
     return Ring((), (1,), add, sub, mul,
                 lambda a: tuple(-x for x in a),
-                exact_div,
-                lambda a: not a)
+                exact_div)
 
 
 def tuple_poly_ring(R: Ring) -> Ring:
     """Dense R[y] as tuples of R elements, lowest degree first."""
     r_zero, r_add, r_sub, r_mul, r_neg = R.zero, R.add, R.sub, R.mul, R.neg
-    r_div, r_is_zero = R.exact_div, R.is_zero
+    r_div = R.exact_div
 
     def strip(c: list) -> tuple:
         n = len(c)
-        while n and r_is_zero(c[n - 1]):
+        while n and not c[n - 1]:
             n -= 1
         return tuple(c[:n])
 
@@ -396,11 +392,11 @@ def tuple_poly_ring(R: Ring) -> Ring:
         if not a or not b:
             return ()
         out = [r_zero] * (len(a) + len(b) - 1)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if not r_is_zero(x):
-                for j, y in enumerate(b):
-                    if not r_is_zero(y):
-                        out[i + j] = r_add(out[i + j], r_mul(x, y))
+            if x:
+                for j, y in nonzero_b:
+                    out[i + j] = r_add(out[i + j], r_mul(x, y))
         return strip(out)
 
     def neg(a: tuple) -> tuple:
@@ -422,20 +418,19 @@ def tuple_poly_ring(R: Ring) -> Ring:
         q = [r_zero] * (da - db + 1)
         for k in range(da - db, -1, -1):
             c = rem[k + db]
-            if not r_is_zero(c):
+            if c:
                 c = r_div(c, lead)
                 q[k] = c
                 for j in range(db):
                     y = b[j]
-                    if not r_is_zero(y):
+                    if y:
                         rem[k + j] = r_sub(rem[k + j], r_mul(c, y))
                 rem[k + db] = r_zero
-        if any(not r_is_zero(c) for c in rem[:db]):
+        if any(rem[:db]):
             raise InexactDivision("nonzero remainder")
         return strip(q)
 
-    return Ring((), (R.one,), add, sub, mul, neg, exact_div,
-                lambda a: not a)
+    return Ring((), (R.one,), add, sub, mul, neg, exact_div)
 
 
 # An F_p[t][u] product is one ``kron_tmul`` when each operand has at least
@@ -492,7 +487,7 @@ def subresultant(a: list, b: list, R: Ring):
     stay as small as under Bareiss elimination of that matrix, while the
     work is O(deg a * deg b) ring operations instead of O((deg a + deg b)^3).
     """
-    mul, sub, div, is_zero, one = R.mul, R.sub, R.exact_div, R.is_zero, R.one
+    mul, sub, div, one = R.mul, R.sub, R.exact_div, R.one
     da, db = len(a) - 1, len(b) - 1
     negate = False
     if da < db:
@@ -512,14 +507,14 @@ def subresultant(a: list, b: list, R: Ring):
             c = r[k]
             if lb != one:
                 for i in range(k):
-                    if not is_zero(r[i]):
+                    if r[i]:
                         r[i] = mul(lb, r[i])
-            if not is_zero(c):
+            if c:
                 for j in range(db):
-                    if not is_zero(b[j]):
+                    if b[j]:
                         r[k - db + j] = sub(r[k - db + j], mul(c, b[j]))
         n = db
-        while n and is_zero(r[n - 1]):
+        while n and not r[n - 1]:
             n -= 1
         if n == 0:
             return R.zero
@@ -547,7 +542,7 @@ def bareiss_det(rows: list[list], R: Ring):
     sign = 1
     prev = R.one
     for k in range(n):
-        piv_row = next((i for i in range(k, n) if not R.is_zero(m[i][k])), -1)
+        piv_row = next((i for i in range(k, n) if m[i][k]), -1)
         if piv_row < 0:
             return R.zero
         if piv_row != k:
@@ -573,7 +568,7 @@ def naive_det(rows: list[list], R: Ring):
     acc = R.zero
     for j in range(n):
         a = rows[0][j]
-        if R.is_zero(a):
+        if not a:
             continue
         minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
         term = R.mul(a, naive_det(minor, R))

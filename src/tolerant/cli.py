@@ -15,7 +15,6 @@ import sys
 from typing import Optional
 
 from .errors import TolerantError
-from .factor import Factorization
 from .field import FieldDescriptor, FieldElement, parse_field
 from .invariants import (FactorFormula, InvariantReport, build_report, dupl,
                          gdisc, tol, tol_from_factorization, tol_irreducible,
@@ -123,36 +122,31 @@ def report_to_dict(report: InvariantReport) -> dict:
     }
 
 
-def _parse_input(args, field: FieldDescriptor):
-    """(polynomial, factorization or None) for an expression command."""
-    parsed = parse_polynomial(args.expr, field, factored=args.factored)
-    if isinstance(parsed, Factorization):
-        return parsed.expand(), parsed
-    return parsed, None
-
-
 def _value_command(args) -> int:
     field = parse_field(args.field)
-    mode = FactorFormula(args.mode)
-    f, fac = _parse_input(args, field)
+    parsed = parse_polynomial(args.expr, field, factored=args.factored)
+    # only disc and report read the expansion of a factored input
     if args.command == "disc":
-        result = discriminant(f)
-    elif fac is not None:
-        base = tol_from_factorization(fac, mode)
-        result = tol_variant(args.command, f, base)
+        result = discriminant(parsed.expand() if args.factored else parsed)
+    elif args.factored:
+        base = tol_from_factorization(parsed, FactorFormula(args.mode))
+        result = tol_variant(args.command, parsed.unit, parsed.degree(), base)
     elif args.assert_irreducible:
-        base = tol_irreducible(f)
-        result = tol_variant(args.command, f, base)
+        base = tol_irreducible(parsed)
+        result = tol_variant(args.command, parsed.leading_coefficient(),
+                             parsed.degree, base)
     else:
-        result = {"tol": tol, "dupl": dupl, "gdisc": gdisc}[args.command](f)
+        result = {"tol": tol, "dupl": dupl, "gdisc": gdisc}[args.command](
+            parsed)
     _emit(result.canonical_text(), args.output)
     return 0
 
 
 def _report_command(args) -> int:
     field = parse_field(args.field)
-    f, fac = _parse_input(args, field)
-    report = build_report(f, factorization=fac,
+    parsed = parse_polynomial(args.expr, field, factored=args.factored)
+    report = build_report(parsed.expand() if args.factored else parsed,
+                          factorization=parsed if args.factored else None,
                           assert_irreducible=args.assert_irreducible)
     payload = report_to_dict(report)
     _emit(json.dumps(payload, indent=2 if args.pretty else None), args.output)

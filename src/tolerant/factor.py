@@ -12,14 +12,15 @@ g(x^(p^e)) with g separable, and the parts are pairwise coprime, which is
 what the per-factor formulas and the multiplicity profile consume.
 
 Full irreducible factorization is provided for F_p only; over Q and F_p(t)
-callers supply a Factorization and the invariant formulas validate it by
-re-expansion and pairwise coprimality.
+callers supply a Factorization, which the report verifies by re-expansion
+and by the resultants and discriminants of the per-factor formula.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ._rings import (padd, pdivmod, pgcd, pmod, pmonic, pmul, ppow_mod,
@@ -75,6 +76,12 @@ class Factorization:
 
     def degree(self) -> int:
         return sum(g.degree * m for g, m in self.factors)
+
+    @cached_property
+    def parts(self) -> tuple[tuple[Polynomial, Polynomial, int, int], ...]:
+        """(g, g_sep, e, m) per factor g^m, with g = g_sep(x^(p^e)) and
+        g_sep' != 0 (e = 0 over Q); each factor is desubstituted once."""
+        return tuple((g, *g.desubstitute(), m) for g, m in self.factors)
 
 
 def _canonical(factors: dict[int, list[Polynomial]] | list, field,
@@ -268,25 +275,19 @@ def multiplicity_profile(
     """(multiplicity over the closure, count of distinct roots carrying it),
     sorted by multiplicity descending; the weighted sum is deg f.
 
-    Without a caller factorization this derives the profile from the
-    squarefree decomposition; in characteristic p each part is desubstituted
-    so a factor g_sep(x^(p^e)) of multiplicity m contributes deg(g_sep)
-    distinct roots of multiplicity m*p^e.  With a factorization the same
-    analysis runs per supplied factor (factors are taken as irreducible).
+    The profile is read off ``Factorization.parts`` of the caller's
+    factorization, else of the squarefree decomposition: a factor
+    g_sep(x^(p^e)) of multiplicity m contributes deg(g_sep) distinct roots
+    of multiplicity m*p^e, provided g_sep is separable and the factors are
+    pairwise coprime.
     """
     if f.degree < 1:
         raise ConstantInputError("multiplicity profile needs degree >= 1")
-    p = f.field.characteristic
-    counts: dict[int, int] = {}
     if factorization is None:
-        entries = squarefree_decomposition(f).factors
-    else:
-        entries = factorization.factors
-    for g, m in entries:
-        if p == 0:
-            counts[m] = counts.get(m, 0) + g.degree
-        else:
-            g_sep, e = g.desubstitute()
-            mult = m * p ** e
-            counts[mult] = counts.get(mult, 0) + g_sep.degree
+        factorization = squarefree_decomposition(f)
+    q = f.field.char_exponent
+    counts: dict[int, int] = {}
+    for _, g_sep, e, m in factorization.parts:
+        mult = m * q ** e
+        counts[mult] = counts.get(mult, 0) + g_sep.degree
     return sorted(counts.items(), key=lambda mc: -mc[0])

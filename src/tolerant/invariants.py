@@ -87,15 +87,17 @@ def tol(f: Polynomial) -> FieldElement:
     return tol_from_factorization(squarefree_decomposition(f))
 
 
-def tol_variant(name: str, f: Polynomial, value: FieldElement) -> FieldElement:
-    """Map value = tol(f) to the named relative: tol itself, dupl = lc^2 *
-    tol, or gdisc = (-1)^C(n,2) * tol (the sign law)."""
+def tol_variant(name: str, lc: FieldElement, n: int,
+                value: FieldElement) -> FieldElement:
+    """Map value = tol(f), for f of leading coefficient lc and degree n, to
+    the named relative: tol itself, dupl = lc^2 * tol, or gdisc =
+    (-1)^C(n,2) * tol (the sign law), which like gdisc needs n >= 2."""
     if name == "tol":
         return value
     if name == "dupl":
-        lc = f.leading_coefficient()
         return lc * lc * value
-    n = f.degree
+    if n < 2:
+        raise DegreeTooSmallError("gdisc needs degree >= 2")
     return -value if (n * (n - 1) // 2) % 2 else value
 
 
@@ -103,7 +105,7 @@ def dupl(f: Polynomial) -> FieldElement:
     """lc^2 * tol(f); coincides with tol on monic inputs."""
     if f.is_zero():
         raise ZeroPolynomialError("dupl of the zero polynomial")
-    return tol_variant("dupl", f, tol(f))
+    return tol_variant("dupl", f.leading_coefficient(), f.degree, tol(f))
 
 
 def tol_from_roots(rm: RootMultiset, n: int) -> FieldElement:
@@ -141,19 +143,6 @@ def tol_irreducible(f: Polynomial) -> FieldElement:
     return scale * d ** (p ** e if p else 1)
 
 
-def _split_parts(fac: Factorization):
-    """(factor, separable part, inseparability exponent, multiplicity)."""
-    p = fac.field.characteristic
-    out = []
-    for g, m in fac.factors:
-        if p:
-            sep, e = g.desubstitute()
-        else:
-            sep, e = g, 0
-        out.append((g, sep, e, m))
-    return out
-
-
 def tol_from_factorization(
         fac: Factorization,
         mode: FactorFormula = FactorFormula.CORRECTED) -> FieldElement:
@@ -173,26 +162,23 @@ def tol_from_factorization(
               ^(2 m_i m_j p^(min(e_i,e_j)))  with E = max(e_i, e_j);
         agrees with PAPER_SEPARABLE when every e_i = 0 and with
         tol_irreducible on single factors.
+
+    The PAPER modes check coprimality first, by
+    ``Factorization.pairwise_coprime``.  CORRECTED is its own check: it
+    takes each cross resultant once, before any discriminant.  The roots of
+    twist(sep_i, E-e_i) are the p^E-th powers of those of f_i and Frobenius
+    is injective, so a zero resultant means f_i and f_j share a root
+    (InvalidFactorizationError); a zero disc(sep_i) means a desubstituted
+    part with repeated roots (ZeroDiscriminantFactorError).
     """
-    _check_coprime(fac)
-    return _tol_per_factor(fac, mode)
-
-
-def _check_coprime(fac: Factorization) -> None:
-    if not fac.pairwise_coprime():
-        raise InvalidFactorizationError("factors are not pairwise coprime")
-
-
-def _tol_per_factor(fac: Factorization,
-                    mode: FactorFormula = FactorFormula.CORRECTED) -> FieldElement:
-    """tol_from_factorization on a factorization known to be coprime."""
+    if mode is not FactorFormula.CORRECTED:
+        _check_coprime(fac)
     field = fac.field
     if not fac.factors:
         return field.one()
-    n = fac.degree()
     q = field.char_exponent
-    parts = _split_parts(fac)
-    acc = fac.unit ** (2 * n - 2)
+    parts = fac.parts
+    acc = fac.unit ** (2 * fac.degree() - 2)
 
     if mode is FactorFormula.PAPER_SEPARABLE:
         for g, sep, e, m in parts:
@@ -226,22 +212,26 @@ def _tol_per_factor(fac: Factorization,
         return acc
 
     for i, (_, sep_i, e_i, m_i) in enumerate(parts):
-        d = discriminant(sep_i)
-        if not d:
-            raise ZeroDiscriminantFactorError(
-                "zero discriminant of a desubstituted part")
-        acc = acc * d ** (m_i * m_i * q ** e_i)
-        for j in range(i + 1, len(parts)):
-            _, sep_j, e_j, m_j = parts[j]
+        for _, sep_j, e_j, m_j in parts[i + 1:]:
             big_e = max(e_i, e_j)
             r = sylvester_resultant(sep_i.frobenius_twist(big_e - e_i),
                                     sep_j.frobenius_twist(big_e - e_j))
             if not r:
-                raise ZeroDiscriminantFactorError(
-                    "zero cross resultant; factors are not coprime over "
-                    "the closure")
+                raise InvalidFactorizationError(
+                    "factors are not pairwise coprime")
             acc = acc * r ** (2 * m_i * m_j * q ** min(e_i, e_j))
+    for _, sep, e, m in parts:
+        d = discriminant(sep)
+        if not d:
+            raise ZeroDiscriminantFactorError(
+                "zero discriminant of a desubstituted part")
+        acc = acc * d ** (m * m * q ** e)
     return acc
+
+
+def _check_coprime(fac: Factorization) -> None:
+    if not fac.pairwise_coprime():
+        raise InvalidFactorizationError("factors are not pairwise coprime")
 
 
 def homothety_exponent(f: Polynomial,
@@ -279,7 +269,7 @@ def _inversion_test(fac: Factorization) -> bool:
     q = field.char_exponent
     lhs = field.one()
     ratio = field.one()
-    for _, sep, e, m in _split_parts(fac):
+    for _, sep, e, m in fac.parts:
         c0 = sep.constant_term()
         if not c0:
             raise ZeroConstantTermError("a factor vanishes at 0")
@@ -318,27 +308,30 @@ class InvariantReport:
     errors: list[ErrorRecord] = dc_field(default_factory=list)
 
 
-def _verify_caller_factorization(f: Polynomial, fac: Factorization) -> bool:
-    """Reconstruction, coprimality, and separability of desubstituted parts;
-    over F_p additionally an irreducibility test per factor.  Returns whether
-    anything claimed by the caller remains unverified."""
+def _verified_tol(f: Polynomial,
+                  fac: Factorization) -> tuple[FieldElement, bool]:
+    """tol from a caller's factorization of f, and whether anything the
+    caller claimed stays unverified.  The checks, in order: re-expansion to
+    f; coprimality and separability of the desubstituted parts, which are
+    the cross resultants and part discriminants of tol_from_factorization;
+    over F_p, irreducibility of each factor."""
     if fac.expand() != f:
         raise InvalidFactorizationError(
             "factorization does not re-expand to the input")
-    _check_coprime(fac)
-    for _, sep, _, _ in _split_parts(fac):
-        if sep.degree >= 1 and not sep.is_separable():
+    try:
+        t = tol_from_factorization(fac)
+    except ZeroDiscriminantFactorError:
+        raise InvalidFactorizationError(
+            "a desubstituted part has repeated roots") from None
+    if f.field.kind is not FieldKind.PRIME_FIELD:
+        # Q / F_p(t): the formulas only need what was just checked, but any
+        # irreducibility claim itself stays unverified.
+        return t, True
+    for g, _ in fac.factors:
+        if not is_irreducible_prime_field(g):
             raise InvalidFactorizationError(
-                "a desubstituted part has repeated roots")
-    if f.field.kind is FieldKind.PRIME_FIELD:
-        for g, _ in fac.factors:
-            if not is_irreducible_prime_field(g):
-                raise InvalidFactorizationError(
-                    f"factor of degree {g.degree} is reducible")
-        return False
-    # Q / F_p(t): the formulas only need what was just checked, but any
-    # irreducibility claim itself stays unverified.
-    return True
+                f"factor of degree {g.degree} is reducible")
+    return t, False
 
 
 def build_report(f: Polynomial,
@@ -347,12 +340,13 @@ def build_report(f: Polynomial,
     """Every computable invariant of f, with structured error records in
     place of exceptions and explicit markers for unmet preconditions.
 
-    Each quantity is computed once.  tol comes from a factorization: the
-    caller's if it verifies, else the squarefree decomposition, which is
-    coprime by construction, so coprimality is checked only on a caller's
-    factorization.  dupl, the sign law and in_T are derived from it.  gdisc
-    is the one u-resultant elimination, and paths_agree compares it with
-    (-1)^C(n,2) * tol."""
+    Each quantity is computed once.  tol comes from one call of
+    tol_from_factorization: on the caller's factorization, whose
+    coprimality and separability that call checks on the way (see
+    _verified_tol), else on the squarefree decomposition.  No separate
+    coprimality test runs.  dupl, the sign law and in_T are derived from
+    it.  gdisc is the one u-resultant elimination, and paths_agree compares
+    it with (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):
@@ -365,10 +359,10 @@ def build_report(f: Polynomial,
     fac = factorization
     if fac is None and assert_irreducible and not f.is_zero() and f.degree >= 1:
         fac = Factorization(f.leading_coefficient(), ((f.monic(), 1),))
-    fac_error = None        # recorded after in_T, where reports list it
+    t = fac_error = None    # fac_error goes after in_T, where reports list it
     if fac is not None:
         try:
-            report.trusted_input = _verify_caller_factorization(f, fac)
+            t, report.trusted_input = _verified_tol(f, fac)
         except TolerantError as exc:
             fac_error = ErrorRecord("factorization", exc.code, str(exc))
             fac = None
@@ -377,11 +371,13 @@ def build_report(f: Polynomial,
 
     # Without a factorization f is zero or constant, and the library
     # functions give the value or record the precondition error.
-    t = attempt("tol", lambda: tol(f) if fac is None
-                else _tol_per_factor(fac))
+    if t is None:
+        t = attempt("tol", lambda: tol(f) if fac is None
+                    else tol_from_factorization(fac))
     report.tol = t
     report.dupl = attempt("dupl", lambda: dupl(f) if t is None
-                          else tol_variant("dupl", f, t))
+                          else tol_variant("dupl", f.leading_coefficient(),
+                                           f.degree, t))
     report.gdisc = attempt("gdisc", lambda: gdisc(f))
     d = attempt("disc", lambda: discriminant(f))
     if d is None:
@@ -403,5 +399,6 @@ def build_report(f: Polynomial,
         if f.degree < 2:
             report.paths_agree = t.is_one()      # the empty product
         elif report.gdisc is not None:
-            report.paths_agree = report.gdisc == tol_variant("gdisc", f, t)
+            report.paths_agree = report.gdisc == tol_variant(
+                "gdisc", f.leading_coefficient(), f.degree, t)
     return report

@@ -9,12 +9,13 @@ Grammar (whitespace-insensitive, U+2212 accepted for '-'):
     atom   := NUMBER | 'x' | 't' | '(' expr ')'
 
 Exponents are nonnegative integer literals.  An exponent above
-``MAX_DEGREE``, or a power, product or factored group whose degree in x or
-(over F_p(t)) in t would be, is refused with ``INPUT_TOO_LARGE`` before it
-is built.  Integer literals may have any number of digits.  '/' forms
-coefficients: the divisor must be constant in x and nonzero in the target
-field (so `1/2` over F_2 is rejected as a field-literal error, not a syntax
-error).  The variable t only exists over F_p(t).
+``MAX_DEGREE``, or a power, product, factored group or factored product
+whose degree in x or (over F_p(t)) in t would be, is refused with
+``INPUT_TOO_LARGE`` before it is built.  Integer literals may have any
+number of digits.  '/' forms coefficients: the divisor must be constant in
+x and nonzero in the target field (so `1/2` over F_2 is rejected as a
+field-literal error, not a syntax error).  The variable t only exists over
+F_p(t).
 
 Factored mode accepts `unit * (g1)^m1 * (g2)^m2 * ...`: any number of
 '*'-separated constant pieces and parenthesized nonconstant groups; groups
@@ -231,9 +232,12 @@ class _Parser:
         unit = self.field.one()
         factors: list[tuple[Polynomial, int]] = []
         invert_next = False
+        size = (0, 0)           # degrees in x and t of the whole product
         while True:
             start = self.peek().pos
             piece, mult, negate = self.factored_piece()
+            size = tuple(s + d * mult for s, d in zip(size, _degrees(piece)))
+            self.check_size(max(size), start)
             if negate:
                 unit = -unit
             if piece.degree < 1:

@@ -116,7 +116,7 @@ def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
     ops = field.ops
     d = G.x_degree
     fc, d_f = cleared(f.raw, ops)
-    f_entries = [() if ops.ring.is_zero(c) else (c,) for c in fc]
+    f_entries = [(c,) if c else () for c in fc]
     # entry j is the u-vector of the x^j coefficient of G, cleared
     d_g = common_den((v for c in G.coeffs for v in c.raw), ops)
     g_entries = [pstrip([ops.clear(c.raw[j], d_g) if j < len(c.raw)

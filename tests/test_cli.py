@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tolerant import parse_polynomial, rationals
+from tolerant import Factorization, parse_polynomial, rationals
 from tolerant.cli import main
 
 
@@ -141,6 +141,49 @@ def test_bad_field_descriptor_exits_one(capsys):
 def test_degree_too_small_exits_one(capsys):
     code, _, err = run(capsys, "gdisc", "x+1")
     assert code == 1 and "DEGREE_TOO_SMALL" in err
+    # the sign-law route from tol refuses degree < 2 the way gdisc does
+    for argv in (("(x+1)", "--factored"), ("3", "--factored"),
+                 ("(x+t)", "--factored", "--field", "fpt:3"),
+                 ("x+1", "--assert-irreducible")):
+        assert run(capsys, "gdisc", *argv) == (
+            1, "", "error[DEGREE_TOO_SMALL]: gdisc needs degree >= 2\n")
+
+
+@pytest.mark.parametrize("field,expr", [
+    ("q", "-1/2*(x-1)^2*(x+3)*(x^2+1)"),
+    # x^7-2 = (x-2)^7 over F_7 desubstitutes to x-2 with exponent 1
+    ("fp:7", "3*(x^7-2)*(x-1)^2*(x^2+1)"),
+    # x^3-t has inseparability exponent 1, the other parts 0
+    ("fpt:3", "t*(x^3-t)*(x-1)^2*(x^2+t)"),
+])
+def test_factored_values_without_expansion(capsys, monkeypatch, field, expr):
+    expected = {command: run(capsys, command, "--field", field, "--", expr)
+                for command in ("tol", "dupl", "gdisc")}
+
+    def refuse(*_):
+        raise AssertionError("a value command expanded or re-checked "
+                             "the factorization")
+
+    monkeypatch.setattr(Factorization, "expand", refuse)
+    monkeypatch.setattr(Factorization, "pairwise_coprime", refuse)
+    for command, (code, out, err) in expected.items():
+        assert (code, err) == (0, "")
+        assert run(capsys, command, "--factored", "--field", field, "--",
+                   expr) == (0, out, "")
+
+
+def test_parts_sharing_a_root_across_exponents_are_not_coprime(capsys):
+    # x^3-t^3 = (x-t)^3 desubstitutes to x-t^3 with exponent 1; x-t has
+    # exponent 0; both vanish at t
+    args = ("(x^3-t^3)*(x-t)", "--factored", "--field", "fpt:3")
+    message = "factors are not pairwise coprime"
+    assert run(capsys, "tol", *args) == (
+        1, "", f"error[INVALID_FACTORIZATION]: {message}\n")
+    code, out, _ = run(capsys, "report", *args)
+    assert code == 0
+    assert json.loads(out)["errors"] == [{
+        "op": "factorization", "code": "INVALID_FACTORIZATION",
+        "message": message}]
 
 
 def test_batch_processing(capsys, tmp_path):
@@ -218,6 +261,12 @@ def test_degree_past_the_cap_exits_one(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error[INPUT_TOO_LARGE]: ")
     assert "offset 2" in err
+    # a factored product is capped as a whole, before disc expands it
+    code, out, err = run(capsys, "disc", "--factored", "--field", "fp:7",
+                         "(x+1)^100000*(x+2)^100000")
+    assert code == 1 and out == ""
+    assert err.startswith("error[INPUT_TOO_LARGE]: ")
+    assert "offset 13" in err
 
 
 def test_selfcheck_cli_pass_and_determinism(capsys):

@@ -9,8 +9,8 @@ import pytest
 from tolerant import (Factorization, FactorFormula, Polynomial, RootMultiset,
                       build_report, dupl, gdisc, homothety_exponent, in_T,
                       parse_polynomial, prime_field, rational_function_field,
-                      rationals, tol, tol_from_factorization, tol_from_roots,
-                      tol_irreducible)
+                      rationals, squarefree_decomposition, tol,
+                      tol_from_factorization, tol_from_roots, tol_irreducible)
 from tolerant.errors import (DegreeMismatchError, DegreeTooSmallError,
                              InseparableInSeparableModeError,
                              InvalidFactorizationError, ZeroPolynomialError)
@@ -283,6 +283,24 @@ def test_homothety_exponent_inseparable_with_factorization():
     assert tol(f.homothety(t0)) == t0 ** 130 * tol(f)
 
 
+@pytest.mark.parametrize("factored", [False, True])
+def test_report_desubstitutes_each_part_once(monkeypatch, factored):
+    # tol, in_T and the homothety exponent read the same Factorization.parts
+    F3T = rational_function_field(3)
+    text = "(x^3-t)*(x-1)^2*(x^2+t)"
+    f = parse_polynomial(text, F3T)
+    fac = parse_polynomial(text, F3T, factored=True) if factored else None
+    parts = len((fac or squarefree_decomposition(f)).factors)
+    calls = []
+    real = Polynomial.desubstitute
+    monkeypatch.setattr(Polynomial, "desubstitute",
+                        lambda self: calls.append(self) or real(self))
+    rep = build_report(f, factorization=fac)
+    assert rep.errors == [] and rep.paths_agree is True
+    assert isinstance(rep.homothety_exponent, int) and rep.in_T is not None
+    assert len(calls) == parts == 3
+
+
 def test_report_markers_and_paths(Q):
     rep = build_report(parse_polynomial("(x-2)^2*(x-3)", Q))
     assert rep.tol.is_one()
@@ -348,7 +366,8 @@ def test_report_homothety_unavailable_without_factorization():
     rep = build_report(f)
     assert rep.homothety_exponent == 5 * 5 - 2 * 5 + 25 == 40
     assert rep.tol.is_one()
-    assert rep.gdisc == tol_variant("gdisc", f, rep.tol)   # u-resultant
+    assert rep.gdisc == tol_variant("gdisc", f.leading_coefficient(), f.degree,
+                                    rep.tol)   # u-resultant
     assert rep.paths_agree is True
     t0 = F5T.from_int(2)
     assert tol(f.homothety(t0)) == t0 ** 40 * tol(f)

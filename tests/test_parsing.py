@@ -132,11 +132,17 @@ def test_degree_cap_is_input_too_large(text, field, offset):
 
 
 def test_degree_cap_in_factored_mode(F3T):
-    for text in ("(x+1)^100001", "(t)^100001 * (x+1)", "(x^50001+t)^2"):
+    # a group, and the whole product in x or in t, are capped
+    for text in ("(x+1)^100001", "(t)^100001 * (x+1)", "(x^50001+t)^2",
+                 "(x+1)^50000*(x+2)^50000*(x+t)",
+                 "(x+t^50000)*(x+t^50000+1)*t"):
         with pytest.raises(InputTooLargeError):
             parse_polynomial(text, F3T, factored=True)
-    fac = parse_polynomial("(x^50000+t)^2", F3T, factored=True)
-    assert fac.degree() == MAX_DEGREE
+    for text in ("(x^50000+t)^2", "(x+1)^50000*(x+2)^49999*(x+t)"):
+        assert parse_polynomial(text, F3T,
+                                factored=True).degree() == MAX_DEGREE
+    fac = parse_polynomial("(x+t^50000)*(x+t^49999+1)*t", F3T, factored=True)
+    assert fac.unit == F3T.t() and fac.degree() == 2
 
 
 def test_degree_at_the_cap_parses(Q, F3T):

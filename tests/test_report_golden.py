@@ -1,6 +1,7 @@
 """`report` output pinned byte for byte, and the work one report does: one
-u-resultant, no irreducible factorization, and a coprimality check only on
-a caller's factorization.
+u-resultant, no irreducible factorization, and within the per-factor
+formula one resultant per pair of parts and one discriminant per part,
+which are also the checks of a caller's factorization.
 
 The cases cover Q, F_7, F_3(t) and F_5(t): the zero polynomial, a nonzero
 constant, degree 1, f(0) = 0, repeated roots, inseparable inputs, and caller
@@ -105,18 +106,59 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     monkeypatch.setattr(invariants, "factor_prime_field", no_factoring,
                         raising=False)
     coprime_checks = []
-    real_coprime = factor.Factorization.pairwise_coprime
-
-    def counting_coprime(self):
-        coprime_checks.append(self)
-        return real_coprime(self)
-
     monkeypatch.setattr(factor.Factorization, "pairwise_coprime",
-                        counting_coprime)
+                        lambda self: coprime_checks.append(self))
+    # [resultants, discriminants] taken outside tol_from_factorization, and
+    # per call of it [parts, resultants, discriminants, returned]
+    outside = [0, 0]
+    formula_calls = []
+    inside = []
+
+    def counting(slot, real):
+        def wrapper(*args):
+            if inside:
+                formula_calls[-1][slot + 1] += 1
+            else:
+                outside[slot] += 1
+            return real(*args)
+        return wrapper
+
+    real_tol = invariants.tol_from_factorization
+
+    def counting_tol(fac, *args):
+        formula_calls.append([len(fac.factors), 0, 0, False])
+        inside.append(fac)
+        try:
+            value = real_tol(fac, *args)
+        finally:
+            inside.pop()
+        formula_calls[-1][3] = True
+        return value
+
+    monkeypatch.setattr(invariants, "tol_from_factorization", counting_tol)
+    monkeypatch.setattr(invariants, "sylvester_resultant",
+                        counting(0, invariants.sylvester_resultant))
+    monkeypatch.setattr(invariants, "discriminant",
+                        counting(1, invariants.discriminant))
     assert main(["report", "--field", field, *flags, "--", expr]) == 0
     assert capsys.readouterr().out == expected + "\n"
+    report = json.loads(expected)
     # the elimination runs once, as gdisc, and only where gdisc is defined
-    assert len(calls) == (json.loads(expected)["gdisc"] is not None)
-    # the squarefree decomposition is coprime by construction; a caller's
-    # factorization (--factored, --assert-irreducible) is checked once
-    assert len(coprime_checks) == (1 if flags else 0)
+    assert len(calls) == (report["gdisc"] is not None)
+    # Coprimality and separability are checked by the formula's own cross
+    # resultants and part discriminants, on the squarefree decomposition
+    # and on a caller's factorization alike.  Outside the formula the
+    # report takes only disc(f).
+    assert coprime_checks == []
+    assert outside == [0, 1]
+    for k, resultants, discriminants, returned in formula_calls:
+        pairs = k * (k - 1) // 2
+        if returned:
+            assert (resultants, discriminants) == (pairs, k)
+        else:       # stopped at a zero; all resultants come first
+            assert resultants <= pairs and discriminants <= k
+            assert discriminants == 0 or resultants == pairs
+    # one formula call, and one more after a rejected caller factorization
+    rejected = any(e["op"] == "factorization" for e in report["errors"])
+    expected_calls = 1 + rejected if report["degree"] else 0
+    assert len(formula_calls) == expected_calls

@@ -364,7 +364,7 @@ def rand_poly(rng, ring, degree, support=None):
     for i in range(degree) if support is None else support:
         coeffs[i] = gen(rng)
     lead = R.zero
-    while R.is_zero(lead):
+    while not lead:
         lead = gen(rng)
     return coeffs + [R.mul(weight, lead)]
 
@@ -425,7 +425,7 @@ def test_subresultant_matches_bareiss_on_sylvester(name):
     for a, b in kernel_cases(rng, KERNEL_RINGS[name]):
         expected = bareiss_det(sylvester(a, b, R), R)
         assert subresultant(a, b, R) == expected, (name, a, b)
-        zeros += R.is_zero(expected)
+        zeros += not expected
     assert zeros >= 3
 
 
