@@ -12,14 +12,16 @@ performance-critical runs here on plain ints and tuples:
   on, and the schoolbook loop below.
 * ``Ring`` bundles: a minimal integral-domain interface (add/sub/mul/exact
   division) over some raw element type whose zero is falsy.  ``int_ring``
-  covers Z, ``mod_ring(p)`` covers F_p, ``tuple_poly_ring`` covers dense
-  R[y] for any base ``Ring`` R.  ``fpt_u_ring(p)`` is F_p[t][u], the
-  u-ring of F_p(t): ``tuple_poly_ring(fp_poly_ring(p))`` whose products go
-  through ``kron_tmul`` once both operands are dense enough
-  (``TMUL_KRON_MIN``, ``TMUL_KRON_SPREAD``).
+  covers Z, ``mod_ring(p)`` F_p, ``fp_poly_ring(p)`` F_p[t] (on ``pmul``),
+  and ``tuple_poly_ring`` dense R[y] for any base ``Ring`` R.
+  ``kron_poly_ring`` is such an R[y] whose products go through a Kronecker
+  product once both operands are dense enough (``TMUL_KRON_MIN``,
+  ``TMUL_KRON_SPREAD``): Z[u] on ``kron_mul``, and F_p[t][u] on
+  ``kron_tmul`` (``fpt_u_ring``).  The polynomial rings Z[y], F_p[y] and
+  F_p[t][y] are the u-rings of ``FieldOps``, and their ``mul`` is the one
+  product of each, for ``Polynomial`` products and u-resultants alike.
 * ``kron_mul`` and ``kron_tmul``: products in Z[y] and F_p[t][y] by
-  Kronecker substitution, the kernel behind every ``Polynomial`` product
-  and the dense products of ``fpt_u_ring``.
+  Kronecker substitution.
 * ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS, the
   kernel behind every resultant in the package.
 * ``bareiss_det`` and ``naive_det``: exact determinants, kept as test
@@ -28,7 +30,8 @@ performance-critical runs here on plain ints and tuples:
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple
+import operator
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 def pstrip(c: list) -> tuple:
@@ -254,11 +257,7 @@ def int_ring() -> Ring:
             raise InexactDivision(f"{a} / {b}")
         return q
 
-    return Ring(0, 1,
-                lambda a, b: a + b,
-                lambda a, b: a - b,
-                lambda a, b: a * b,
-                lambda a: -a,
+    return Ring(0, 1, operator.add, operator.sub, operator.mul, operator.neg,
                 exact_div)
 
 
@@ -288,78 +287,6 @@ def fp_poly_ring(p: int) -> Ring:
                 lambda a, b: psub(a, b, p),
                 lambda a, b: pmul(a, b, p),
                 lambda a: pneg(a, p),
-                exact_div)
-
-
-def int_poly_ring() -> Ring:
-    """Z[y] as int tuples, with the convolution and synthetic division
-    inlined (no per-coefficient callable indirection)."""
-
-    def add(a: tuple, b: tuple) -> tuple:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        n = len(out)
-        while n and not out[n - 1]:
-            n -= 1
-        return tuple(out[:n])
-
-    def sub(a: tuple, b: tuple) -> tuple:
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, x in enumerate(b):
-            out[i] -= x
-        n = len(out)
-        while n and not out[n - 1]:
-            n -= 1
-        return tuple(out[:n])
-
-    def mul(a: tuple, b: tuple) -> tuple:
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        n = len(out)
-        while n and not out[n - 1]:
-            n -= 1
-        return tuple(out[:n])
-
-    def exact_div(a: tuple, b: tuple) -> tuple:
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not a:
-            return ()
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            raise InexactDivision("degree dropped below divisor")
-        lead = b[-1]
-        rem = list(a)
-        q = [0] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            c = rem[k + db]
-            if c:
-                c, r = divmod(c, lead)
-                if r:
-                    raise InexactDivision("leading coefficient division")
-                q[k] = c
-                for j in range(db):
-                    y = b[j]
-                    if y:
-                        rem[k + j] -= c * y
-        if any(rem[:db]):
-            raise InexactDivision("nonzero remainder")
-        n = len(q)
-        while n and not q[n - 1]:
-            n -= 1
-        return tuple(q[:n])
-
-    return Ring((), (1,), add, sub, mul,
-                lambda a: tuple(-x for x in a),
                 exact_div)
 
 
@@ -414,6 +341,7 @@ def tuple_poly_ring(R: Ring) -> Ring:
         if da < db:
             raise InexactDivision("degree dropped below divisor")
         lead = b[-1]
+        low = [(j, y) for j, y in enumerate(b[:db]) if y]
         rem = list(a)
         q = [r_zero] * (da - db + 1)
         for k in range(da - db, -1, -1):
@@ -421,10 +349,8 @@ def tuple_poly_ring(R: Ring) -> Ring:
             if c:
                 c = r_div(c, lead)
                 q[k] = c
-                for j in range(db):
-                    y = b[j]
-                    if y:
-                        rem[k + j] = r_sub(rem[k + j], r_mul(c, y))
+                for j, y in low:
+                    rem[k + j] = r_sub(rem[k + j], r_mul(c, y))
                 rem[k + db] = r_zero
         if any(rem[:db]):
             raise InexactDivision("nonzero remainder")
@@ -433,45 +359,56 @@ def tuple_poly_ring(R: Ring) -> Ring:
     return Ring((), (R.one,), add, sub, mul, neg, exact_div)
 
 
-# An F_p[t][u] product is one ``kron_tmul`` when each operand has at least
-# TMUL_KRON_MIN nonzero u-coefficients, at least one in TMUL_KRON_SPREAD of
-# its u-coefficients.  Below either bound the schoolbook loop, which skips
-# zero coefficients, does less work: gdisc over F_3(t) builds u-polynomials
-# of length near 1000 with 2-35 % of their entries nonzero, where packing
-# every zero slot costs more than the pairs of nonzero entries it replaces.
+# A product in Z[u] or F_p[t][u] is one Kronecker product when each operand
+# has at least TMUL_KRON_MIN nonzero u-coefficients, at least one in
+# TMUL_KRON_SPREAD of its u-coefficients.  Below either bound the schoolbook
+# loop, which skips zero coefficients, does less work: gdisc builds sparse
+# u-polynomials (over F_3(t), of length near 1000 with 2-35 % of their
+# entries nonzero; over Q, in "x^20+x+1", a median of 2.7 % in the sparser
+# operand), where packing every zero slot costs more than the pairs of
+# nonzero entries it replaces.
 TMUL_KRON_MIN = 3
 TMUL_KRON_SPREAD = 4
 
 
-def fpt_u_ring(p: int) -> Ring:
-    """F_p[t][u], the u-ring of F_p(t): ``tuple_poly_ring(fp_poly_ring(p))``
-    with its product done by ``kron_tmul`` past ``TMUL_KRON_MIN`` and
-    ``TMUL_KRON_SPREAD``."""
-    ring = tuple_poly_ring(fp_poly_ring(p))
-    schoolbook = ring.mul
+def kron_poly_ring(R: Ring,
+                   kron: Callable[[Sequence, Sequence], list]) -> Ring:
+    """``tuple_poly_ring(R)`` whose product is ``kron`` once both operands
+    pass ``TMUL_KRON_MIN`` and ``TMUL_KRON_SPREAD``, and the schoolbook loop
+    below them: Z[u] with ``kron_mul``, and ``fpt_u_ring``.  Operands may be
+    lists or tuples; the product is a tuple."""
+    ring = tuple_poly_ring(R)
+    schoolbook, zero = ring.mul, R.zero
 
-    def dense(c: tuple) -> bool:
-        nonzero = len(c) - c.count(())
+    def dense(c: Sequence) -> bool:
+        nonzero = len(c) - c.count(zero)
         return (nonzero >= TMUL_KRON_MIN
                 and nonzero * TMUL_KRON_SPREAD >= len(c))
 
-    def mul(a: tuple, b: tuple) -> tuple:
+    def mul(a: Sequence, b: Sequence) -> tuple:
         if dense(a) and dense(b):
-            return tuple(kron_tmul(a, b, p))
+            return tuple(kron(a, b))
         return schoolbook(a, b)
 
     return ring._replace(mul=mul)
 
 
-def ring_pow(x, e: int, R: Ring):
-    """x**e in R for e >= 0, by square and multiply."""
-    result = R.one
-    while e:
-        if e & 1:
-            result = R.mul(result, x)
-        e >>= 1
-        if e:
-            x = R.mul(x, x)
+def fpt_u_ring(p: int) -> Ring:
+    """F_p[t][u], the u-ring of F_p(t), with dense products by
+    ``kron_tmul``."""
+    return kron_poly_ring(fp_poly_ring(p), lambda a, b: kron_tmul(a, b, p))
+
+
+def ring_pow(x, e: int, R):
+    """x**e for e >= 0, by left-to-right square and multiply; R is any table
+    with ``mul`` and ``one``: a ``Ring``, or a field's ``FieldOps``."""
+    if not e:
+        return R.one
+    mul, result = R.mul, x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
     return result
 
 

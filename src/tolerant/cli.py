@@ -52,9 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="parse as unit * (g1)^m1 * ... and use the "
                             "factorization-based formulas")
         p.add_argument("--assert-irreducible", action="store_true",
-                       help="treat the input (or each supplied factor) as "
-                            "irreducible; unverifiable assertions are "
-                            "flagged as trusted input")
+                       help="treat the input as one irreducible factor; "
+                            "report verifies the claim over fp:P and flags "
+                            "it as trusted input elsewhere")
         p.add_argument("--mode", choices=[m.value for m in FactorFormula],
                        default=FactorFormula.CORRECTED.value,
                        help="which per-factor formula --factored evaluates")

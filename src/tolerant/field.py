@@ -9,10 +9,11 @@ Canonical forms make equality a plain value comparison:
 * F_p(t): a reduced fraction of dense F_p[t] tuples with monic denominator.
 
 Each descriptor carries one :class:`FieldOps` table, built once per field,
-with the raw arithmetic on those values, the product of two coefficient
-lists by Kronecker substitution, and the field's integral view for
-resultants; ``FieldElement`` operators, ``Polynomial`` and the resultant
-code call it instead of branching per field.
+with the raw arithmetic on those values and the field's integral view: its
+numerator ring and the polynomial ring over that, whose product serves
+``Polynomial`` products and u-resultants alike.  ``FieldElement``
+operators, ``Polynomial`` and the resultant code call it instead of
+branching per field.
 
 Mixing elements of different descriptors raises ``FieldMismatchError``;
 Python ints coerce into any field, ``Fraction`` only into Q.
@@ -26,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from . import _rings
 from .errors import (DivisionByZeroError, FieldMismatchError,
@@ -188,17 +189,16 @@ def _fpt_reduce(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
 
 
 class FieldOps(NamedTuple):
-    """Raw arithmetic of one field, and its integral view for resultants.
+    """Raw arithmetic of one field, and its integral view for products and
+    resultants.
 
     ``ring`` is the numerator ring (Z, F_p or F_p[t]) and ``u_ring`` the
-    polynomials in u over it.  ``den`` reads a value's denominator in
-    ``ring`` and ``den_lcm`` combines two; ``clear(v, d)`` is v * d in
-    ``ring`` for any multiple d of den(v); ``rebuild(num, scale)`` is the
-    value num / scale.  F_p has the trivial denominator 1.  ``poly_mul``
-    multiplies two nonempty coefficient lists (lowest degree first): both
-    are cleared to ``ring``, multiplied with one big-int product by
-    Kronecker substitution, and each coefficient is rebuilt once (over
-    F_p, where clearing and rebuilding do nothing, it is reduced mod p)."""
+    polynomials over it, whose ``mul`` is the one product of coefficient
+    lists: ``Polynomial`` products and u-resultants both run on it.  ``den``
+    reads a value's denominator in ``ring`` and ``den_lcm`` combines two;
+    ``clear(v, d)`` is v * d in ``ring`` for any multiple d of den(v);
+    ``rebuild(num, scale)`` is the value num / scale.  F_p has the trivial
+    denominator 1."""
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
@@ -206,6 +206,7 @@ class FieldOps(NamedTuple):
     inverse: Callable[[Any], Any]           # of a nonzero value
     nonzero: Callable[[Any], bool]
     from_int: Callable[[int], Any]
+    one: Any
     text: Callable[[Any], str]
     ring: _rings.Ring
     u_ring: _rings.Ring
@@ -213,7 +214,6 @@ class FieldOps(NamedTuple):
     den_lcm: Callable[[Any, Any], Any]
     clear: Callable[[Any, Any], Any]
     rebuild: Callable[[Any, Any], Any]
-    poly_mul: Callable[[Sequence, Sequence], list]
 
 
 def common_den(values, ops: FieldOps):
@@ -228,17 +228,6 @@ def cleared(values, ops: FieldOps) -> tuple[list, Any]:
     """(values * d, d) in the numerator ring, d = common_den(values)."""
     d = common_den(values, ops)
     return [ops.clear(v, d) for v in values], d
-
-
-def _with_kronecker(ops: FieldOps, ring_product) -> FieldOps:
-    """``ops`` with ``poly_mul`` over ``ring_product``, the product of two
-    numerator lists in the numerator ring."""
-    def poly_mul(a: Sequence, b: Sequence) -> list:
-        num_a, d_a = cleared(a, ops)
-        num_b, d_b = (num_a, d_a) if b is a else cleared(b, ops)
-        scale = ops.ring.mul(d_a, d_b)
-        return [ops.rebuild(c, scale) for c in ring_product(num_a, num_b)]
-    return ops._replace(poly_mul=poly_mul)
 
 
 def _int_text(n: int) -> str:
@@ -259,13 +248,15 @@ def _q_text(v: Fraction) -> str:
 
 
 def _q_ops() -> FieldOps:
-    return _with_kronecker(FieldOps(
+    ring = _rings.int_ring()
+    return FieldOps(
         add=operator.add, neg=operator.neg, mul=operator.mul,
-        inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction, text=_q_text,
-        ring=_rings.int_ring(), u_ring=_rings.int_poly_ring(),
+        inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction,
+        one=Fraction(1), text=_q_text,
+        ring=ring, u_ring=_rings.kron_poly_ring(ring, _rings.kron_mul),
         den=lambda v: v.denominator, den_lcm=math.lcm,
         clear=lambda v, d: v.numerator * (d // v.denominator),
-        rebuild=Fraction, poly_mul=None), _rings.kron_mul)
+        rebuild=Fraction)
 
 
 def _fp_ops(p: int) -> FieldOps:
@@ -273,11 +264,10 @@ def _fp_ops(p: int) -> FieldOps:
     return FieldOps(
         add=ring.add, neg=ring.neg, mul=ring.mul,
         inverse=lambda v: pow(v, -1, p), nonzero=bool,
-        from_int=lambda n: n % p, text=str,
+        from_int=lambda n: n % p, one=1, text=str,
         ring=ring, u_ring=_rings.fp_poly_ring(p),
         den=lambda v: 1, den_lcm=lambda a, b: 1,
-        clear=lambda v, d: v, rebuild=lambda num, scale: num,
-        poly_mul=lambda a, b: [c % p for c in _rings.kron_mul(a, b)])
+        clear=lambda v, d: v, rebuild=lambda num, scale: num)
 
 
 def _fpt_ops(p: int) -> FieldOps:
@@ -302,17 +292,17 @@ def _fpt_ops(p: int) -> FieldOps:
         return f"({t_poly_text(num)})/({t_poly_text(den)})"
 
     ring = _rings.fp_poly_ring(p)
-    return _with_kronecker(FieldOps(
+    return FieldOps(
         add=add, neg=lambda v: (_rings.pneg(v[0], p), v[1]),
         mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
         inverse=lambda v: _fpt_reduce(v[1], v[0], p),
-        nonzero=lambda v: bool(v[0]), from_int=from_int, text=text,
+        nonzero=lambda v: bool(v[0]), from_int=from_int, one=((1,), (1,)),
+        text=text,
         ring=ring, u_ring=_rings.fpt_u_ring(p),
         den=lambda v: v[1], den_lcm=lambda a, b: _rings.plcm(a, b, p),
         clear=lambda v, d: (v[0] if v[1] == d else
                             pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p)),
-        rebuild=lambda num, scale: _fpt_reduce(num, scale, p),
-        poly_mul=None), lambda a, b: _rings.kron_tmul(a, b, p))
+        rebuild=lambda num, scale: _fpt_reduce(num, scale, p))
 
 
 @functools.cache
@@ -440,14 +430,8 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElement(self.field,
+                            _rings.ring_pow(self.value, e, self.field.ops))
 
     # -- characteristic-p structure ---------------------------------------
 

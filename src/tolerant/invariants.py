@@ -7,9 +7,10 @@ F_p, and F_p(t), including inseparable inputs.  gdisc stays the paper's
 elimination: eliminate x from f and the weighted sum of its Hasse
 derivatives, take the lowest nonzero u-coefficient, and normalize.
 
-Alternative routes (root products, per-factor discriminant formulas, the
-single-factor shortcut) are implemented independently so the paths can
-cross-validate each other.  `build_report` computes each quantity once and
+Alternative routes (root products, and the per-factor formulas of the paper
+next to the corrected one) are implemented independently so the paths can
+cross-validate each other; tol_irreducible is the corrected formula on a
+single factor.  `build_report` computes each quantity once and
 runs the elimination as its one independent check.
 
 `FactorFormula.PAPER_GENERAL` evaluates the uncorrected per-factor closed
@@ -125,22 +126,21 @@ def tol_from_roots(rm: RootMultiset, n: int) -> FieldElement:
 
 
 def tol_irreducible(f: Polynomial) -> FieldElement:
-    """Single-factor shortcut: with f = a * g(x^(p^e)) and g separable,
-    tol(f) = a^(2n-2) * disc(g)^(p^e).  Valid whenever the desubstituted
-    part is separable (irreducibility is sufficient but not necessary)."""
+    """tol of f taken as irreducible: the CORRECTED formula on the
+    one-factor factorization lc * f.monic(), that is a^(2n-2) *
+    disc(g)^(p^e) for f = a * g(x^(p^e)).  Valid whenever the desubstituted
+    part g is separable (irreducibility is sufficient but not necessary);
+    else ZeroDiscriminantFactorError."""
     if f.is_zero():
         raise ZeroPolynomialError("tol of the zero polynomial")
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         return f.field.one()
-    sep, e = f.desubstitute()
-    d = discriminant(sep.monic())
-    if not d:
-        raise ZeroDiscriminantFactorError(
-            "desubstituted part has repeated roots; the input is reducible")
-    p = f.field.characteristic
-    scale = f.leading_coefficient() ** (2 * n - 2)
-    return scale * d ** (p ** e if p else 1)
+    return tol_from_factorization(_one_factor(f))
+
+
+def _one_factor(f: Polynomial) -> Factorization:
+    """f as one irreducible factor, for f of degree >= 1."""
+    return Factorization(f.leading_coefficient(), ((f.monic(), 1),))
 
 
 def tol_from_factorization(
@@ -160,8 +160,7 @@ def tol_from_factorization(
     CORRECTED: lc^(2n-2) * prod disc(sep_i)^(m_i^2 p^(e_i))
         * prod_{i<j} res(twist(sep_i, E-e_i), twist(sep_j, E-e_j))
               ^(2 m_i m_j p^(min(e_i,e_j)))  with E = max(e_i, e_j);
-        agrees with PAPER_SEPARABLE when every e_i = 0 and with
-        tol_irreducible on single factors.
+        agrees with PAPER_SEPARABLE when every e_i = 0.
 
     The PAPER modes check coprimality first, by
     ``Factorization.pairwise_coprime``.  CORRECTED is its own check: it
@@ -308,30 +307,32 @@ class InvariantReport:
     errors: list[ErrorRecord] = dc_field(default_factory=list)
 
 
-def _verified_tol(f: Polynomial,
-                  fac: Factorization) -> tuple[FieldElement, bool]:
-    """tol from a caller's factorization of f, and whether anything the
-    caller claimed stays unverified.  The checks, in order: re-expansion to
-    f; coprimality and separability of the desubstituted parts, which are
-    the cross resultants and part discriminants of tol_from_factorization;
-    over F_p, irreducibility of each factor."""
+def _verified_tol(f: Polynomial, fac: Factorization) -> FieldElement:
+    """tol from a caller's factorization of f, checked on the way: it must
+    re-expand to f, and the cross resultants and part discriminants of
+    tol_from_factorization must be nonzero (coprimality, and separability of
+    the desubstituted parts).  That is all the formula needs."""
     if fac.expand() != f:
         raise InvalidFactorizationError(
             "factorization does not re-expand to the input")
     try:
-        t = tol_from_factorization(fac)
+        return tol_from_factorization(fac)
     except ZeroDiscriminantFactorError:
         raise InvalidFactorizationError(
             "a desubstituted part has repeated roots") from None
-    if f.field.kind is not FieldKind.PRIME_FIELD:
-        # Q / F_p(t): the formulas only need what was just checked, but any
-        # irreducibility claim itself stays unverified.
-        return t, True
+
+
+def _claim_unverified(fac: Factorization) -> bool:
+    """Whether the caller's claim that each factor is irreducible stays
+    unverified: over F_p each one is tested (InvalidFactorizationError if
+    reducible); over Q and F_p(t) the claim is taken on trust."""
+    if fac.field.kind is not FieldKind.PRIME_FIELD:
+        return True
     for g, _ in fac.factors:
         if not is_irreducible_prime_field(g):
             raise InvalidFactorizationError(
                 f"factor of degree {g.degree} is reducible")
-    return t, False
+    return False
 
 
 def build_report(f: Polynomial,
@@ -343,10 +344,12 @@ def build_report(f: Polynomial,
     Each quantity is computed once.  tol comes from one call of
     tol_from_factorization: on the caller's factorization, whose
     coprimality and separability that call checks on the way (see
-    _verified_tol), else on the squarefree decomposition.  No separate
-    coprimality test runs.  dupl, the sign law and in_T are derived from
-    it.  gdisc is the one u-resultant elimination, and paths_agree compares
-    it with (-1)^C(n,2) * tol."""
+    _verified_tol), else on the squarefree decomposition.  A caller's
+    factorization that fails only the F_p irreducibility test keeps its tol;
+    the rest of the report then reads the squarefree decomposition.  No
+    separate coprimality test runs.  dupl, the sign law and in_T are derived
+    from tol.  gdisc is the one u-resultant elimination, and paths_agree
+    compares it with (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):
@@ -358,11 +361,12 @@ def build_report(f: Polynomial,
 
     fac = factorization
     if fac is None and assert_irreducible and not f.is_zero() and f.degree >= 1:
-        fac = Factorization(f.leading_coefficient(), ((f.monic(), 1),))
+        fac = _one_factor(f)
     t = fac_error = None    # fac_error goes after in_T, where reports list it
     if fac is not None:
         try:
-            t, report.trusted_input = _verified_tol(f, fac)
+            t = _verified_tol(f, fac)
+            report.trusted_input = _claim_unverified(fac)
         except TolerantError as exc:
             fac_error = ErrorRecord("factorization", exc.code, str(exc))
             fac = None

@@ -5,8 +5,10 @@ first and normalized: the last entry is nonzero, the zero polynomial is the
 empty tuple, and ``degree`` of zero is the distinguished ``NEG_INFINITY``
 marker (which compares below every int).
 
-A product is one big-int multiplication by Kronecker substitution, through
-the field's ``FieldOps.poly_mul``.  Beyond ring arithmetic this module
+A product is one product of numerator lists in the field's
+``FieldOps.u_ring``, the ring the u-resultant runs in too: a Kronecker
+substitution (one big-int multiplication) for dense operands, the schoolbook
+loop for sparse ones.  Beyond ring arithmetic this module
 carries every transform the invariant formulas need: Hasse derivatives,
 Taylor shift f(x+a), homothety f(ax), the reciprocal x^n f(1/x),
 separability, desubstitution f = f_sep(x^(p^e)), and the coefficient-wise
@@ -15,15 +17,18 @@ Frobenius twist.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (ConstantInputError, DivisionByZeroError,
                      DuplicateRootsError, FieldMismatchError,
                      UnsupportedFieldError, ZeroConstantTermError,
                      ZeroScaleError)
-from .field import FieldDescriptor, FieldElement
+from ._rings import ring_pow
+from .field import FieldDescriptor, FieldElement, cleared
 
 NEG_INFINITY = float("-inf")
 
@@ -113,7 +118,7 @@ class Polynomial:
         return self.field.zero()
 
     def is_monic(self) -> bool:
-        return bool(self.raw) and self.raw[-1] == self.field.ops.from_int(1)
+        return bool(self.raw) and self.raw[-1] == self.field.ops.one
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -159,8 +164,11 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        """One big-int product by Kronecker substitution
-        (``FieldOps.poly_mul``); a constant operand scales the other one."""
+        """One product in the numerator ring, ``FieldOps.u_ring.mul``: each
+        operand is cleared over the common denominator of its coefficients,
+        the two numerator lists are multiplied, and each coefficient of the
+        product is rebuilt over the product of the denominators.  A constant
+        operand scales the other one."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
@@ -171,7 +179,13 @@ class Polynomial:
             return self._times(b[0])
         if len(a) == 1:
             return other._times(a[0])
-        return Polynomial.from_raw(self.field, self.field.ops.poly_mul(a, b))
+        ops = self.field.ops
+        num_a, d_a = cleared(a, ops)
+        num_b, d_b = (num_a, d_a) if b is a else cleared(b, ops)
+        scale, rebuild = ops.ring.mul(d_a, d_b), ops.rebuild
+        product = ops.u_ring.mul(num_a, num_b)
+        return Polynomial.from_raw(self.field,
+                                   [rebuild(c, scale) for c in product])
 
     __rmul__ = __mul__
 
@@ -189,22 +203,12 @@ class Polynomial:
         raw, ops = self.raw, self.field.ops
         if raw and not any(map(ops.nonzero, raw[:-1])):
             # a monomial: (c x^d)^e = c^e x^(de), built directly
-            power = ops.from_int(1)
-            if raw[-1] != power:
-                for bit in bin(e)[2:]:
-                    power = ops.mul(power, power)
-                    if bit == "1":
-                        power = ops.mul(power, raw[-1])
+            c = raw[-1]
+            power = c if c == ops.one else ring_pow(c, e, ops)
             zeros = [ops.from_int(0)] * ((len(raw) - 1) * e)
             return Polynomial.from_raw(self.field, zeros + [power])
-        result = Polynomial.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return ring_pow(self, e, SimpleNamespace(
+            mul=operator.mul, one=Polynomial.one(self.field)))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._check(other)
@@ -299,7 +303,7 @@ class Polynomial:
         if not ops.nonzero(a):
             raise ZeroScaleError("homothety scale must be nonzero")
         out = []
-        power = ops.from_int(1)
+        power = ops.one
         for c in self.raw:
             out.append(ops.mul(c, power))
             power = ops.mul(power, a)

@@ -12,6 +12,7 @@ from tolerant import (FieldElement, FieldKind, Polynomial, RootMultiset,
 from tolerant.errors import (ConstantInputError, DuplicateRootsError,
                              FieldMismatchError, UnsupportedFieldError,
                              ZeroConstantTermError, ZeroScaleError)
+from tolerant.resultant import UPolynomial, resultant_in_u
 
 from conftest import linear_product, naive_product, t_fraction_pool
 
@@ -71,6 +72,16 @@ def test_mul_matches_naive_convolution(Q):
         assert f * g == naive_product(f, g)
 
 
+def sparse_poly(field, rng, length, nonzero):
+    """Length ``length`` with ``nonzero`` nonzero coefficients, the top one
+    among them, each drawn like those of ``wide_poly``."""
+    coeffs = [field.zero()] * length
+    for i in rng.sample(range(length - 1), nonzero - 1) + [length - 1]:
+        while not coeffs[i]:
+            coeffs[i] = wide_poly(field, rng, 0).constant_term()
+    return Polynomial(field, coeffs)
+
+
 @pytest.mark.parametrize("name", ["q", "fp:7", "fp:2147483647", "fpt:3"])
 def test_kronecker_product_matches_naive_convolution(name):
     field = parse_field(name)
@@ -85,6 +96,47 @@ def test_kronecker_product_matches_naive_convolution(name):
             h = a * b
             assert h == naive_product(a, b)
             assert h.degree == a.degree + b.degree
+    # sparse operands, below the density bounds of every field's product,
+    # take its schoolbook loop; long dense ones its Kronecker product
+    for _ in range(3):
+        sparse = [sparse_poly(field, rng, rng.randint(2, 40), 2),
+                  sparse_poly(field, rng, 40, rng.randint(3, 9)),
+                  sparse_poly(field, rng, 60, 11)]
+        dense = wide_poly(field, rng, 40)
+        pairs = [(a, b) for a in sparse for b in sparse + [dense]]
+        pairs += [(dense, sparse[0]), (dense, wide_poly(field, rng, 30))]
+        for a, b in pairs:
+            assert a * b == naive_product(a, b)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fpt:3"])
+def test_products_take_one_u_ring_product(name, monkeypatch):
+    # a product of two nonconstant polynomials is one call of the field's
+    # u_ring.mul, the product the u-resultant runs on too
+    field = parse_field(name)
+    calls = []
+
+    def counted(a, b, _mul=field.ops.u_ring.mul):
+        calls.append(1)
+        return _mul(a, b)
+
+    u_ring = field.ops.u_ring._replace(mul=counted)
+    monkeypatch.setitem(vars(field), "ops", field.ops._replace(u_ring=u_ring))
+    rng = random.Random(f"u_ring/{name}")
+    x = Polynomial.x(field)
+    for _ in range(20):
+        f = wide_poly(field, rng, 20) + x ** rng.randint(1, 25)
+        g = sparse_poly(field, rng, rng.randint(2, 30), 2)
+        for a, b in ((f, g), (g, f), (f, f), (g, g)):
+            calls.clear()
+            assert a * b == naive_product(a, b)
+            assert calls == [1]
+    # and the elimination multiplies in the same ring
+    calls.clear()
+    h = x ** 3 + x + Polynomial.one(field)
+    resultant_in_u(h, UPolynomial(field, [h.derivative(),
+                                          h.hasse_derivative(2)]))
+    assert calls
 
 
 @pytest.mark.parametrize("name", ["q", "fp:7", "fpt:3"])

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from tolerant import _rings
+from tolerant import _rings, rationals
 from tolerant._rings import (PMUL_KRON_MIN, TMUL_KRON_MIN, TMUL_KRON_SPREAD,
                              InexactDivision, bareiss_det, fp_poly_ring,
-                             fpt_u_ring, int_poly_ring, int_ring, kron_mul,
+                             fpt_u_ring, int_ring, kron_mul, kron_poly_ring,
                              kron_tmul, mod_ring, naive_det, pdivmod, pgcd,
                              plcm, pmod, pmonic, pmul, ppow_mod, pstrip,
                              ring_pow, subresultant, tuple_poly_ring)
@@ -148,20 +148,50 @@ def test_pmul_matches_schoolbook_across_the_crossover(p):
         assert pmul(dense, (), p) == pmul((), spread, p) == ()
 
 
+# The u-ring of Q, Z[u]; below, p = 0 stands for it next to the u-ring of
+# F_p(t).
+Q_U_RING = rationals().ops.u_ring
+
+
+def u_ring(p):
+    """The u-ring of F_p(t), or of Q for p = 0, built on each call, so that
+    it takes a patched ``_rings.kron_mul``."""
+    return fpt_u_ring(p) if p else kron_poly_ring(int_ring(), _rings.kron_mul)
+
+
 def u_poly(rng, p, length, nonzero, t_len):
-    """An F_p[t][u] element of u-length ``length`` with ``nonzero`` nonzero
-    u-coefficients, the last among them, each of t-length 1 to ``t_len``."""
-    out = [()] * length
+    """An element of the u-ring of F_p(t), or of Q for p = 0, of u-length
+    ``length`` with ``nonzero`` nonzero u-coefficients, the last among them:
+    F_p[t] tuples of t-length 1 to ``t_len``, or signed ints of up to
+    20 * ``t_len`` bits."""
+    out = [() if p else 0] * length
     for i in rng.sample(range(length - 1), nonzero - 1) + [length - 1]:
-        out[i] = rand_tuple(rng, p, t_len - 1) or (rng.randrange(1, p),)
+        if p:
+            out[i] = rand_tuple(rng, p, t_len - 1) or (rng.randrange(1, p),)
+        else:
+            out[i] = rng.choice((-1, 1)) * rng.randint(1, 2 ** (20 * t_len))
     return tuple(out)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 10007])
+def naive_umul(a, b, p):
+    """a * b by the schoolbook convolution in the u-ring of F_p(t), or of Q
+    for p = 0."""
+    if p:
+        return naive_tmul(a, b, p)
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return pstrip(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007, 0])
 def test_fpt_u_ring_product_matches_schoolbook(p):
-    # the u-ring of F_p(t) against the ring it replaces and the oracle, with
-    # operands on both sides of TMUL_KRON_MIN and TMUL_KRON_SPREAD
-    R, plain = fpt_u_ring(p), tuple_poly_ring(fp_poly_ring(p))
+    # the u-ring of F_p(t), and for p = 0 that of Q, against the plain ring
+    # and the oracle, with operands on both sides of TMUL_KRON_MIN and
+    # TMUL_KRON_SPREAD
+    R = u_ring(p)
+    plain = tuple_poly_ring(fp_poly_ring(p) if p else int_ring())
     rng = random.Random(f"tmul/{p}")
     edge = TMUL_KRON_MIN * TMUL_KRON_SPREAD
     # (u-length, nonzero u-coefficients): dense at every length up to 8,
@@ -175,31 +205,34 @@ def test_fpt_u_ring_product_matches_schoolbook(p):
             n = rng.randint(1, 12)
             b = u_poly(rng, p, n, rng.randint(1, n), 3)
             for x, y in ((a, a), (a, b), (b, a)):
-                assert R.mul(x, y) == plain.mul(x, y) == naive_tmul(x, y, p)
-    assert R.mul((), ((1,),)) == R.mul(((1,),), ()) == ()
+                assert R.mul(x, y) == plain.mul(x, y) == naive_umul(x, y, p)
+    unit = ((1,),) if p else (1,)
+    assert R.mul((), unit) == R.mul(unit, ()) == ()
 
 
-def test_fpt_u_ring_takes_both_paths(monkeypatch):
-    # the product runs kron_tmul exactly when both operands have at least
-    # TMUL_KRON_MIN nonzero u-coefficients, one in TMUL_KRON_SPREAD or more
+@pytest.mark.parametrize("p", [3, 0])
+def test_fpt_u_ring_takes_both_paths(p, monkeypatch):
+    # the product is one Kronecker product exactly when both operands have
+    # at least TMUL_KRON_MIN nonzero u-coefficients, one in TMUL_KRON_SPREAD
+    # or more; kron_tmul packs into one kron_mul, which is counted
     calls = []
 
-    def counted(a, b, p):
+    def counted(a, b):
         calls.append(1)
-        return kron_tmul(a, b, p)
+        return kron_mul(a, b)
 
-    monkeypatch.setattr(_rings, "kron_tmul", counted)
-    R = fpt_u_ring(3)
+    monkeypatch.setattr(_rings, "kron_mul", counted)
+    R = u_ring(p)
     rng = random.Random(7)
     edge = TMUL_KRON_MIN * TMUL_KRON_SPREAD
-    dense = u_poly(rng, 3, TMUL_KRON_MIN, TMUL_KRON_MIN, 3)
+    dense = u_poly(rng, p, TMUL_KRON_MIN, TMUL_KRON_MIN, 3)
     for a, b, kron in (
             (dense, dense, True),
-            (dense, u_poly(rng, 3, edge, TMUL_KRON_MIN, 3), True),
-            (dense, u_poly(rng, 3, edge + 1, TMUL_KRON_MIN, 3), False),
-            (dense, u_poly(rng, 3, 5, TMUL_KRON_MIN - 1, 3), False)):
+            (dense, u_poly(rng, p, edge, TMUL_KRON_MIN, 3), True),
+            (dense, u_poly(rng, p, edge + 1, TMUL_KRON_MIN, 3), False),
+            (dense, u_poly(rng, p, 5, TMUL_KRON_MIN - 1, 3), False)):
         calls.clear()
-        assert R.mul(a, b) == naive_tmul(a, b, 3)
+        assert R.mul(a, b) == naive_umul(a, b, p)
         assert calls == ([1] if kron else [])
 
 
@@ -247,7 +280,7 @@ def test_bareiss_matches_cofactor_over_fp_polys():
 
 def test_bareiss_matches_cofactor_over_int_polys():
     rng = random.Random(40)
-    R = int_poly_ring()
+    R = Q_U_RING
     for n in range(1, 5):
         for _ in range(10):
             rows = rand_matrix(
@@ -291,7 +324,7 @@ def test_bareiss_vandermonde_closed_form():
 
 
 def test_int_poly_ring_exact_division_guard():
-    R = int_poly_ring()
+    R = Q_U_RING
     with pytest.raises(InexactDivision):
         R.exact_div((1, 1), (2,))   # (x + 1) / 2 not integral
 
@@ -346,7 +379,7 @@ KERNEL_RINGS = {
     "Z": (int_ring(), lambda rng: rng.randint(-5, 5), 2),
     "F_101": (mod_ring(101), lambda rng: rng.randrange(101), 3),
     "F_3[t]": (fp_poly_ring(3), lambda rng: rand_tuple(rng, 3, 2), (1, 1)),
-    "Z[u]": (int_poly_ring(), lambda rng: int_tuple(rng, -3, 3, 3), (2, 1)),
+    "Z[u]": (Q_U_RING, lambda rng: int_tuple(rng, -3, 3, 3), (2, 1)),
     "F_7[u]": (fp_poly_ring(7), lambda rng: rand_tuple(rng, 7, 2), (0, 1)),
     "F_3[t][u]": (tuple_poly_ring(fp_poly_ring(3)), nested_tuple,
                   ((1,), (0, 1))),
