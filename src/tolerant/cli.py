@@ -12,6 +12,8 @@ import functools
 import json
 import re
 import sys
+from collections import Counter
+from time import perf_counter
 from typing import Optional
 
 from .errors import TolerantError
@@ -154,6 +156,10 @@ def _report_command(args) -> int:
 
 
 def _batch_command(args) -> int:
+    """One JSON object per line on stdout, then one summary line on stderr:
+    the number of lines, the count of each error code among their
+    ``errors`` entries, and the total milliseconds."""
+    start = perf_counter()
     default_field = parse_field(args.field)
     if args.path == "-":
         lines = sys.stdin.read().splitlines()
@@ -161,6 +167,7 @@ def _batch_command(args) -> int:
         with open(args.path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     out = []
+    codes = Counter()
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -172,6 +179,7 @@ def _batch_command(args) -> int:
             try:
                 field = parse_field(head[1:])
             except ValueError as exc:
+                codes["FIELD_ERROR"] += 1
                 out.append(json.dumps(_line_error(line, "FIELD_ERROR",
                                                   str(exc), field)))
                 continue
@@ -179,13 +187,18 @@ def _batch_command(args) -> int:
         try:
             f = parse_polynomial(expr, field)
         except TolerantError as exc:
+            codes[exc.code] += 1
             out.append(json.dumps(_line_error(expr, exc.code, str(exc),
                                               field)))
             continue
         report = build_report(f)
+        codes.update(e.code for e in report.errors)
         out.append(json.dumps(report_to_dict(report),
                               indent=2 if args.pretty else None))
     _emit("\n".join(out) if out else "", args.output)
+    print(json.dumps({"lines": len(out), "errors": dict(sorted(codes.items())),
+                      "ms": round((perf_counter() - start) * 1000, 3)}),
+          file=sys.stderr)
     return 0
 
 

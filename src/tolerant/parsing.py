@@ -21,10 +21,20 @@ Factored mode accepts `unit * (g1)^m1 * (g2)^m2 * ...`: any number of
 '*'-separated constant pieces and parenthesized nonconstant groups; groups
 are normalized monic with their leading coefficients folded into the unit,
 and textually repeated groups have their multiplicities merged.
+
+Cost model: every intermediate value is a sparse term map
+``{x-degree: nonzero raw field value}``, turned into a ``Polynomial`` once per
+input (once per group in factored mode).  A sum merges maps term by term, a
+unary minus negates the entries, a product or quotient with a one-term side
+shifts and scales the other map, and ``x^e`` and ``t^e`` are built directly,
+so parsing is linear in the number of terms.  Only a product of two
+multi-term values, or a power of a multi-term value, runs ``Polynomial``
+arithmetic, whose product is the field's ``u_ring.mul``.
 """
 
 from __future__ import annotations
 
+from . import _rings
 from .errors import FieldLiteralError, InputTooLargeError, ParseError
 from .factor import Factorization
 from .field import FieldDescriptor, FieldKind
@@ -49,17 +59,6 @@ def _int_value(digits: str) -> int:
         return int(digits)
     k = len(digits) // 2
     return _int_value(digits[:-k]) * 10 ** k + _int_value(digits[-k:])
-
-
-def _degrees(f: Polynomial) -> tuple[int, int]:
-    """(degree in x, largest degree in t of a numerator or denominator) of
-    f; a power multiplies both and a product adds them.  Off F_p(t) the
-    t-degree is 0."""
-    t_degree = 0
-    if f.field.kind is FieldKind.RATIONAL_FUNCTION_FIELD:
-        t_degree = max((len(part) - 1 for v in f.raw for part in v),
-                       default=0)
-    return max(f.degree, 0), t_degree
 
 
 class _Token:
@@ -103,8 +102,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every grammar method returns a
+    term map ``{x-degree: nonzero raw value}`` that no other value shares,
+    so a sum may merge into its left operand in place."""
+
     def __init__(self, text: str, field: FieldDescriptor):
         self.field = field
+        self.ops = field.ops
+        # F_p(t)'s t, whose powers are built directly
+        self.t = (field.t().value
+                  if field.kind is FieldKind.RATIONAL_FUNCTION_FIELD else None)
         self.tokens = _tokenize(text.replace("−", "-"))
         self.i = 0
         self.depth = 0
@@ -137,7 +144,7 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def exponent(self, base: Polynomial) -> int:
+    def exponent(self, base: dict) -> int:
         """The NUMBER after a '^' that raises `base`, refused when the
         exponent or the power's degree would pass MAX_DEGREE."""
         num = self.peek()
@@ -145,7 +152,7 @@ class _Parser:
             self.fail("exponent must be a nonnegative integer literal")
         self.advance()
         e = _int_value(num.text)
-        self.check_size(max(1, *_degrees(base)) * e, num.pos)
+        self.check_size(max(1, *self.degrees(base)) * e, num.pos)
         return e
 
     def check_size(self, size: int, pos: int) -> None:
@@ -153,7 +160,7 @@ class _Parser:
             raise InputTooLargeError(
                 f"exponent or degree above the cap of {MAX_DEGREE}", pos)
 
-    def group(self) -> Polynomial:
+    def group(self) -> dict:
         """'(' expr ')', the '(' being the next token."""
         self.advance()
         value = self.nested(self.expr)
@@ -161,18 +168,78 @@ class _Parser:
             self.fail("expected ')'")
         return value
 
+    # -- term maps ----------------------------------------------------------
+
+    def degrees(self, terms: dict) -> tuple[int, int]:
+        """(degree in x, largest degree in t of a numerator or denominator)
+        of a term map; a power multiplies both and a product adds them.
+        Off F_p(t) the t-degree is 0."""
+        t_degree = 0
+        if self.t is not None:
+            t_degree = max((len(part) - 1 for v in terms.values()
+                            for part in v), default=0)
+        return max(terms, default=0), t_degree
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        raw = [self.ops.from_int(0)] * (max(terms, default=-1) + 1)
+        for d, c in terms.items():
+            raw[d] = c
+        return Polynomial.from_raw(self.field, raw)
+
+    def terms(self, f: Polynomial) -> dict:
+        nonzero = self.ops.nonzero
+        return {d: c for d, c in enumerate(f.raw) if nonzero(c)}
+
+    def shifted(self, terms: dict, d: int, c) -> dict:
+        """terms * c x^d, for a nonzero c."""
+        mul = self.ops.mul
+        return {k + d: mul(v, c) for k, v in terms.items()}
+
+    def product(self, a: dict, b: dict) -> dict:
+        """a * b; a Polynomial product only when both have several terms."""
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 1:
+            return self.terms(self.polynomial(a) * self.polynomial(b))
+        if not b:
+            return {}
+        (d, c), = b.items()
+        return self.shifted(a, d, c)
+
+    def raised(self, terms: dict, e: int) -> dict:
+        """terms ** e; a Polynomial power only for several terms."""
+        if len(terms) > 1:
+            return self.terms(self.polynomial(terms) ** e)
+        if not terms:
+            return {} if e else {0: self.ops.one}
+        (d, c), = terms.items()
+        if c == self.t:
+            c = ((0,) * e + (1,), (1,))
+        elif c != self.ops.one:
+            c = _rings.ring_pow(c, e, self.ops)
+        return {d * e: c}
+
     # -- grammar ------------------------------------------------------------
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         value = self.term()
+        add, neg, nonzero = self.ops.add, self.ops.neg, self.ops.nonzero
         while True:
             tok = self.accept_op("+", "-")
             if tok is None:
                 return value
-            rhs = self.term()
-            value = value + rhs if tok.text == "+" else value - rhs
+            minus = tok.text == "-"
+            for d, c in self.term().items():
+                if minus:
+                    c = neg(c)
+                if d in value:
+                    c = add(value[d], c)
+                    if not nonzero(c):
+                        del value[d]
+                        continue
+                value[d] = c
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         value = self.unary()
         while True:
             tok = self.accept_op("*", "/")
@@ -181,42 +248,43 @@ class _Parser:
             rhs_pos = self.peek().pos
             rhs = self.unary()
             if tok.text == "*":
-                self.check_size(max(map(sum, zip(_degrees(value),
-                                                 _degrees(rhs)))), rhs_pos)
-                value = value * rhs
+                self.check_size(max(map(sum, zip(self.degrees(value),
+                                                 self.degrees(rhs)))), rhs_pos)
+                value = self.product(value, rhs)
                 continue
-            if rhs.degree > 0:
+            if max(rhs, default=0) > 0:
                 raise ParseError("divisor must be constant in x", rhs_pos)
-            c = rhs.constant_term()
-            if not c:
+            if not rhs:
                 raise FieldLiteralError(
                     f"division by zero in {self.field.text()}", rhs_pos)
-            value = value.scale(c.inverse())
+            value = self.shifted(value, 0, self.ops.inverse(rhs[0]))
 
-    def unary(self) -> Polynomial:
+    def unary(self) -> dict:
         if self.accept_op("-"):
-            return -self.nested(self.unary)
+            neg = self.ops.neg
+            return {d: neg(c) for d, c in self.nested(self.unary).items()}
         return self.power()
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         value = self.atom()
         while self.accept_op("^"):
-            value = value ** self.exponent(value)
+            value = self.raised(value, self.exponent(value))
         return value
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Polynomial.constant(self.field, _int_value(tok.text))
+            c = self.ops.from_int(_int_value(tok.text))
+            return {0: c} if self.ops.nonzero(c) else {}
         if tok.kind == "NAME":
             self.advance()
             if tok.text == "x":
-                return Polynomial.x(self.field)
-            if self.field.kind is not FieldKind.RATIONAL_FUNCTION_FIELD:
+                return {1: self.ops.one}
+            if self.t is None:
                 raise FieldLiteralError(
                     f"t is not an element of {self.field.text()}", tok.pos)
-            return Polynomial.constant(self.field, self.field.t())
+            return {0: self.t}
         if tok.kind == "OP" and tok.text == "(":
             return self.group()
         self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
@@ -236,8 +304,9 @@ class _Parser:
         while True:
             start = self.peek().pos
             piece, mult, negate = self.factored_piece()
-            size = tuple(s + d * mult for s, d in zip(size, _degrees(piece)))
+            size = tuple(s + d * mult for s, d in zip(size, self.degrees(piece)))
             self.check_size(max(size), start)
+            piece = self.polynomial(piece)
             if negate:
                 unit = -unit
             if piece.degree < 1:
@@ -274,7 +343,7 @@ class _Parser:
                                     self.peek().pos)
         return Factorization(unit, tuple(factors))
 
-    def factored_piece(self) -> tuple[Polynomial, int, bool]:
+    def factored_piece(self) -> tuple[dict, int, bool]:
         """One product item: a constant, or '(' expr ')' ['^' NUMBER].
         The sign of the whole item is returned separately so that it lands
         on the unit exactly once (- (x-1)^2 means -((x-1)^2))."""
@@ -289,7 +358,7 @@ class _Parser:
                 mult = self.exponent(value)
             return value, mult, negate
         value = self.power()
-        if value.degree > 0:
+        if max(value, default=0) > 0:
             raise ParseError("nonconstant factors must be parenthesized",
                              tok.pos)
         return value, 1, negate
@@ -301,11 +370,10 @@ def parse_polynomial(text: str, field: FieldDescriptor, factored: bool = False):
     if parser.peek().kind == "END":
         raise ParseError("empty input", 0)
     if factored:
-        result = parser.factored()
-    else:
-        result = parser.expr()
-        parser.expect_end()
-    return result
+        return parser.factored()
+    terms = parser.expr()
+    parser.expect_end()
+    return parser.polynomial(terms)
 
 
 # -- printing -----------------------------------------------------------------

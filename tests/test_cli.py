@@ -205,6 +205,32 @@ def test_batch_processing(capsys, tmp_path):
     assert lines[2]["input"] == "x^^1"
 
 
+def test_batch_summary_line_on_stderr(capsys, tmp_path):
+    src = tmp_path / "batch.txt"
+    src.write_text("# comment\n"
+                   "(x-2)^2*(x-3)\n"
+                   "\n"
+                   "@fp:7 x^3+x+1\n"
+                   "x^^1\n"
+                   "@zz x\n"
+                   "x+t\n")
+    code, out, err = run(capsys, "batch", str(src))
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    summary = json.loads(err)
+    assert err.count("\n") == 1 and set(summary) == {"lines", "errors", "ms"}
+    assert summary["lines"] == 5
+    assert summary["errors"] == {"FIELD_ERROR": 1, "FIELD_LITERAL_ERROR": 1,
+                                 "SYNTAX_ERROR": 1}
+    assert summary["ms"] >= 0
+    # stdout is the same with or without --output; the summary still goes
+    # to stderr
+    target = tmp_path / "out.txt"
+    code, again, err = run(capsys, "batch", str(src), "--output", str(target))
+    assert code == 0 and again == "" and target.read_text() == out
+    assert json.loads(err)["lines"] == 5
+
+
 def test_batch_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("x^2+1\n"))

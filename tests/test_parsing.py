@@ -76,12 +76,18 @@ def test_residue_literals_reduce_mod_p(F7):
     ("x y", 2),
     ("1/0", 2),
     ("$", 0),
+    ("x^2 + 3/(x+1)", 8),
+    ("x + 2*x^3/0", 10),
+    ("x + t^2", 4),
 ])
 def test_error_offsets(Q, text, offset):
     with pytest.raises(ParseError) as e:
         parse_polynomial(text, Q)
     assert e.value.position == offset
     assert f"offset {offset}" in str(e.value)
+    literal = text in ("1/0", "x + 2*x^3/0", "x + t^2")
+    assert e.value.code == ("FIELD_LITERAL_ERROR" if literal
+                            else "SYNTAX_ERROR")
 
 
 def test_deep_nesting_is_a_syntax_error(Q, capsys):
@@ -113,6 +119,12 @@ def test_integer_literals_past_the_digit_limit(Q, F7):
     assert parse_polynomial(f"x^{'0' * 5000}7", Q).degree == 7
 
 
+# an oversized power deep inside a long sum of monomials
+_LONG_SUM_HEAD = " + ".join(f"{k}*x^{k}" for k in range(1, 300)) + " + x^"
+_LONG_SUM = (_LONG_SUM_HEAD + "100001 + "
+             + " + ".join(f"{k}*x^{k}" for k in range(300, 400)))
+
+
 @pytest.mark.parametrize("text,field,offset", [
     ("x^1000000000+1", "fp:7", 2),
     ("x^100001", "q", 2),
@@ -123,6 +135,8 @@ def test_integer_literals_past_the_digit_limit(Q, F7):
     ("t^50000*t^50001", "fpt:3", 8),
     ("2^100001*x", "q", 2),
     ("x^" + "9" * 5000, "q", 2),
+    pytest.param(_LONG_SUM, "q", len(_LONG_SUM_HEAD), id="long-sum"),
+    ("(x+t^2)^50001", "fpt:3", 8),
 ])
 def test_degree_cap_is_input_too_large(text, field, offset):
     with pytest.raises(InputTooLargeError) as info:
@@ -251,3 +265,182 @@ def test_factorization_text_round_trip(Q):
     assert factorization_text(lone_unit) == "7"
     assert parse_polynomial(factorization_text(lone_unit), Q,
                             factored=True) == lone_unit
+
+
+# -- the term-map parser against Polynomial arithmetic -----------------------
+
+
+def _random_coefficient(field, rng):
+    """(text, value) of a nonzero coefficient; over F_p(t) also powers of t
+    and a quotient of t-polynomials."""
+    if field.kind.value == "q":
+        num, den = rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9)
+        return f"{num}/{den}", field.from_fraction(Fraction(num, den))
+    if field.kind.value == "fp":
+        n = rng.randint(1, 60)
+        while n % field.p == 0:
+            n += 1
+        return str(n), field.from_int(n)
+    t, k = field.t(), rng.randint(1, 12)
+    return rng.choice([
+        (f"t^{k}", t ** k),
+        (f"3*t^{k}", t ** k * 3),
+        ("(t^2+1)/(t+2)", (t * t + 1) / (t + 2)),
+        ("(t+4)", t + 4),
+        ("2", field.from_int(2)),
+    ])
+
+
+def _random_term(field, rng, degree):
+    """(text, expected Polynomial) of one signed term c*x^degree, written in
+    one of several forms, some behind a chain of unary minus."""
+    text, c = _random_coefficient(field, rng)
+    x_text = "" if degree == 0 else ("x" if degree == 1 else f"x^{degree}")
+    if not x_text:
+        body = text
+    else:
+        split = rng.randint(0, degree)
+        body = rng.choice([
+            f"{text}*{x_text}",
+            f"{x_text}*{text}",
+            f"{text}*x^{split}*x^{degree - split}",
+            f"({text})*{x_text}",
+        ])
+    minuses = rng.choice([0, 0, 1, 2, 3])
+    zero = field.ops.from_int(0)
+    expected = Polynomial.from_raw(field, [zero] * degree + [c.value])
+    if minuses:
+        body = "-" * minuses + f"({body})"
+        expected = expected * Polynomial.constant(field, (-1) ** minuses)
+    return body, expected
+
+
+def _sum(field, pieces):
+    """The text and the expected value of a sum of (sign, text, value)
+    pieces."""
+    minus = Polynomial.constant(field, -1)
+    text = "".join(f" {sign} {body}" for sign, body, _ in pieces)
+    total = Polynomial.zero(field)
+    for sign, _, value in pieces:
+        total = total + (value if sign == "+" else value * minus)
+    return text[3:] if text.startswith(" + ") else text[1:], total
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fpt:5"])
+def test_term_maps_match_polynomial_arithmetic(name):
+    field = parse_field(name)
+    rng = random.Random(f"term-maps/{name}")
+    flip = {"+": "-", "-": "+"}
+    for trial in range(40):
+        top = rng.randint(0, 200)
+        degrees = [rng.randint(0, top) for _ in range(rng.randint(1, 25))]
+        degrees += rng.sample(degrees, len(degrees) // 3)   # repeated degrees
+        pieces = [(rng.choice("+-"), *_random_term(field, rng, d))
+                  for d in degrees]
+        if trial % 4 == 1:
+            # the leading term cancels
+            sign, body, lead = rng.choice("+-"), *_random_term(field, rng,
+                                                               top + 1)
+            pieces += [(sign, body, lead), (flip[sign], body, lead)]
+        if trial % 4 == 2:
+            # every term cancels, down to 0
+            pieces += [(flip[sign], body, value)
+                       for sign, body, value in pieces]
+        rng.shuffle(pieces)
+        text, expected = _sum(field, pieces)
+        got = parse_polynomial(text, field)
+        assert got == expected, text
+        if trial % 4 == 2:
+            assert got == Polynomial.zero(field)
+        elif trial % 4 == 1:
+            assert got.degree <= top
+
+
+def test_cancelled_terms_leave_nothing_behind(Q, F3T):
+    # a term that cancels no longer counts for the divisor check, the size
+    # caps or the factored form's constant pieces
+    assert parse_polynomial("x/(x^3 - x^3 + 2)", Q) == \
+        parse_polynomial("1/2*x", Q)
+    assert parse_polynomial("(x^60000 - x^60000 + 1)*x^50000", Q).degree \
+        == 50000
+    assert parse_polynomial("(x+t^60000-t^60000)^100000", F3T).degree \
+        == MAX_DEGREE
+    fac = parse_polynomial("(x - x + 3)*(x+1)", Q, factored=True)
+    assert fac.unit.value == 3 and fac.degree() == 1
+    assert parse_polynomial("(x - x)*(x+1) + 4", Q) == \
+        Polynomial.from_ints(Q, [4])
+
+
+def _counting(monkeypatch, field):
+    """Counters on the field's u_ring.mul and on _rings.ring_pow."""
+    from tolerant import _rings, poly
+    calls = {"mul": 0, "pow": 0}
+    ops = field.ops
+
+    def mul(a, b, _mul=ops.u_ring.mul):
+        calls["mul"] += 1
+        return _mul(a, b)
+
+    def ring_pow(x, e, R, _pow=_rings.ring_pow):
+        calls["pow"] += 1
+        return _pow(x, e, R)
+
+    monkeypatch.setitem(vars(field), "ops",
+                        ops._replace(u_ring=ops.u_ring._replace(mul=mul)))
+    monkeypatch.setattr(_rings, "ring_pow", ring_pow)
+    monkeypatch.setattr(poly, "ring_pow", ring_pow)
+    return calls
+
+
+def test_sums_of_monomials_take_no_product_or_power(monkeypatch):
+    rng = random.Random(4)
+    Q = rationals()
+    calls = _counting(monkeypatch, Q)
+    text = " + ".join(f"{rng.randint(-99, 99) or 1}/{rng.randint(1, 9)}*x^{k}"
+                      for k in range(2000, -1, -1))
+    assert parse_polynomial(text, Q).degree == 2000
+    assert calls == {"mul": 0, "pow": 0}
+    assert parse_polynomial("(x+1)*(x+2)", Q) == \
+        Polynomial.from_ints(Q, [2, 3, 1])
+    assert calls == {"mul": 1, "pow": 0}
+
+    F3T = rational_function_field(3)
+    calls = _counting(monkeypatch, F3T)
+    text = " + ".join(f"2*t^{k}*x^{k} - x^{k + 1}*(t^2+1)/(t+2)"
+                      for k in range(50, -1, -1))
+    f = parse_polynomial(text, F3T)
+    assert calls == {"mul": 0, "pow": 0}
+    t = F3T.t()
+    assert f.leading_coefficient() == -(t * t + 1) / (t + 2)
+    assert f.coefficient(50) == t ** 50 * 2 - (t * t + 1) / (t + 2)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fp:10007"])
+def test_expanded_text_matches_sympy(name):
+    # sympy is an optional, test-only oracle: the coefficients of sympy.Poly
+    # over QQ or GF(p) of the same text
+    sympy = pytest.importorskip("sympy")
+    field = parse_field(name)
+    x = sympy.Symbol("x")
+    rng = random.Random(f"sympy/{name}")
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randint(1, 30)):
+            k = rng.randint(0, 60)
+            c = str(rng.randint(1, 10 ** rng.randint(1, 30)))
+            if field.p is None and rng.random() < 0.5:
+                c += f"/{rng.randint(1, 10 ** 6)}"
+            x_text = rng.choice([f"x^{k}", f"x^{k}", f"x^{k // 2}*x^{k - k // 2}"])
+            body = rng.choice([f"{c}*{x_text}", f"{x_text}*{c}"])
+            terms.append((rng.choice("+-"), body))
+        text = "".join(f" {sign} {body}" for sign, body in terms).lstrip(" +")
+        got = parse_polynomial(text, field)
+        expr = sympy.sympify(text.replace("^", "**"), locals={"x": x})
+        if field.p is None:
+            oracle = sympy.Poly(expr, x, domain=sympy.QQ)
+            want = [Fraction(int(c.p), int(c.q)) for c in oracle.all_coeffs()]
+        else:
+            oracle = sympy.Poly(expr, x, modulus=field.p)
+            want = [int(c) % field.p for c in oracle.all_coeffs()]
+        assert got.raw == tuple(reversed(want)) or (not got and want == [0]), \
+            text
