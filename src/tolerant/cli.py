@@ -156,8 +156,9 @@ def _report_command(args) -> int:
 
 
 def _batch_command(args) -> int:
-    """One JSON object per line on stdout, then one summary line on stderr:
-    the number of lines, the count of each error code among their
+    """One JSON object per input line on stdout, each indented under
+    ``--pretty`` (a malformed line's object too), then one summary line on
+    stderr: the number of objects, the count of each error code among their
     ``errors`` entries, and the total milliseconds."""
     start = perf_counter()
     default_field = parse_field(args.field)
@@ -180,22 +181,21 @@ def _batch_command(args) -> int:
                 field = parse_field(head[1:])
             except ValueError as exc:
                 codes["FIELD_ERROR"] += 1
-                out.append(json.dumps(_line_error(line, "FIELD_ERROR",
-                                                  str(exc), field)))
+                out.append(_line_error(line, "FIELD_ERROR", str(exc), field))
                 continue
             expr = rest.strip()
         try:
             f = parse_polynomial(expr, field)
         except TolerantError as exc:
             codes[exc.code] += 1
-            out.append(json.dumps(_line_error(expr, exc.code, str(exc),
-                                              field)))
+            out.append(_line_error(expr, exc.code, str(exc), field))
             continue
         report = build_report(f)
         codes.update(e.code for e in report.errors)
-        out.append(json.dumps(report_to_dict(report),
-                              indent=2 if args.pretty else None))
-    _emit("\n".join(out) if out else "", args.output)
+        out.append(report_to_dict(report))
+    indent = 2 if args.pretty else None
+    _emit("\n".join(json.dumps(obj, indent=indent) for obj in out),
+          args.output)
     print(json.dumps({"lines": len(out), "errors": dict(sorted(codes.items())),
                       "ms": round((perf_counter() - start) * 1000, 3)}),
           file=sys.stderr)

@@ -5,7 +5,11 @@ parts g(x^(p^e))^m with g separable, and the CORRECTED per-factor formula
 turns it into the collision product.  That route works uniformly over Q,
 F_p, and F_p(t), including inseparable inputs.  gdisc stays the paper's
 elimination: eliminate x from f and the weighted sum of its Hasse
-derivatives, take the lowest nonzero u-coefficient, and normalize.
+derivatives, take the lowest nonzero u-coefficient, and normalize.  The sum
+is cut at width w >= M, the largest root multiplicity, which leaves the
+value unchanged; a nonzero resultant certifies w >= M.  Width 1, res(f, f'),
+runs first and settles separable f; otherwise a gcd chain of f with its
+Hasse derivatives gives M, and one elimination at width M follows.
 
 Alternative routes (root products, and the per-factor formulas of the paper
 next to the corrected one) are implemented independently so the paths can
@@ -52,25 +56,44 @@ def gdisc(f: Polynomial) -> FieldElement:
     """Resultant-route collision invariant, normalized so that
     gdisc(f) = (-1)^C(n,2) * tol(f) holds identically.
 
-    Eliminates x between f and G = sum_i u^(i-1) D^i f.  For a root of
-    multiplicity m, G picks up u-valuation exactly m - 1 with witness
-    coefficient lc * prod (r - r')^(m'), so the trailing coefficient tc of
-    res_x(f, G), at u-valuation k, encodes the collision product:
+    Eliminates x between f and G_w = sum_{i=1..w} u^(i-1) D^i f, the paper's
+    G = G_n cut at w >= M, the largest root multiplicity.  A root r of
+    multiplicity m has D^i f(r) = 0 for i < m and D^m f(r) != 0, so for
+    w >= M, G_w(r, u) = u^(m-1) (D^m f(r) + O(u)): u-valuation exactly
+    m - 1, with the same witness coefficient as under G.  The trailing
+    coefficient tc of res_x(f, G_w) = lc^d * prod_r G_w(r, u)^(m_r), at
+    u-valuation k, therefore encodes the collision product:
 
         tc = (-1)^(sum_{i<j} m_i m_j) * lc^(d + n) * prod_{i<j} (r_i - r_j)^(2 m_i m_j)
 
-    with d the x-degree of G, k = sum_i m_i (m_i - 1) (always even) and
+    with d the x-degree of G_w, k = sum_i m_i (m_i - 1) (always even) and
     sum_{i<j} m_i m_j = C(n,2) - k/2.  Hence gdisc = (-1)^(k/2) *
-    lc^(n-2-d) * tc; on separable inputs with d = n - 1 that is tc / lc."""
+    lc^(n-2-d) * tc, whichever w >= M ran.  For w < M a root with m > w
+    makes G_w(r, u) vanish, so a nonzero resultant certifies w >= M.
+
+    Width 1 (G_1 = f', res(f, f')) runs first and certifies itself on
+    separable f.  When it vanishes, or f' = 0, M is the first j with
+    gcd(f, D^1 f, ..., D^j f) constant, and one elimination at w = M
+    follows.  These gcds are of f with its own derivatives, not the
+    factorization tol reads, so gdisc stays an independent check."""
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
     n = f.degree
     if n < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
-    G = UPolynomial(f.field, [f.hasse_derivative(i) for i in range(1, n + 1)])
-    R = resultant_in_u(f, G)
-    if R.is_zero():
-        raise ArithmeticError("u-resultant vanished; this cannot happen")
+    derivatives = [f.hasse_derivative(1)]
+    G = UPolynomial(f.field, derivatives)
+    R = resultant_in_u(f, G) if derivatives[0] else None
+    if R is None or R.is_zero():
+        # gcd(f, D^1 f, ..., D^j f) keeps the roots of multiplicity > j
+        g = f.gcd(derivatives[0])
+        while g.degree > 0:
+            derivatives.append(f.hasse_derivative(len(derivatives) + 1))
+            g = g.gcd(derivatives[-1])
+        G = UPolynomial(f.field, derivatives)
+        R = resultant_in_u(f, G)
+        if R.is_zero():
+            raise ArithmeticError("u-resultant vanished; this cannot happen")
     k, tc = next((i, c) for i, c in enumerate(R.coeffs) if c)
     value = tc * f.leading_coefficient() ** (n - 2 - G.x_degree)
     return -value if (k // 2) % 2 else value
@@ -348,8 +371,9 @@ def build_report(f: Polynomial,
     factorization that fails only the F_p irreducibility test keeps its tol;
     the rest of the report then reads the squarefree decomposition.  No
     separate coprimality test runs.  dupl, the sign law and in_T are derived
-    from tol.  gdisc is the one u-resultant elimination, and paths_agree
-    compares it with (-1)^C(n,2) * tol."""
+    from tol.  gdisc is the elimination, one u-resultant on separable input
+    and two at most (see gdisc), and paths_agree compares it with
+    (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):

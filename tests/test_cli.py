@@ -1,11 +1,15 @@
 """Command-line contract: subcommands, flags, exit codes, serialization."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tolerant import Factorization, parse_polynomial, rationals
+import tolerant
+from tolerant import Factorization, parse_field, parse_polynomial, rationals
 from tolerant.cli import main
 
 
@@ -237,6 +241,44 @@ def test_batch_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "batch", "-")
     assert code == 0
     assert json.loads(out.splitlines()[0])["tol"] == "-4"
+
+
+def test_batch_pretty_indents_every_object(capsys, monkeypatch):
+    import io
+    outputs = []
+    for flags in ((), ("--pretty",)):
+        monkeypatch.setattr("sys.stdin", io.StringIO("x^2-1\nx^^2\n"))
+        code, out, _ = run(capsys, "batch", "-", *flags)
+        assert code == 0
+        outputs.append(out)
+    # the report and the malformed line's object, each indented alike
+    objects = [json.loads(line) for line in outputs[0].splitlines()]
+    assert objects[1]["errors"][0]["code"] == "SYNTAX_ERROR"
+    assert outputs[1] == "\n".join(json.dumps(o, indent=2)
+                                   for o in objects) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("x^60+x+1",),
+    ("x^2000+1", "--field", "fp:7"),
+    ("x^40+t*x+1", "--field", "fpt:3"),
+    ("x^40+x+1", "--field", "fp:10007"),
+], ids=["q", "fp:7", "fpt:3", "fp:10007"])
+def test_report_on_short_high_degree_input_finishes(argv):
+    # Separable inputs whose elimination against the paper's full G ran for
+    # tens of seconds or more; at width 1 gdisc is res(f, f').
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tolerant.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "tolerant", "report", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["paths_agree"] is True and report["separable"] is True
+    field = parse_field(report["field"])
+    n = report["degree"]
+    tol_value = parse_polynomial(report["tol"], field)
+    sign_law = -tol_value if (n * (n - 1) // 2) % 2 else tol_value
+    assert parse_polynomial(report["gdisc"], field) == sign_law
 
 
 def test_batch_missing_file_exits_one(capsys, tmp_path):

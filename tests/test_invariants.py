@@ -8,14 +8,16 @@ import pytest
 
 from tolerant import (Factorization, FactorFormula, Polynomial, RootMultiset,
                       build_report, dupl, gdisc, homothety_exponent, in_T,
-                      parse_polynomial, prime_field, rational_function_field,
-                      rationals, squarefree_decomposition, tol,
-                      tol_from_factorization, tol_from_roots, tol_irreducible)
+                      invariants, parse_field, parse_polynomial, prime_field,
+                      rational_function_field, rationals,
+                      squarefree_decomposition, tol, tol_from_factorization,
+                      tol_from_roots, tol_irreducible)
 from tolerant.errors import (DegreeMismatchError, DegreeTooSmallError,
                              InseparableInSeparableModeError,
                              InvalidFactorizationError, ZeroPolynomialError)
+from tolerant.factor import multiplicity_profile
 from tolerant.invariants import REPEATED_ROOT, UNDEFINED, tol_variant
-from tolerant.resultant import discriminant
+from tolerant.resultant import UPolynomial, discriminant, resultant_in_u
 
 from conftest import fraction_tol, linear_product
 
@@ -100,6 +102,101 @@ def test_gdisc_examples(Q):
     assert gdisc(parse_polynomial("x^5-t", F5T)).is_one()
     with pytest.raises(DegreeTooSmallError):
         gdisc(Polynomial.x(Q))
+
+
+def g_width(f, w):
+    """G_w = sum_{i=1..w} u^(i-1) D^i f; G_n is the paper's G."""
+    return UPolynomial(f.field, [f.hasse_derivative(i)
+                                 for i in range(1, w + 1)])
+
+
+def full_width_gdisc(f):
+    """The paper's gdisc, eliminating against the full G = G_n: the oracle
+    for the width gdisc cuts G at."""
+    n = f.degree
+    G = g_width(f, n)
+    R = resultant_in_u(f, G)
+    k, tc = next((i, c) for i, c in enumerate(R.coeffs) if c)
+    value = tc * f.leading_coefficient() ** (n - 2 - G.x_degree)
+    return -value if (k // 2) % 2 else value
+
+
+def width_cases():
+    """Fixed inputs, and seeded ones of degree <= 10, on Q, F_7, F_3(t) and
+    F_5(t): separable (also where p divides n), repeated roots, inseparable
+    parts, and f' = 0; each with a test id."""
+    fixed = [
+        ("q", "x^3+x+1"), ("q", "(x+1)^3*(x-2)"), ("q", "(x^2+1)^2*(x-3)^4"),
+        ("q", "3*(x-1/2)^5*(x+2)"), ("fp:7", "x^7-1"), ("fp:7", "(x^2+1)^7"),
+        ("fp:7", "x^7+x+1"), ("fp:7", "(x-1)^2*(x-2)^3*(x^2+3)"),
+        ("fpt:3", "x^3-t"), ("fpt:3", "(x^3-t)^2"), ("fpt:3", "x^3+t*x+1"),
+        ("fpt:3", "(x^3-t)*(x-1)^2"), ("fpt:3", "(x^9-t)*(x+t)"),
+        ("fpt:5", "x^5-t"), ("fpt:5", "(x^5-t)*(x-1)^3"),
+        ("fpt:5", "t*x^5+x+1"), ("fpt:5", "(x^2-t)^2*(x+t^2)"),
+        # G_M of x-degree 9 where deg f' = 3: lc^(n-2-d) needs d of G_M
+        ("fpt:3", "t*x^12+x^4"),
+    ]
+    cases = [(f"{name}:{text}", parse_polynomial(text, parse_field(name)))
+             for name, text in fixed]
+    rng = random.Random(11)
+    pieces = {
+        "q": ["x-1", "x+2", "x-1/3", "x^2+1", "x^2-x+3"],
+        "fp:7": ["x-1", "x+2", "x^2+1", "x^7-3", "x^2+x+3"],
+        "fpt:3": ["x-t", "x+1", "x^3-t", "x^2+t*x+1", "x^3+t*x+t"],
+        "fpt:5": ["x-t", "x+2", "x^5-t", "x^2-t", "t*x+1"],
+    }
+    for name in pieces:
+        field = parse_field(name)
+        for i in range(10):
+            f = Polynomial.constant(field, field.from_int(rng.randint(1, 4)))
+            for text in rng.sample(pieces[name], rng.randint(1, 3)):
+                g = parse_polynomial(text, field)
+                m = rng.randint(1, 3)
+                if f.degree + m * g.degree <= 10:
+                    f = f * g ** m
+            if f.degree >= 2:
+                cases.append((f"{name}:seeded-{i}", f))
+    return cases
+
+
+WIDTH_CASES = width_cases()
+
+
+@pytest.mark.parametrize("f", [f for _, f in WIDTH_CASES],
+                         ids=[case_id for case_id, _ in WIDTH_CASES])
+def test_gdisc_matches_the_full_width_elimination(f):
+    value = gdisc(f)
+    assert value == full_width_gdisc(f)
+    assert value == tol_variant("gdisc", f.leading_coefficient(), f.degree,
+                                tol(f))
+
+
+@pytest.mark.parametrize("f", [f for _, f in WIDTH_CASES],
+                         ids=[case_id for case_id, _ in WIDTH_CASES])
+def test_elimination_vanishes_exactly_below_the_largest_multiplicity(f):
+    M = multiplicity_profile(f)[0][0]
+    assert not resultant_in_u(f, g_width(f, M)).is_zero()
+    if M > 1:
+        G = g_width(f, M - 1)       # zero in x when f' = 0
+        assert G.is_zero() or resultant_in_u(f, G).is_zero()
+
+
+@pytest.mark.parametrize("field,text,widths", [
+    ("q", "x^3+x+1", [1]), ("q", "(x+1)^3*(x-2)", [1, 3]),
+    ("q", "(x-1)^2*(x+1)^2", [1, 2]),
+    ("fpt:3", "(x^3-t)^2*(x^3+t)", [6])])     # f' = 0: width M only
+def test_gdisc_eliminates_at_width_one_then_at_the_largest_multiplicity(
+        monkeypatch, field, text, widths):
+    seen = []
+    real = invariants.resultant_in_u
+
+    def counting(f, G):
+        seen.append(len(G.coeffs))
+        return real(f, G)
+
+    monkeypatch.setattr(invariants, "resultant_in_u", counting)
+    gdisc(parse_polynomial(text, parse_field(field)))
+    assert seen == widths
 
 
 def test_dupl_is_lc_squared_times_tol(Q):

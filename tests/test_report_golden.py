@@ -1,7 +1,8 @@
 """`report` output pinned byte for byte, and the work one report does: one
-u-resultant, no irreducible factorization, and within the per-factor
-formula one resultant per pair of parts and one discriminant per part,
-which are also the checks of a caller's factorization.
+u-resultant on separable input or when f' = 0 and two otherwise, no
+irreducible factorization, and within the per-factor formula one resultant
+per pair of parts and one discriminant per part, which are also the checks
+of a caller's factorization.
 
 The cases cover Q, F_7, F_3(t) and F_5(t): the zero polynomial, a nonzero
 constant, degree 1, f(0) = 0, repeated roots, inseparable inputs, and caller
@@ -12,7 +13,7 @@ import json
 
 import pytest
 
-from tolerant import factor, invariants
+from tolerant import factor, invariants, parse_field, parse_polynomial
 from tolerant.cli import main
 
 GOLDEN = [
@@ -143,8 +144,17 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     assert main(["report", "--field", field, *flags, "--", expr]) == 0
     assert capsys.readouterr().out == expected + "\n"
     report = json.loads(expected)
-    # the elimination runs once, as gdisc, and only where gdisc is defined
-    assert len(calls) == (report["gdisc"] is not None)
+    # The elimination runs only as gdisc, and only where gdisc is defined:
+    # once at width 1 (res(f, f')) on separable input, once at width M when
+    # f' = 0, and otherwise width 1 then width M, the largest multiplicity.
+    if report["gdisc"] is None:
+        eliminations = 0
+    elif (report["separable"]
+          or not parse_polynomial(expr, parse_field(field)).derivative()):
+        eliminations = 1
+    else:
+        eliminations = 2
+    assert len(calls) == eliminations
     # Coprimality and separability are checked by the formula's own cross
     # resultants and part discriminants, on the squarefree decomposition
     # and on a caller's factorization alike.  Outside the formula the

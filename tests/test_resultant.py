@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tolerant import (Polynomial, UPolynomial, prime_field,
+from tolerant import (Polynomial, UPolynomial, parse_field, prime_field,
                       rational_function_field, rationals)
 from tolerant.errors import ConstantInputError, ZeroInputError
 from tolerant.resultant import discriminant, resultant_in_u, sylvester_resultant
@@ -233,3 +233,48 @@ def test_resultant_in_u_constant_in_x_shortcut():
     R = resultant_in_u(f, G)
     # G = u^4, so res = (u^4)^5
     assert R == Polynomial.x(F5T) ** 20
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fp:10007"])
+def test_resultant_in_u_matches_sympy(name):
+    # sympy is an optional, test-only oracle: sympy.resultant over QQ[u] or
+    # GF(p)[u], against G = sum_i u^(i-1) D^i f at full width and at width 1
+    sympy = pytest.importorskip("sympy")
+    field = parse_field(name)
+    x, u = sympy.symbols("x u")
+    domain = {"domain": sympy.QQ} if field.p is None else {"modulus": field.p}
+
+    def to_sympy(c):
+        v = c.value
+        return sympy.Rational(v.numerator, v.denominator) \
+            if field.p is None else sympy.Integer(v)
+
+    def expr(poly):
+        return sum(to_sympy(c) * x ** i for i, c in enumerate(poly.coeffs))
+
+    rng = random.Random(f"sympy-resultant/{name}")
+    for _ in range(12):
+        f = Polynomial.constant(field, field.from_int(rng.randint(1, 5)))
+        while f.degree < 2:
+            for _ in range(rng.randint(1, 3)):
+                g = Polynomial(field, [field.from_fraction(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                    for _ in range(rng.randint(2, 3))] + [field.one()])
+                m = rng.randint(1, 3)
+                if f.degree + m * g.degree <= 6:
+                    f = f * g ** m
+        n = f.degree
+        for w in (n, 1):
+            parts = [f.hasse_derivative(i) for i in range(1, w + 1)]
+            G = UPolynomial(field, parts)
+            if G.is_zero():
+                continue
+            got = resultant_in_u(f, G)
+            G_expr = sum(u ** i * expr(p) for i, p in enumerate(parts))
+            want = sympy.resultant(sympy.Poly(expr(f), x, u, **domain),
+                                   sympy.Poly(G_expr, x, u, **domain))
+            want = sympy.Poly(want.as_expr(), u, **domain).all_coeffs()[::-1]
+            want_raw = [Fraction(int(c.p), int(c.q)) if field.p is None
+                        else int(c) % field.p for c in want]
+            assert list(got.raw) == (want_raw if any(want_raw) else []), \
+                (str(f), w)
