@@ -7,9 +7,11 @@ F_p, and F_p(t), including inseparable inputs.  gdisc stays the paper's
 elimination: eliminate x from f and the weighted sum of its Hasse
 derivatives, take the lowest nonzero u-coefficient, and normalize.  The sum
 is cut at width w >= M, the largest root multiplicity, which leaves the
-value unchanged; a nonzero resultant certifies w >= M.  Width 1, res(f, f'),
-runs first and settles separable f; otherwise a gcd chain of f with its
-Hasse derivatives gives M, and one elimination at width M follows.
+value unchanged; a nonzero result certifies w >= M.  Width 1, res(f, f'),
+runs first and settles separable f.  Otherwise a gcd chain of f with its
+Hasse derivatives splits f into blocks, and since resultants are
+multiplicative in f, one small elimination per block, against the sum
+reduced mod that block, replaces the elimination against f.
 
 Alternative routes (root products, and the per-factor formulas of the paper
 next to the corrected one) are implemented independently so the paths can
@@ -56,46 +58,87 @@ def gdisc(f: Polynomial) -> FieldElement:
     """Resultant-route collision invariant, normalized so that
     gdisc(f) = (-1)^C(n,2) * tol(f) holds identically.
 
-    Eliminates x between f and G_w = sum_{i=1..w} u^(i-1) D^i f, the paper's
-    G = G_n cut at w >= M, the largest root multiplicity.  A root r of
-    multiplicity m has D^i f(r) = 0 for i < m and D^m f(r) != 0, so for
-    w >= M, G_w(r, u) = u^(m-1) (D^m f(r) + O(u)): u-valuation exactly
-    m - 1, with the same witness coefficient as under G.  The trailing
-    coefficient tc of res_x(f, G_w) = lc^d * prod_r G_w(r, u)^(m_r), at
-    u-valuation k, therefore encodes the collision product:
+    The value is read off res_x(f, G_w), G_w = sum_{i=1..w} u^(i-1) D^i f,
+    the paper's G = G_n cut at w >= M, the largest root multiplicity.  A
+    root r of multiplicity m has D^i f(r) = 0 for i < m and D^m f(r) != 0,
+    so for w >= M, G_w(r, u) = u^(m-1) (D^m f(r) + O(u)): u-valuation
+    exactly m - 1, with the same witness coefficient as under G.
+    res_x(f, G_w) = lc^d * prod_r G_w(r, u)^(m_r), d the x-degree of G_w,
+    and the trailing coefficient tc of the product, at u-valuation k,
+    encodes the collision product:
 
-        tc = (-1)^(sum_{i<j} m_i m_j) * lc^(d + n) * prod_{i<j} (r_i - r_j)^(2 m_i m_j)
+        tc = (-1)^(sum_{i<j} m_i m_j) * lc^n * prod_{i<j} (r_i - r_j)^(2 m_i m_j)
 
-    with d the x-degree of G_w, k = sum_i m_i (m_i - 1) (always even) and
-    sum_{i<j} m_i m_j = C(n,2) - k/2.  Hence gdisc = (-1)^(k/2) *
-    lc^(n-2-d) * tc, whichever w >= M ran.  For w < M a root with m > w
-    makes G_w(r, u) vanish, so a nonzero resultant certifies w >= M.
+    with k = sum_i m_i (m_i - 1) (always even) and sum_{i<j} m_i m_j =
+    C(n,2) - k/2.  Hence gdisc = (-1)^(k/2) * lc^(n-2) * tc, whichever
+    w >= M ran.  For w < M a root with m > w makes G_w(r, u) vanish, so a
+    nonzero product certifies w >= M.
 
     Width 1 (G_1 = f', res(f, f')) runs first and certifies itself on
-    separable f.  When it vanishes, or f' = 0, M is the first j with
-    gcd(f, D^1 f, ..., D^j f) constant, and one elimination at w = M
-    follows.  These gcds are of f with its own derivatives, not the
-    factorization tol reads, so gdisc stays an independent check."""
+    separable f.  When it vanishes, or f' = 0, the gcd chain g_0 = f.monic(),
+    g_j = gcd(g_(j-1), D^j f) runs to the first constant g_M and splits
+    g_0 into the blocks h_j = g_(j-1) / g_j where the degree drops.  The
+    product over the roots is multiplicative in that split, and for monic
+    h_j only G_M mod h_j matters:
+
+        prod_r G_M(r, u)^(m_r) = prod_j res_x(h_j, G_M mod h_j),
+
+    one small elimination per block.  h_j divides D^i f for i < j, so at
+    least j - 1 leading u-coefficients of G_M mod h_j are zero; they are
+    counted and dropped, each adding deg h_j to the valuation.  The value
+    rests on nothing else: every division of the chain is checked exact,
+    and a block whose elimination vanishes raises, so a wrong gcd gives the
+    same value or an ArithmeticError.  The gcds are of f with its own
+    derivatives, not the factorization tol reads, so gdisc stays an
+    independent check."""
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
     n = f.degree
     if n < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
+    lc = f.leading_coefficient()
     derivatives = [f.hasse_derivative(1)]
-    G = UPolynomial(f.field, derivatives)
-    R = resultant_in_u(f, G) if derivatives[0] else None
-    if R is None or R.is_zero():
-        # gcd(f, D^1 f, ..., D^j f) keeps the roots of multiplicity > j
-        g = f.gcd(derivatives[0])
-        while g.degree > 0:
-            derivatives.append(f.hasse_derivative(len(derivatives) + 1))
-            g = g.gcd(derivatives[-1])
-        G = UPolynomial(f.field, derivatives)
-        R = resultant_in_u(f, G)
+    if derivatives[0]:
+        R = resultant_in_u(f, UPolynomial(f.field, derivatives))
+        if not R.is_zero():
+            # res(f, f') = lc^(deg f') * prod_r f'(r)
+            k, tc = _trailing(R)
+            return _signed(k, tc * lc ** (n - 2 - derivatives[0].degree))
+    # g_j = gcd(g_(j-1), D^j f) keeps the roots of multiplicity > j
+    g, blocks = f.monic(), []
+    for j in range(1, n + 1):
+        if j > 1:
+            derivatives.append(f.hasse_derivative(j))
+        g_j = g.gcd(derivatives[-1])
+        if g_j.degree < g.degree:
+            blocks.append((g.exact_div(g_j) if g_j.degree > 0 else g).monic())
+            g = g_j
+        if g.degree < 1:
+            break
+    else:
+        raise ArithmeticError("gcd chain did not reach a constant")
+    k, tc = 0, lc ** (n - 2)
+    for h in blocks:
+        # G_M mod h, less its s leading u-coefficients that reduce to zero
+        reduced = [d % h for d in derivatives]
+        s = next((i for i, r in enumerate(reduced) if r), len(reduced))
+        G = UPolynomial(f.field, reduced[s:])
+        R = Polynomial.zero(f.field) if G.is_zero() else resultant_in_u(h, G)
         if R.is_zero():
             raise ArithmeticError("u-resultant vanished; this cannot happen")
-    k, tc = next((i, c) for i, c in enumerate(R.coeffs) if c)
-    value = tc * f.leading_coefficient() ** (n - 2 - G.x_degree)
+        v, c = _trailing(R)
+        k += s * h.degree + v
+        tc = tc * c
+    return _signed(k, tc)
+
+
+def _trailing(R: Polynomial) -> tuple[int, FieldElement]:
+    """u-valuation and trailing coefficient of a nonzero R."""
+    return next((i, c) for i, c in enumerate(R.coeffs) if c)
+
+
+def _signed(k: int, value: FieldElement) -> FieldElement:
+    """(-1)^(k/2) * value, for the even valuation k."""
     return -value if (k // 2) % 2 else value
 
 
@@ -372,8 +415,8 @@ def build_report(f: Polynomial,
     the rest of the report then reads the squarefree decomposition.  No
     separate coprimality test runs.  dupl, the sign law and in_T are derived
     from tol.  gdisc is the elimination, one u-resultant on separable input
-    and two at most (see gdisc), and paths_agree compares it with
-    (-1)^C(n,2) * tol."""
+    and one more per block of its gcd chain on repeated roots (see gdisc),
+    and paths_agree compares it with (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, count
 from math import comb
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -220,16 +221,19 @@ class Polynomial:
             return Polynomial.zero(self.field), self
         ops = self.field.ops
         add, mul, neg, nonzero = ops.add, ops.mul, ops.neg, ops.nonzero
-        inv = ops.inverse(b[-1])
+        monic = b[-1] == ops.one
+        inv = None if monic else ops.inverse(b[-1])
         rem = list(self.raw)
         q = [ops.from_int(0)] * (da - db + 1)
         for k in range(da - db, -1, -1):
             c = rem[k + db]
             if nonzero(c):
-                c = mul(c, inv)
+                if not monic:
+                    c = mul(c, inv)
                 q[k] = c
                 c = neg(c)
-                for j in range(db + 1):
+                # rem[k + db] is not read again
+                for j in range(db):
                     rem[k + j] = add(rem[k + j], mul(c, b[j]))
         return (Polynomial.from_raw(self.field, q),
                 Polynomial.from_raw(self.field, rem[:db]))
@@ -273,15 +277,24 @@ class Polynomial:
 
     def hasse_derivative(self, r: int) -> "Polynomial":
         """D^r: x^n -> C(n, r) x^(n-r), binomials taken over Z then mapped
-        into the field so characteristic-p vanishing is exact."""
+        into the field so characteristic-p vanishing is exact.  A binomial
+        is taken only where the coefficient is nonzero, so sparse input
+        costs its number of terms, not its degree, in binomials."""
         if r < 0:
             raise ValueError("Hasse derivative order must be >= 0")
         if r == 0:
             return self
         ops = self.field.ops
-        return Polynomial.from_raw(
-            self.field, [ops.mul(self.raw[i], ops.from_int(comb(i, r)))
-                         for i in range(r, len(self.raw))])
+        mul, from_int, nonzero = ops.mul, ops.from_int, ops.nonzero
+        out = list(self.raw[r:])
+        for i in compress(range(len(out)), map(nonzero, out)):
+            out[i] = mul(out[i], from_int(comb(i + r, r)))
+        if out and not nonzero(out[-1]):
+            # binomials vanish mod p: cut the zero top in one step
+            zeros = next(compress(count(), map(nonzero, reversed(out))),
+                         len(out))
+            del out[len(out) - zeros:]
+        return Polynomial.from_raw(self.field, out)
 
     def taylor_shift(self, alpha: FieldElement) -> "Polynomial":
         """f(x + alpha), by Horner over the shifted variable."""

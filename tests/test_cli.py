@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import tolerant
-from tolerant import Factorization, parse_field, parse_polynomial, rationals
+from tolerant import (Factorization, Polynomial, parse_field,
+                      parse_polynomial, rationals)
 from tolerant.cli import main
 
 
@@ -258,6 +259,22 @@ def test_batch_pretty_indents_every_object(capsys, monkeypatch):
                                    for o in objects) + "\n"
 
 
+def run_in_subprocess(*argv):
+    """stdout of `python -m tolerant ARGV` in a fresh interpreter, which
+    must exit 0 within 30 s and write nothing to stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tolerant.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "tolerant", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    return proc.stdout
+
+
+def sign_law(tol_value, n):
+    """gdisc as the sign law (-1)^C(n,2) * tol."""
+    return -tol_value if (n * (n - 1) // 2) % 2 else tol_value
+
+
 @pytest.mark.parametrize("argv", [
     ("x^60+x+1",),
     ("x^2000+1", "--field", "fp:7"),
@@ -267,18 +284,33 @@ def test_batch_pretty_indents_every_object(capsys, monkeypatch):
 def test_report_on_short_high_degree_input_finishes(argv):
     # Separable inputs whose elimination against the paper's full G ran for
     # tens of seconds or more; at width 1 gdisc is res(f, f').
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(tolerant.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "tolerant", "report", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
-    assert proc.returncode == 0 and proc.stderr == ""
-    report = json.loads(proc.stdout)
+    report = json.loads(run_in_subprocess("report", *argv))
     assert report["paths_agree"] is True and report["separable"] is True
     field = parse_field(report["field"])
-    n = report["degree"]
     tol_value = parse_polynomial(report["tol"], field)
-    sign_law = -tol_value if (n * (n - 1) // 2) % 2 else tol_value
-    assert parse_polynomial(report["gdisc"], field) == sign_law
+    assert parse_polynomial(report["gdisc"], field) == sign_law(
+        tol_value, report["degree"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("gdisc", "(x+1)^30*(x-1)^10"),
+    ("gdisc", "(x^3+x+1)^12"),
+    ("gdisc", "x^2401+1", "--field", "fp:7"),
+    ("report", "(x^3-t)^4*(x+t)^5", "--field", "fpt:3"),
+], ids=["q-M30", "q-M12", "fp:7-sparse", "fpt:3-report"])
+def test_gdisc_on_high_multiplicity_input_finishes(argv):
+    # Repeated roots of multiplicity near the degree, where one elimination
+    # against G cut at M ran for tens of seconds or more; gdisc now
+    # eliminates once per block of its gcd chain.
+    out = run_in_subprocess(*argv)
+    field = parse_field(argv[3] if len(argv) > 2 else "q")
+    f = parse_polynomial(argv[1], field)
+    if argv[0] == "report":
+        report = json.loads(out)
+        assert report["paths_agree"] is True and report["separable"] is False
+        out = report["gdisc"]
+    expected = sign_law(tolerant.tol(f), f.degree)
+    assert parse_polynomial(out, field) == Polynomial.constant(field, expected)
 
 
 def test_batch_missing_file_exits_one(capsys, tmp_path):

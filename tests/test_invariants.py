@@ -122,9 +122,9 @@ def full_width_gdisc(f):
 
 
 def width_cases():
-    """Fixed inputs, and seeded ones of degree <= 10, on Q, F_7, F_3(t) and
-    F_5(t): separable (also where p divides n), repeated roots, inseparable
-    parts, and f' = 0; each with a test id."""
+    """Fixed inputs, and seeded ones of degree <= 10, on Q, F_3, F_7, F_3(t)
+    and F_5(t): separable (also where p divides n), repeated roots up to
+    M = n, inseparable parts, and f' = 0; each with a test id."""
     fixed = [
         ("q", "x^3+x+1"), ("q", "(x+1)^3*(x-2)"), ("q", "(x^2+1)^2*(x-3)^4"),
         ("q", "3*(x-1/2)^5*(x+2)"), ("fp:7", "x^7-1"), ("fp:7", "(x^2+1)^7"),
@@ -135,6 +135,18 @@ def width_cases():
         ("fpt:5", "t*x^5+x+1"), ("fpt:5", "(x^2-t)^2*(x+t^2)"),
         # G_M of x-degree 9 where deg f' = 3: lc^(n-2-d) needs d of G_M
         ("fpt:3", "t*x^12+x^4"),
+        # M near n, where gdisc splits f into many blocks; in characteristic
+        # p the chain's degree can jump over several j at once
+        ("q", "(x-1)^6"), ("q", "(x+2)^5*(x-1)"), ("q", "2*(x-1/3)^4*(x+1)^3"),
+        ("q", "(x^2+1)^4"), ("q", "(x^2-2)^2*(x+1)^4"),
+        ("fp:3", "(x-1)^3"), ("fp:3", "(x-1)^4*(x+1)^2"), ("fp:3", "(x^2+1)^3"),
+        ("fp:3", "(x-1)^6*(x+1)"),
+        ("fp:7", "(x-3)^7"), ("fp:7", "(x-3)^6*(x+1)"), ("fp:7", "(x^2+1)^4"),
+        ("fp:7", "(x-1)^8"),
+        ("fpt:3", "(x^3-t)^2*(x+1)"), ("fpt:3", "x^9+t"), ("fpt:3", "(x-t)^7"),
+        ("fpt:3", "(x^3-t)^2*(x^3+t)"), ("fpt:3", "t*(x+t)^4*(x-1)^2"),
+        ("fpt:5", "(x^5-t)*(x-1)^4"), ("fpt:5", "(x-t)^6*(x+1)"),
+        ("fpt:5", "(x^2-t)^4"),
     ]
     cases = [(f"{name}:{text}", parse_polynomial(text, parse_field(name)))
              for name, text in fixed]
@@ -181,22 +193,71 @@ def test_elimination_vanishes_exactly_below_the_largest_multiplicity(f):
         assert G.is_zero() or resultant_in_u(f, G).is_zero()
 
 
-@pytest.mark.parametrize("field,text,widths", [
-    ("q", "x^3+x+1", [1]), ("q", "(x+1)^3*(x-2)", [1, 3]),
-    ("q", "(x-1)^2*(x+1)^2", [1, 2]),
-    ("fpt:3", "(x^3-t)^2*(x^3+t)", [6])])     # f' = 0: width M only
-def test_gdisc_eliminates_at_width_one_then_at_the_largest_multiplicity(
-        monkeypatch, field, text, widths):
+@pytest.mark.parametrize("field,text,calls", [
+    ("q", "x^3+x+1", [(3, 1)]),
+    # blocks (x+1)(x-2), x+1, x+1; on x+1, D^1 f and D^2 f reduce to zero
+    ("q", "(x+1)^3*(x-2)", [(4, 1), (2, 3), (1, 1), (1, 1)]),
+    ("q", "(x-1)^2*(x+1)^2", [(4, 1), (2, 1), (2, 1)]),
+    # f' = 0: no width-1 call; the chain drops at j = 3 and j = 6 only
+    ("fpt:3", "(x^3-t)^2*(x^3+t)", [(6, 4), (3, 1)]),
+    # blocks x-1, x-1, x^3-t: x^3-t divides f' and D^2 f
+    ("fpt:3", "(x^3-t)*(x-1)^2", [(5, 1), (1, 1), (1, 1), (3, 1)])])
+def test_gdisc_eliminates_at_width_one_then_once_per_block(
+        monkeypatch, field, text, calls):
+    """Each call as (deg of the eliminated polynomial, u-width of G)."""
     seen = []
     real = invariants.resultant_in_u
 
     def counting(f, G):
-        seen.append(len(G.coeffs))
+        seen.append((f.degree, len(G.coeffs)))
         return real(f, G)
 
     monkeypatch.setattr(invariants, "resultant_in_u", counting)
     gdisc(parse_polynomial(text, parse_field(field)))
-    assert seen == widths
+    assert seen == calls
+
+
+def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
+    """gdisc checks its gcd chain instead of trusting it: with gcds that
+    return wrong divisors, non-divisors, non-monic or constant results,
+    every run gives the true value or raises ArithmeticError."""
+    cases = [(case_id, f) for case_id, f in WIDTH_CASES
+             if f.degree <= 8 and not f.is_separable()]
+    expected = {case_id: gdisc(f) for case_id, f in cases}
+    real = Polynomial.gcd
+    rng = random.Random(12)
+
+    def wrong(a, b):
+        d = real(a, b)
+        F, x = a.field, Polynomial.x(a.field)
+        choice = rng.randrange(7)
+        if choice == 0:
+            return d
+        if choice == 1:
+            return d.scale(F.from_int(2)) if F.characteristic != 2 else d
+        if choice == 2:
+            return Polynomial.one(F)
+        if choice == 3:
+            return a                        # no drop
+        if choice == 4:                     # d times a factor of a / d
+            q = a.exact_div(d)
+            return d * real(q, q.derivative() + x)
+        if choice == 5:                     # a proper factor of d, if any
+            return real(d, d.derivative()) if d.degree > 0 else d
+        return d * (x + Polynomial.constant(F, rng.randrange(1, 5)))
+
+    monkeypatch.setattr(Polynomial, "gcd", wrong)
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(6):
+        for case_id, f in cases:
+            try:
+                value = gdisc(f)
+            except ArithmeticError:
+                outcomes["error"] += 1
+            else:
+                assert value == expected[case_id], case_id
+                outcomes["value"] += 1
+    assert outcomes["value"] > 50 and outcomes["error"] > 50
 
 
 def test_dupl_is_lc_squared_times_tol(Q):

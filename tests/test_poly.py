@@ -160,17 +160,18 @@ def test_monomial_powers_are_built_directly(name):
             (0,) * 5000 + (1,))
 
 
-def test_divmod_property(F7, F3T):
+def test_divmod_property(Q, F7, F3T):
     rng = random.Random(1)
-    for field, rounds in ((F7, 200), (F3T, 40)):
+    for field, rounds in ((Q, 40), (F7, 200), (F3T, 40)):
         for _ in range(rounds):
             g = rand_poly(field, rng, 5)
             if g.is_zero():
                 continue
             f = rand_poly(field, rng, 8)
-            q, r = divmod(f, g)
-            assert q * g + r == f
-            assert r.is_zero() or r.degree < g.degree
+            for divisor in (g, g.monic()):
+                q, r = divmod(f, divisor)
+                assert q * divisor + r == f
+                assert r.is_zero() or r.degree < divisor.degree
 
 
 def test_exact_div_raises_on_remainder(Q):
@@ -278,6 +279,19 @@ def test_hasse_derivative_char_p_survives_where_derivative_dies():
     f = Polynomial.x(F5T) ** 5 - Polynomial.constant(F5T, F5T.t())
     assert f.derivative().is_zero()
     assert f.hasse_derivative(5) == Polynomial.one(F5T)
+
+
+def test_hasse_derivative_of_sparse_input(F7, F3T):
+    # D^r x^n = C(n, r) x^(n-r) term by term, where C(n, r) mod p vanishes
+    # at the top (x^49 over F_7) or everywhere (D^r x^49 for 0 < r < 49)
+    for field in (F7, F3T):
+        terms = {49: 1, 8: 3, 1: 5, 0: 2}
+        f = Polynomial.from_ints(field, [terms.get(i, 0) for i in range(50)])
+        for r in range(52):
+            expected = Polynomial.from_ints(
+                field, [terms.get(i, 0) * math.comb(i, r)
+                        for i in range(r, 50)])
+            assert f.hasse_derivative(r) == expected
 
 
 def test_hasse_derivative_composition(Q, F7, F3T):

@@ -1,8 +1,8 @@
 """`report` output pinned byte for byte, and the work one report does: one
-u-resultant on separable input or when f' = 0 and two otherwise, no
-irreducible factorization, and within the per-factor formula one resultant
-per pair of parts and one discriminant per part, which are also the checks
-of a caller's factorization.
+u-resultant at width 1 unless f' = 0, one more per block of gdisc's gcd
+chain on repeated roots, no irreducible factorization, and within the
+per-factor formula one resultant per pair of parts and one discriminant per
+part, which are also the checks of a caller's factorization.
 
 The cases cover Q, F_7, F_3(t) and F_5(t): the zero polynomial, a nonzero
 constant, degree 1, f(0) = 0, repeated roots, inseparable inputs, and caller
@@ -88,6 +88,18 @@ GOLDEN = [
 ]
 
 
+def chain_drops(f):
+    """The j at which deg gcd(f, D^1 f, ..., D^j f) drops, up to the first
+    constant: gdisc's blocks."""
+    g, drops, j = f.monic(), 0, 0
+    while g.degree > 0:
+        j += 1
+        g_j = g.gcd(f.hasse_derivative(j))
+        drops += g_j.degree < g.degree
+        g = g_j
+    return drops
+
+
 @pytest.mark.parametrize("field,flags,expr,expected", GOLDEN,
                          ids=[f"{c[0]}:{c[2]}{''.join(c[1])}" for c in GOLDEN])
 def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
@@ -145,15 +157,14 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     assert capsys.readouterr().out == expected + "\n"
     report = json.loads(expected)
     # The elimination runs only as gdisc, and only where gdisc is defined:
-    # once at width 1 (res(f, f')) on separable input, once at width M when
-    # f' = 0, and otherwise width 1 then width M, the largest multiplicity.
+    # once at width 1 (res(f, f')) unless f' = 0, and on repeated roots once
+    # more per block, each j where deg gcd(f, D^1 f, ..., D^j f) drops.
     if report["gdisc"] is None:
         eliminations = 0
-    elif (report["separable"]
-          or not parse_polynomial(expr, parse_field(field)).derivative()):
-        eliminations = 1
     else:
-        eliminations = 2
+        f = parse_polynomial(expr, parse_field(field))
+        eliminations = ((not f.derivative().is_zero())
+                        + (0 if report["separable"] else chain_drops(f)))
     assert len(calls) == eliminations
     # Coprimality and separability are checked by the formula's own cross
     # resultants and part discriminants, on the squarefree decomposition
