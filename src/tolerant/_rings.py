@@ -22,8 +22,14 @@ performance-critical runs here on plain ints and tuples:
   product of each, for ``Polynomial`` products and u-resultants alike.
 * ``kron_mul`` and ``kron_tmul``: products in Z[y] and F_p[t][y] by
   Kronecker substitution.
+* ``pseudo_divmod``: lc(b)^e * a = q * b + r over any ``Ring``, the
+  ``Polynomial`` division over Q and F_p(t), on cleared numerators (over
+  F_p that is ``pdivmod``).  ``primitive_gcd`` runs Euclid on primitive
+  pseudo-remainders in F_p[t][x], the gcd of F_p(t).
 * ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS, the
-  kernel behind every resultant in the package.
+  kernel behind every resultant in the package.  It also returns the last
+  nonzero remainder, an associate of gcd(a, b) over the fraction field:
+  ``Polynomial.gcd`` over Q and gdisc's g_1 = gcd(f, f') come from it.
 * ``bareiss_det`` and ``naive_det``: exact determinants, kept as test
   oracles for the kernel.
 """
@@ -412,12 +418,75 @@ def ring_pow(x, e: int, R):
     return result
 
 
-def subresultant(a: list, b: list, R: Ring):
-    """res(a, b) over the integral domain R by the subresultant PRS.
+def pseudo_divmod(a: list, b: list, R: Ring) -> tuple[list, list, int]:
+    """(q, r, e) with lc(b)^e * a = q * b + r and deg r < deg b, over the
+    integral domain R, for coefficient lists with deg a >= deg b and a
+    nonzero last entry of b; r has deg b entries, zeros not stripped.
+
+    Each step that meets a nonzero leading coefficient scales a and q by
+    lc(b) (when lc(b) is not 1) and counts it in e, so e <= deg a - deg b
+    + 1 and steps over zero coefficients cost nothing."""
+    mul, sub, one = R.mul, R.sub, R.one
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[-1]
+    low = [(j, y) for j, y in enumerate(b[:db]) if y]
+    r, q, e = list(a), [R.zero] * (da - db + 1), 0
+    for k in range(da - db, -1, -1):
+        c = r[k + db]
+        if not c:
+            continue
+        if lb != one:
+            e += 1
+            for i in range(k + db):
+                if r[i]:
+                    r[i] = mul(lb, r[i])
+            for i in range(k + 1, da - db + 1):
+                if q[i]:
+                    q[i] = mul(lb, q[i])
+        q[k] = c
+        for j, y in low:
+            r[k + j] = sub(r[k + j], mul(c, y))
+    return q, r[:db], e
+
+
+def primitive_part(c: list, p: int) -> list:
+    """F_p[t] coefficients ``c`` divided by their content, the monic gcd of
+    all of them (returned as they are when it is 1)."""
+    g = ()
+    for v in c:
+        if v:
+            g = pgcd(g, v, p)
+            if g == (1,):
+                return c
+    return [pdivmod(v, g, p)[0] for v in c]
+
+
+def primitive_gcd(a: list, b: list, R: Ring, p: int) -> list:
+    """An associate of gcd(a, b) over F_p(t), for lists of F_p[t] tuples
+    (R is F_p[t]) with nonzero last entries: Euclid whose remainders are
+    the pseudo-remainders over their content (the primitive PRS; Brown,
+    JACM 1971), so no F_p(t) fraction is formed between steps and no
+    content accumulates in the coefficients."""
+    a, b = primitive_part(a, p), primitive_part(b, p)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = pstrip(pseudo_divmod(a, b, R)[1])
+        if not r:
+            return b
+        a, b = b, primitive_part(r, p)
+
+
+def subresultant(a: list, b: list, R: Ring) -> tuple[Any, list]:
+    """(res(a, b), the last nonzero remainder) over the integral domain R,
+    by the subresultant PRS.
 
     ``a`` and ``b`` are coefficient lists, lowest degree first, with a
-    nonzero last entry; the result is lc(a)^deg(b) * prod b(r) over the roots
-    r of a, the Sylvester determinant with the deg(b) rows of a on top.
+    nonzero last entry; res(a, b) is lc(a)^deg(b) * prod b(r) over the roots
+    r of a, the Sylvester determinant with the deg(b) rows of a on top.  The
+    last nonzero remainder of the sequence is an associate of gcd(a, b) over
+    the fraction field of R: a constant when the resultant is nonzero, else
+    the gcd up to a factor.
     This is Cohen's Algorithm 3.3.7 (after Collins and Brown-Traub) without
     content removal: every division below is exact in R, and each remainder
     coefficient is, up to sign, a minor of the Sylvester matrix.  Values
@@ -431,13 +500,14 @@ def subresultant(a: list, b: list, R: Ring):
         a, b, da, db = b, a, db, da
         negate = bool(da & db & 1)        # res(b, a) = (-1)^(da*db) res(a, b)
     if db == 0:
-        return ring_pow(b[0], da, R)
+        return ring_pow(b[0], da, R), b
     g = h = one
     while True:
         delta = da - db
         if da & db & 1:
             negate = not negate
-        # pseudo-remainder: lc(b)^(delta+1) * a reduced by b
+        # pseudo-remainder: lc(b)^(delta+1) * a reduced by b; inline, since
+        # a pseudo_divmod call per step makes small PRSs 1.5x slower
         lb = b[-1]
         r = list(a)
         for k in range(da, db - 1, -1):
@@ -454,7 +524,7 @@ def subresultant(a: list, b: list, R: Ring):
         while n and not r[n - 1]:
             n -= 1
         if n == 0:
-            return R.zero
+            return R.zero, b
         scale = mul(g, ring_pow(h, delta, R))
         a, da = b, db
         b = r[:n] if scale == one else [div(c, scale) for c in r[:n]]
@@ -468,7 +538,7 @@ def subresultant(a: list, b: list, R: Ring):
             res = b[0]
             if da > 1:
                 res = div(ring_pow(res, da, R), ring_pow(h, da - 1, R))
-            return R.neg(res) if negate else res
+            return (R.neg(res) if negate else res), b
 
 
 def bareiss_det(rows: list[list], R: Ring):

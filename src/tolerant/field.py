@@ -11,9 +11,10 @@ Canonical forms make equality a plain value comparison:
 Each descriptor carries one :class:`FieldOps` table, built once per field,
 with the raw arithmetic on those values and the field's integral view: its
 numerator ring and the polynomial ring over that, whose product serves
-``Polynomial`` products and u-resultants alike.  ``FieldElement``
-operators, ``Polynomial`` and the resultant code call it instead of
-branching per field.
+``Polynomial`` products and u-resultants alike, and the division and gcd of
+coefficient tuples on the ``_rings`` kernels.  ``FieldElement`` operators,
+``Polynomial`` and the resultant code call it instead of branching per
+field.
 
 Mixing elements of different descriptors raises ``FieldMismatchError``;
 Python ints coerce into any field, ``Fraction`` only into Q.
@@ -27,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from . import _rings
 from .errors import (DivisionByZeroError, FieldMismatchError,
@@ -198,7 +199,11 @@ class FieldOps(NamedTuple):
     reads a value's denominator in ``ring`` and ``den_lcm`` combines two;
     ``clear(v, d)`` is v * d in ``ring`` for any multiple d of den(v);
     ``rebuild(num, scale)`` is the value num / scale.  F_p has the trivial
-    denominator 1."""
+    denominator 1.
+
+    ``divmod(a, b)`` is Euclidean division of normalized coefficient tuples
+    (b nonzero), and ``gcd(a, b)`` the monic gcd of two nonzero ones; both
+    return coefficient sequences, the remainder normalized."""
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
@@ -214,6 +219,8 @@ class FieldOps(NamedTuple):
     den_lcm: Callable[[Any, Any], Any]
     clear: Callable[[Any, Any], Any]
     rebuild: Callable[[Any, Any], Any]
+    divmod: Callable[[Sequence, Sequence], tuple[Sequence, Sequence]] = None
+    gcd: Callable[[Sequence, Sequence], Sequence] = None
 
 
 def common_den(values, ops: FieldOps):
@@ -228,6 +235,41 @@ def cleared(values, ops: FieldOps) -> tuple[list, Any]:
     """(values * d, d) in the numerator ring, d = common_den(values)."""
     d = common_den(values, ops)
     return [ops.clear(v, d) for v in values], d
+
+
+def monic_rebuilt(num: Sequence, ops: FieldOps) -> list:
+    """The monic polynomial over the field that is a multiple of the
+    numerator-ring coefficients ``num`` (last entry nonzero)."""
+    lead = num[-1]
+    return [ops.rebuild(c, lead) for c in num]
+
+
+def _with_division(ops: FieldOps,
+                   last: Callable[[list, list], list]) -> FieldOps:
+    """``ops`` with the division and gcd of Q or F_p(t).
+
+    Division clears each operand once, pseudo-divides once in the numerator
+    ring, and rebuilds each coefficient of the quotient and remainder once:
+    lc(B)^e * A = Q * B + R for a = A / d_a and b = B / d_b gives
+    a = (Q * d_b / s) * b + R / s with s = lc(B)^e * d_a.  The gcd is
+    ``last`` of the cleared numerators, an associate of it in the numerator
+    ring, made monic."""
+    ring, rebuild = ops.ring, ops.rebuild
+
+    def divmod_(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
+        if len(a) < len(b):
+            return (), a
+        num_a, d_a = cleared(a, ops)
+        num_b, d_b = cleared(b, ops)
+        q, r, e = _rings.pseudo_divmod(num_a, num_b, ring)
+        scale = ring.mul(d_a, _rings.ring_pow(num_b[-1], e, ring))
+        return ([rebuild(ring.mul(c, d_b), scale) for c in q],
+                [rebuild(c, scale) for c in _rings.pstrip(r)])
+
+    def gcd(a: Sequence, b: Sequence) -> list:
+        return monic_rebuilt(last(cleared(a, ops)[0], cleared(b, ops)[0]), ops)
+
+    return ops._replace(divmod=divmod_, gcd=gcd)
 
 
 def _int_text(n: int) -> str:
@@ -249,7 +291,7 @@ def _q_text(v: Fraction) -> str:
 
 def _q_ops() -> FieldOps:
     ring = _rings.int_ring()
-    return FieldOps(
+    ops = FieldOps(
         add=operator.add, neg=operator.neg, mul=operator.mul,
         inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction,
         one=Fraction(1), text=_q_text,
@@ -257,6 +299,8 @@ def _q_ops() -> FieldOps:
         den=lambda v: v.denominator, den_lcm=math.lcm,
         clear=lambda v, d: v.numerator * (d // v.denominator),
         rebuild=Fraction)
+    # the gcd is the last nonzero remainder of the subresultant PRS in Z[x]
+    return _with_division(ops, lambda a, b: _rings.subresultant(a, b, ring)[1])
 
 
 def _fp_ops(p: int) -> FieldOps:
@@ -266,8 +310,11 @@ def _fp_ops(p: int) -> FieldOps:
         inverse=lambda v: pow(v, -1, p), nonzero=bool,
         from_int=lambda n: n % p, one=1, text=str,
         ring=ring, u_ring=_rings.fp_poly_ring(p),
-        den=lambda v: 1, den_lcm=lambda a, b: 1,
-        clear=lambda v, d: v, rebuild=lambda num, scale: num)
+        den=lambda v: 1, den_lcm=lambda a, b: 1, clear=lambda v, d: v,
+        rebuild=lambda num, scale: num if scale == 1 else ring.exact_div(
+            num, scale),
+        divmod=lambda a, b: _rings.pdivmod(a, b, p),
+        gcd=lambda a, b: _rings.pgcd(a, b, p))
 
 
 def _fpt_ops(p: int) -> FieldOps:
@@ -292,7 +339,7 @@ def _fpt_ops(p: int) -> FieldOps:
         return f"({t_poly_text(num)})/({t_poly_text(den)})"
 
     ring = _rings.fp_poly_ring(p)
-    return FieldOps(
+    ops = FieldOps(
         add=add, neg=lambda v: (_rings.pneg(v[0], p), v[1]),
         mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
         inverse=lambda v: _fpt_reduce(v[1], v[0], p),
@@ -303,6 +350,10 @@ def _fpt_ops(p: int) -> FieldOps:
         clear=lambda v, d: (v[0] if v[1] == d else
                             pmul(v[0], _rings.pdivmod(d, v[1], p)[0], p)),
         rebuild=lambda num, scale: _fpt_reduce(num, scale, p))
+    # not the subresultant PRS in F_p[t][x]: its exact divisions of long
+    # F_p[t] tuples are schoolbook pdivmod, which made it slower
+    return _with_division(
+        ops, lambda a, b: _rings.primitive_gcd(a, b, ring, p))
 
 
 @functools.cache

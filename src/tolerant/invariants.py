@@ -8,8 +8,9 @@ elimination: eliminate x from f and the weighted sum of its Hasse
 derivatives, take the lowest nonzero u-coefficient, and normalize.  The sum
 is cut at width w >= M, the largest root multiplicity, which leaves the
 value unchanged; a nonzero result certifies w >= M.  Width 1, res(f, f'),
-runs first and settles separable f.  Otherwise a gcd chain of f with its
-Hasse derivatives splits f into blocks, and since resultants are
+is one scalar PRS that runs first and settles separable f.  Otherwise it
+ends on g_1 = gcd(f, f'), the first link of a gcd chain of f with its Hasse
+derivatives that splits f into blocks, and since resultants are
 multiplicative in f, one small elimination per block, against the sum
 reduced mod that block, replaces the elimination against f.
 
@@ -40,7 +41,8 @@ from .factor import (Factorization, is_irreducible_prime_field,
                      multiplicity_profile, squarefree_decomposition)
 from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial, RootMultiset
-from .resultant import UPolynomial, discriminant, resultant_in_u, sylvester_resultant
+from .resultant import (UPolynomial, discriminant, resultant, resultant_in_u,
+                        sylvester_resultant)
 
 REPEATED_ROOT = "REPEATED_ROOT"
 UNDEFINED = "UNDEFINED"
@@ -74,22 +76,25 @@ def gdisc(f: Polynomial) -> FieldElement:
     w >= M ran.  For w < M a root with m > w makes G_w(r, u) vanish, so a
     nonzero product certifies w >= M.
 
-    Width 1 (G_1 = f', res(f, f')) runs first and certifies itself on
-    separable f.  When it vanishes, or f' = 0, the gcd chain g_0 = f.monic(),
-    g_j = gcd(g_(j-1), D^j f) runs to the first constant g_M and splits
-    g_0 into the blocks h_j = g_(j-1) / g_j where the degree drops.  The
-    product over the roots is multiplicative in that split, and for monic
-    h_j only G_M mod h_j matters:
+    Width 1 runs first and certifies itself on separable f: G_1 = f' has
+    u-degree 0, so res_x(f, G_1) is the scalar res(f, f'), one subresultant
+    PRS of the cleared numerators (``resultant``).  When it vanishes, the
+    same PRS ends on g_1 = gcd(f, f') (g_1 = g_0 when f' = 0), and the gcd
+    chain g_0 = f.monic(), g_j = gcd(g_(j-1), D^j f) runs on from j = 2 to
+    the first constant g_M.  It splits g_0 into the blocks h_j = g_(j-1) /
+    g_j where the degree drops.  The product over the roots is
+    multiplicative in that split, and for monic h_j only G_M mod h_j
+    matters:
 
         prod_r G_M(r, u)^(m_r) = prod_j res_x(h_j, G_M mod h_j),
 
     one small elimination per block.  h_j divides D^i f for i < j, so at
     least j - 1 leading u-coefficients of G_M mod h_j are zero; they are
     counted and dropped, each adding deg h_j to the valuation.  The value
-    rests on nothing else: every division of the chain is checked exact,
-    and a block whose elimination vanishes raises, so a wrong gcd gives the
-    same value or an ArithmeticError.  The gcds are of f with its own
-    derivatives, not the factorization tol reads, so gdisc stays an
+    rests on nothing else: every division of the chain, g_1's included, is
+    checked exact, and a block whose elimination vanishes raises, so a wrong
+    gcd gives the same value or an ArithmeticError.  The gcds are of f with
+    its own derivatives, not the factorization tol reads, so gdisc stays an
     independent check."""
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
@@ -97,19 +102,20 @@ def gdisc(f: Polynomial) -> FieldElement:
     if n < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
     lc = f.leading_coefficient()
-    derivatives = [f.hasse_derivative(1)]
-    if derivatives[0]:
-        R = resultant_in_u(f, UPolynomial(f.field, derivatives))
-        if not R.is_zero():
-            # res(f, f') = lc^(deg f') * prod_r f'(r)
-            k, tc = _trailing(R)
-            return _signed(k, tc * lc ** (n - 2 - derivatives[0].degree))
-    # g_j = gcd(g_(j-1), D^j f) keeps the roots of multiplicity > j
     g, blocks = f.monic(), []
+    derivatives = [f.hasse_derivative(1)]
+    g_j = g                             # gcd(g, f') when f' = 0
+    if derivatives[0]:
+        # res(f, f') = lc^(deg f') * prod_r f'(r), at u-valuation k = 0;
+        # its PRS ends on g_1
+        r, g_j = resultant(f, derivatives[0])
+        if r:
+            return r * lc ** (n - 2 - derivatives[0].degree)
+    # g_j = gcd(g_(j-1), D^j f) keeps the roots of multiplicity > j
     for j in range(1, n + 1):
         if j > 1:
             derivatives.append(f.hasse_derivative(j))
-        g_j = g.gcd(derivatives[-1])
+            g_j = g.gcd(derivatives[-1])
         if g_j.degree < g.degree:
             blocks.append((g.exact_div(g_j) if g_j.degree > 0 else g).monic())
             g = g_j
@@ -129,17 +135,12 @@ def gdisc(f: Polynomial) -> FieldElement:
         v, c = _trailing(R)
         k += s * h.degree + v
         tc = tc * c
-    return _signed(k, tc)
+    return -tc if (k // 2) % 2 else tc          # (-1)^(k/2) * tc, k even
 
 
 def _trailing(R: Polynomial) -> tuple[int, FieldElement]:
     """u-valuation and trailing coefficient of a nonzero R."""
     return next((i, c) for i, c in enumerate(R.coeffs) if c)
-
-
-def _signed(k: int, value: FieldElement) -> FieldElement:
-    """(-1)^(k/2) * value, for the even valuation k."""
-    return -value if (k // 2) % 2 else value
 
 
 def tol(f: Polynomial) -> FieldElement:
@@ -414,9 +415,10 @@ def build_report(f: Polynomial,
     factorization that fails only the F_p irreducibility test keeps its tol;
     the rest of the report then reads the squarefree decomposition.  No
     separate coprimality test runs.  dupl, the sign law and in_T are derived
-    from tol.  gdisc is the elimination, one u-resultant on separable input
-    and one more per block of its gcd chain on repeated roots (see gdisc),
-    and paths_agree compares it with (-1)^C(n,2) * tol."""
+    from tol.  gdisc is the elimination: one scalar resultant at width 1,
+    which settles separable input, and on repeated roots one u-resultant per
+    block of its gcd chain (see gdisc); paths_agree compares it with
+    (-1)^C(n,2) * tol."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):

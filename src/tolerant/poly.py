@@ -8,8 +8,15 @@ marker (which compares below every int).
 A product is one product of numerator lists in the field's
 ``FieldOps.u_ring``, the ring the u-resultant runs in too: a Kronecker
 substitution (one big-int multiplication) for dense operands, the schoolbook
-loop for sparse ones.  Beyond ring arithmetic this module
-carries every transform the invariant formulas need: Hasse derivatives,
+loop for sparse ones.  Division and gcd run on the ``_rings`` kernels
+through ``FieldOps.divmod`` and ``FieldOps.gcd``: over F_p on residue
+tuples (``pdivmod``, ``pgcd``); over Q and F_p(t) each operand is cleared
+once, pseudo-divided in the numerator ring (Z or F_p[t]) and each result
+coefficient rebuilt once.  The gcd over Q is the subresultant PRS of the
+cleared Z[x] numerators, over F_p(t) Euclid on primitive pseudo-remainders
+in F_p[t][x].  Beyond
+ring arithmetic this module carries every transform the invariant formulas
+need: Hasse derivatives (binomials mod p by Lucas' theorem),
 Taylor shift f(x+a), homothety f(ax), the reciprocal x^n f(1/x),
 separability, desubstitution f = f_sep(x^(p^e)), and the coefficient-wise
 Frobenius twist.
@@ -212,31 +219,14 @@ class Polynomial:
             mul=operator.mul, one=Polynomial.one(self.field)))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Euclidean division, ``FieldOps.divmod``: ``pdivmod`` over F_p, one
+        pseudo-division of the cleared numerators over Q and F_p(t)."""
         self._check(other)
         if not other:
             raise DivisionByZeroError("polynomial division by zero")
-        b = other.raw
-        da, db = len(self.raw) - 1, len(b) - 1
-        if da < db:
-            return Polynomial.zero(self.field), self
-        ops = self.field.ops
-        add, mul, neg, nonzero = ops.add, ops.mul, ops.neg, ops.nonzero
-        monic = b[-1] == ops.one
-        inv = None if monic else ops.inverse(b[-1])
-        rem = list(self.raw)
-        q = [ops.from_int(0)] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            c = rem[k + db]
-            if nonzero(c):
-                if not monic:
-                    c = mul(c, inv)
-                q[k] = c
-                c = neg(c)
-                # rem[k + db] is not read again
-                for j in range(db):
-                    rem[k + j] = add(rem[k + j], mul(c, b[j]))
+        q, r = self.field.ops.divmod(self.raw, other.raw)
         return (Polynomial.from_raw(self.field, q),
-                Polynomial.from_raw(self.field, rem[:db]))
+                Polynomial.from_raw(self.field, r))
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -248,12 +238,16 @@ class Polynomial:
         return q
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic generator of (self, other); gcd(0, 0) = 0."""
+        """Monic generator of (self, other); gcd(0, 0) = 0.  ``FieldOps.gcd``:
+        the subresultant PRS of the cleared Z[x] numerators over Q, Euclid
+        over F_p, and over F_p(t) Euclid on primitive pseudo-remainders of
+        the cleared F_p[t][x] numerators."""
         self._check(other)
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
+        if not self or not other:
+            g = self or other
+            return g.monic() if g else g
+        return Polynomial.from_raw(self.field,
+                                   self.field.ops.gcd(self.raw, other.raw))
 
     def monic(self) -> "Polynomial":
         if not self.raw:
@@ -276,10 +270,12 @@ class Polynomial:
         return self.hasse_derivative(1)
 
     def hasse_derivative(self, r: int) -> "Polynomial":
-        """D^r: x^n -> C(n, r) x^(n-r), binomials taken over Z then mapped
-        into the field so characteristic-p vanishing is exact.  A binomial
-        is taken only where the coefficient is nonzero, so sparse input
-        costs its number of terms, not its degree, in binomials."""
+        """D^r: x^n -> C(n, r) x^(n-r), binomials mapped into the field so
+        characteristic-p vanishing is exact.  Over Q a binomial is taken
+        over Z; in characteristic p, mod p by Lucas' theorem, so no binomial
+        is larger than p.  A binomial is taken only where the coefficient is
+        nonzero, so sparse input costs its number of terms, not its degree,
+        in binomials."""
         if r < 0:
             raise ValueError("Hasse derivative order must be >= 0")
         if r == 0:
@@ -287,8 +283,16 @@ class Polynomial:
         ops = self.field.ops
         mul, from_int, nonzero = ops.mul, ops.from_int, ops.nonzero
         out = list(self.raw[r:])
-        for i in compress(range(len(out)), map(nonzero, out)):
-            out[i] = mul(out[i], from_int(comb(i + r, r)))
+        p = self.field.p                    # None over Q
+        if p is None or r < p:
+            # r < p has one base-p digit, so Lucas' theorem leaves
+            # C(n mod p, r); over Q, n < len(raw) and n % m is n
+            m = p or len(self.raw)
+            for i in compress(range(len(out)), map(nonzero, out)):
+                out[i] = mul(out[i], from_int(comb((i + r) % m, r)))
+        else:
+            for i in compress(range(len(out)), map(nonzero, out)):
+                out[i] = mul(out[i], from_int(binomial_mod(i + r, r, p)))
         if out and not nonzero(out[-1]):
             # binomials vanish mod p: cut the zero top in one step
             zeros = next(compress(count(), map(nonzero, reversed(out))),
@@ -373,6 +377,19 @@ class Polynomial:
         if self.field.characteristic == 0:
             raise UnsupportedFieldError("Frobenius twist needs characteristic p")
         return Polynomial(self.field, [c.frobenius_power(a) for c in self.coeffs])
+
+
+def binomial_mod(n: int, k: int, p: int) -> int:
+    """C(n, k) mod the prime p, for 0 <= k <= n, by Lucas' theorem: the
+    product of the binomials of the base-p digits of n and k."""
+    out = 1
+    while k:
+        n, n_digit = divmod(n, p)
+        k, k_digit = divmod(k, p)
+        if k_digit > n_digit:
+            return 0
+        out = out * comb(n_digit, k_digit) % p
+    return out
 
 
 class SeparableForm(NamedTuple):

@@ -1,10 +1,11 @@
 """Resultants over a field and over the ring of u-polynomials.
 
-Both entry points reduce to one call of the subresultant kernel
+Every entry point reduces to one call of the subresultant kernel
 (``_rings.subresultant``).  Each operand's raw coefficients are cleared
 to the field's numerator ring (integers, residues, or F_p[t] tuples; see
 ``FieldOps``) with one lcm of their denominators, and the resultant is
-unscaled at the end.  Convention:
+unscaled at the end.  ``resultant`` also hands over the gcd that the same
+remainder sequence ends on.  Convention:
 res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f, the Sylvester
 determinant with the deg(g) rows of f on top.
 """
@@ -15,7 +16,8 @@ from typing import Iterable
 
 from ._rings import pstrip, ring_pow, subresultant
 from .errors import ConstantInputError, FieldMismatchError, ZeroInputError
-from .field import FieldDescriptor, FieldElement, cleared, common_den
+from .field import (FieldDescriptor, FieldElement, cleared, common_den,
+                    monic_rebuilt)
 from .poly import Polynomial
 
 
@@ -85,8 +87,9 @@ def _scale(d_f, m: int, d_g, n: int, ring):
     return ring.mul(ring_pow(d_f, m, ring), ring_pow(d_g, n, ring))
 
 
-def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
-    """res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f."""
+def _prs(f: Polynomial, g: Polynomial) -> tuple[FieldElement, list]:
+    """res(f, g), and the last nonzero remainder of its PRS over the
+    numerator ring, from one subresultant PRS of the cleared numerators."""
     if f.field != g.field:
         raise FieldMismatchError("resultant arguments over different fields")
     if f.is_zero() or g.is_zero():
@@ -95,9 +98,26 @@ def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
     ops = field.ops
     fc, d_f = cleared(f.raw, ops)
     gc, d_g = cleared(g.raw, ops)
-    res = subresultant(fc, gc, ops.ring)
+    res, last = subresultant(fc, gc, ops.ring)
     scale = _scale(d_f, g.degree, d_g, f.degree, ops.ring)
-    return FieldElement(field, ops.rebuild(res, scale))
+    return FieldElement(field, ops.rebuild(res, scale)), last
+
+
+def resultant(f: Polynomial,
+              g: Polynomial) -> tuple[FieldElement, Polynomial]:
+    """(res(f, g), gcd(f, g)) from one PRS: res(f, g) as in
+    ``sylvester_resultant``, and the monic gcd, which is the sequence's last
+    nonzero remainder made monic (1 when the resultant is nonzero)."""
+    value, last = _prs(f, g)
+    field = f.field
+    if value:
+        return value, Polynomial.one(field)
+    return value, Polynomial.from_raw(field, monic_rebuilt(last, field.ops))
+
+
+def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
+    """res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f."""
+    return _prs(f, g)[0]
 
 
 def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
@@ -122,7 +142,7 @@ def resultant_in_u(f: Polynomial, G: UPolynomial) -> Polynomial:
     g_entries = [pstrip([ops.clear(c.raw[j], d_g) if j < len(c.raw)
                          else ops.ring.zero for c in G.coeffs])
                  for j in range(d + 1)]
-    res = subresultant(f_entries, g_entries, ops.u_ring)
+    res = subresultant(f_entries, g_entries, ops.u_ring)[0]
     scale = _scale(d_f, d, d_g, f.degree, ops.ring)
     return Polynomial.from_raw(field, [ops.rebuild(c, scale) for c in res])
 

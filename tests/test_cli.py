@@ -313,6 +313,22 @@ def test_gdisc_on_high_multiplicity_input_finishes(argv):
     assert parse_polynomial(out, field) == Polynomial.constant(field, expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ("report", "((t^3+1)*x^4+t*x+1)^5*(x^2+t)^2", "--field", "fpt:5"),
+    ("report", "(3*x^2/7+x/5+1)^6*(x-1/3)^5"),
+    ("tol", "(x+1)^3000"),
+], ids=["fpt:5-report", "q-report", "q-tol"])
+def test_gcd_heavy_input_finishes(argv):
+    # Long gcd chains and squarefree decompositions, over non-integral Q
+    # coefficients and non-monic t-leading coefficients
+    out = run_in_subprocess(*argv)
+    if argv[0] == "report":
+        report = json.loads(out)
+        assert report["paths_agree"] is True and report["separable"] is False
+    else:
+        assert out == "1\n"         # one distinct root, leading coefficient 1
+
+
 def test_batch_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "batch", str(tmp_path / "absent.txt"))
     assert code == 1 and "IO_ERROR" in err

@@ -1,12 +1,13 @@
 """Squarefree decomposition, prime-field factorization, multiplicity profiles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from tolerant import (Factorization, FieldKind, Polynomial,
                       factor_prime_field, gdisc, is_irreducible_prime_field,
-                      multiplicity_profile, prime_field,
+                      multiplicity_profile, parse_field, prime_field,
                       rational_function_field, rationals,
                       squarefree_decomposition, tol)
 from tolerant.invariants import tol_variant
@@ -261,3 +262,60 @@ def test_squarefree_fpt_mixed_inseparable_checked_by_u_resultant(p):
             assert gdisc(f) == tol_variant("gdisc", f.leading_coefficient(),
                                            f.degree, tol(f))
     assert inseparable
+
+
+def _random_factor(field, rng, degree):
+    """A random polynomial of the given degree, not monic: over Q with
+    non-integral coefficients, over F_p with residues."""
+    if field.kind is FieldKind.RATIONALS:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(degree)]
+        coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                               rng.randint(1, 6)))
+        return Polynomial(field, [field.from_fraction(c) for c in coeffs])
+    coeffs = [rng.randrange(field.p) for _ in range(degree)]
+    return Polynomial.from_ints(field, coeffs + [rng.randrange(1, field.p)])
+
+
+@pytest.mark.parametrize("name", ["q", "fp:2", "fp:3", "fp:7"])
+def test_gcd_and_squarefree_parts_match_sympy(name):
+    # sympy is an optional, test-only oracle: Poly.gcd and Poly.sqf_list
+    # over QQ or GF(p), on products with shared factors and repeated parts
+    # (multiples of p among the multiplicities over F_p)
+    sympy = pytest.importorskip("sympy")
+    field = parse_field(name)
+    x = sympy.Symbol("x")
+    domain = ({"domain": sympy.QQ} if field.kind is FieldKind.RATIONALS
+              else {"modulus": field.p})
+
+    def to_sympy(f):
+        coeffs = [sympy.Rational(c.numerator, c.denominator)
+                  if isinstance(c, Fraction) else c for c in f.raw]
+        return sympy.Poly(coeffs[::-1], x, **domain)
+
+    def from_sympy(g):
+        coeffs = g.all_coeffs()[::-1]
+        if field.kind is FieldKind.RATIONALS:
+            return Polynomial(field, [field.from_fraction(
+                Fraction(int(c.p), int(c.q))) for c in coeffs])
+        return Polynomial.from_ints(field, [int(c) for c in coeffs])
+
+    rng = random.Random(f"sympy-sqf/{name}")
+    for _ in range(12):
+        pieces = [_random_factor(field, rng, rng.randint(1, 3))
+                  for _ in range(3)]
+        exponents = [rng.choice([1, 2, 3, field.char_exponent,
+                                 field.char_exponent + 1])
+                     for _ in pieces]
+        f, g = pieces[0] ** exponents[0], pieces[1] * pieces[0] ** 2
+        for piece, m in zip(pieces[1:], exponents[1:]):
+            f = f * piece ** m
+        g = g * _random_factor(field, rng, rng.randint(0, 3))
+        assert f.gcd(g) == from_sympy(to_sympy(f).gcd(to_sympy(g))).monic()
+
+        fac = squarefree_decomposition(f)
+        lead, parts = to_sympy(f).sqf_list()
+        assert fac.unit == from_sympy(
+            sympy.Poly(lead, x, **domain)).leading_coefficient()
+        assert {m: h for h, m in fac.factors} == {
+            m: from_sympy(part).monic() for part, m in parts}

@@ -204,15 +204,22 @@ def test_elimination_vanishes_exactly_below_the_largest_multiplicity(f):
     ("fpt:3", "(x^3-t)*(x-1)^2", [(5, 1), (1, 1), (1, 1), (3, 1)])])
 def test_gdisc_eliminates_at_width_one_then_once_per_block(
         monkeypatch, field, text, calls):
-    """Each call as (deg of the eliminated polynomial, u-width of G)."""
+    """Each call as (deg of the eliminated polynomial, u-width of G): the
+    width-1 call is the scalar PRS of ``resultant(f, f')``, the block calls
+    are ``resultant_in_u``."""
     seen = []
-    real = invariants.resultant_in_u
+    real_u, real_1 = invariants.resultant_in_u, invariants.resultant
 
-    def counting(f, G):
+    def counting_u(f, G):
         seen.append((f.degree, len(G.coeffs)))
-        return real(f, G)
+        return real_u(f, G)
 
-    monkeypatch.setattr(invariants, "resultant_in_u", counting)
+    def counting_1(f, g):
+        seen.append((f.degree, 1))
+        return real_1(f, g)
+
+    monkeypatch.setattr(invariants, "resultant_in_u", counting_u)
+    monkeypatch.setattr(invariants, "resultant", counting_1)
     gdisc(parse_polynomial(text, parse_field(field)))
     assert seen == calls
 
@@ -220,7 +227,8 @@ def test_gdisc_eliminates_at_width_one_then_once_per_block(
 def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
     """gdisc checks its gcd chain instead of trusting it: with gcds that
     return wrong divisors, non-divisors, non-monic or constant results,
-    every run gives the true value or raises ArithmeticError."""
+    every run gives the true value or raises ArithmeticError.  That holds for
+    g_1, which the width-1 PRS hands over, as for every later gcd."""
     cases = [(case_id, f) for case_id, f in WIDTH_CASES
              if f.degree <= 8 and not f.is_separable()]
     expected = {case_id: gdisc(f) for case_id, f in cases}
@@ -246,7 +254,14 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
             return real(d, d.derivative()) if d.degree > 0 else d
         return d * (x + Polynomial.constant(F, rng.randrange(1, 5)))
 
+    real_resultant = invariants.resultant
+
+    def wrong_g1(f, g):
+        r, g_1 = real_resultant(f, g)
+        return r, (g_1 if r else wrong(f.monic(), g))
+
     monkeypatch.setattr(Polynomial, "gcd", wrong)
+    monkeypatch.setattr(invariants, "resultant", wrong_g1)
     outcomes = {"value": 0, "error": 0}
     for _ in range(6):
         for case_id, f in cases:

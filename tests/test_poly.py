@@ -12,6 +12,7 @@ from tolerant import (FieldElement, FieldKind, Polynomial, RootMultiset,
 from tolerant.errors import (ConstantInputError, DuplicateRootsError,
                              FieldMismatchError, UnsupportedFieldError,
                              ZeroConstantTermError, ZeroScaleError)
+from tolerant.poly import binomial_mod
 from tolerant.resultant import UPolynomial, resultant_in_u
 
 from conftest import linear_product, naive_product, t_fraction_pool
@@ -160,6 +161,31 @@ def test_monomial_powers_are_built_directly(name):
             (0,) * 5000 + (1,))
 
 
+def nonmonic_poly(field, rng, degree):
+    """Degree-``degree`` operand whose leading coefficient is not 1: over Q
+    every coefficient may be non-integral and the leading one is; over
+    F_p(t) the leading one is a t-fraction with a non-monic numerator."""
+    if field.kind is FieldKind.RATIONALS:
+        coeffs = [field.from_fraction(Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 6)))
+                  for _ in range(degree)]
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                        rng.randint(2, 6))
+        if lead.denominator == 1:
+            lead /= 5
+        return Polynomial(field, coeffs + [field.from_fraction(lead)])
+    if field.kind is FieldKind.PRIME_FIELD:
+        coeffs = [rng.randrange(field.p) for _ in range(degree)]
+        return Polynomial.from_ints(field,
+                                    coeffs + [rng.randrange(2, field.p)])
+    pool = t_fraction_pool(field)
+    lead = field.from_t_fraction(
+        [rng.randrange(field.p), rng.randrange(field.p), field.p - 1],
+        [rng.randrange(1, field.p), 1])
+    return Polynomial(field, [rng.choice(pool) for _ in range(degree)]
+                      + [lead])
+
+
 def test_divmod_property(Q, F7, F3T):
     rng = random.Random(1)
     for field, rounds in ((Q, 40), (F7, 200), (F3T, 40)):
@@ -168,10 +194,30 @@ def test_divmod_property(Q, F7, F3T):
             if g.is_zero():
                 continue
             f = rand_poly(field, rng, 8)
-            for divisor in (g, g.monic()):
-                q, r = divmod(f, divisor)
-                assert q * divisor + r == f
-                assert r.is_zero() or r.degree < divisor.degree
+            pairs = [(f, g), (f, g.monic()),
+                     (nonmonic_poly(field, rng, rng.randint(0, 9)),
+                      nonmonic_poly(field, rng, rng.randint(0, 5)))]
+            for a, b in pairs:
+                q, r = divmod(a, b)
+                assert q * b + r == a
+                assert r.is_zero() or r.degree < b.degree
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fpt:3"])
+def test_gcd_is_monic_divides_both_and_extracts_a_common_factor(name):
+    field = parse_field(name)
+    rng = random.Random(f"gcd/{name}")
+    coprime = 0
+    for _ in range(30):
+        a, b, c = (nonmonic_poly(field, rng, rng.randint(0, 4))
+                   for _ in range(3))
+        d = (a * c).gcd(b * c)
+        assert d.is_monic()
+        assert ((a * c) % d).is_zero() and ((b * c) % d).is_zero()
+        if a.gcd(b).degree == 0:
+            assert d == c.monic()
+            coprime += 1
+    assert coprime >= 20
 
 
 def test_exact_div_raises_on_remainder(Q):
@@ -291,6 +337,30 @@ def test_hasse_derivative_of_sparse_input(F7, F3T):
             expected = Polynomial.from_ints(
                 field, [terms.get(i, 0) * math.comb(i, r)
                         for i in range(r, 50)])
+            assert f.hasse_derivative(r) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_binomials_mod_p_by_lucas(p):
+    # every 0 <= k <= n < 3p^3 against C(n, k) over Z, reduced mod p; the
+    # rows over Z come by Pascal's rule, far cheaper than math.comb per entry
+    row = [1]
+    for n in range(3 * p ** 3):
+        assert [binomial_mod(n, k, p) for k in range(n + 1)] == [
+            c % p for c in row], n
+        last, row = row, [a + b for a, b in zip([0] + row, row + [0])]
+    assert last == [math.comb(n, k) for k in range(n + 1)]
+
+
+def test_hasse_derivative_across_the_characteristic(F7, F3T):
+    # dense input of degree 3p^2, every order: below p the binomial is
+    # C(n mod p, r), from p on the full product of Lucas' theorem
+    for field in (F7, F3T):
+        n = 3 * field.p ** 2
+        f = Polynomial.from_ints(field, range(1, n + 2))
+        for r in range(n + 2):
+            expected = Polynomial.from_ints(
+                field, [(i + 1) * math.comb(i, r) for i in range(r, n + 1)])
             assert f.hasse_derivative(r) == expected
 
 

@@ -1,6 +1,7 @@
 """`report` output pinned byte for byte, and the work one report does: one
-u-resultant at width 1 unless f' = 0, one more per block of gdisc's gcd
-chain on repeated roots, no irreducible factorization, and within the
+elimination at width 1 (the scalar PRS of res(f, f')) unless f' = 0, one
+u-resultant per block of gdisc's gcd chain on repeated roots, no irreducible
+factorization, and within the
 per-factor formula one resultant per pair of parts and one discriminant per
 part, which are also the checks of a caller's factorization.
 
@@ -104,13 +105,16 @@ def chain_drops(f):
                          ids=[f"{c[0]}:{c[2]}{''.join(c[1])}" for c in GOLDEN])
 def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     calls = []
-    real = invariants.resultant_in_u
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded(real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(invariants, "resultant_in_u", counting)
+    for name in ("resultant", "resultant_in_u"):
+        monkeypatch.setattr(invariants, name,
+                            recorded(getattr(invariants, name)))
 
     def no_factoring(*args):
         raise AssertionError("report ran the irreducible factorization")

@@ -12,8 +12,9 @@ from tolerant._rings import (PMUL_KRON_MIN, TMUL_KRON_MIN, TMUL_KRON_SPREAD,
                              InexactDivision, bareiss_det, fp_poly_ring,
                              fpt_u_ring, int_ring, kron_mul, kron_poly_ring,
                              kron_tmul, mod_ring, naive_det, pdivmod, pgcd,
-                             plcm, pmod, pmonic, pmul, ppow_mod, pstrip,
-                             ring_pow, subresultant, tuple_poly_ring)
+                             plcm, pmod, pmonic, pmul, ppow_mod,
+                             primitive_gcd, pseudo_divmod, pstrip, ring_pow,
+                             subresultant, tuple_poly_ring)
 
 from conftest import naive_pmul, naive_tmul
 
@@ -457,7 +458,7 @@ def test_subresultant_matches_bareiss_on_sylvester(name):
     zeros = 0
     for a, b in kernel_cases(rng, KERNEL_RINGS[name]):
         expected = bareiss_det(sylvester(a, b, R), R)
-        assert subresultant(a, b, R) == expected, (name, a, b)
+        assert subresultant(a, b, R)[0] == expected, (name, a, b)
         zeros += not expected
     assert zeros >= 3
 
@@ -480,12 +481,86 @@ def test_kernel_cases_cover_gaps_and_sign_rules():
 
 def test_subresultant_constants_and_swap_sign():
     R = int_ring()
-    assert subresultant([3], [5], R) == 1
-    assert subresultant([3], [1, 2, 1], R) == 9        # 3^deg b
-    assert subresultant([1, 0, 1], [-2], R) == 4       # (-2)^deg a
+    assert subresultant([3], [5], R)[0] == 1
+    assert subresultant([3], [1, 2, 1], R)[0] == 9     # 3^deg b
+    assert subresultant([1, 0, 1], [-2], R)[0] == 4    # (-2)^deg a
     a, b = [1, 2, 0, 3], [5, 0, 1, 0, 2, 7]
-    assert subresultant(a, b, R) == -subresultant(b, a, R)   # 3 * 5 odd
-    assert subresultant([-6, 1], [-1, 0, 1], R) == 35  # (x-6) vs x^2-1: 36-1
+    assert subresultant(a, b, R)[0] == -subresultant(b, a, R)[0]  # 3 * 5 odd
+    assert subresultant([-6, 1], [-1, 0, 1], R)[0] == 35  # x-6, x^2-1: 36-1
+
+
+# the numerator rings of Q, F_p and F_p(t), whose remainder sequences give
+# Polynomial.gcd over Q and gdisc's g_1 on every field
+GCD_RINGS = ["Z", "F_101", "F_3[t]"]
+
+
+@pytest.mark.parametrize("name", GCD_RINGS)
+def test_pseudo_divmod_identity(name):
+    ring = KERNEL_RINGS[name]
+    R = ring[0]
+    rng = random.Random(70 + GCD_RINGS.index(name))
+    for _ in range(60):
+        db = rng.randint(0, 4)
+        # sparse dividends: steps over zero leading coefficients count nothing
+        support = rng.sample(range(db + 6), rng.randint(0, db + 6))
+        a = rand_poly(rng, ring, db + 6, support)
+        b = rand_poly(rng, ring, db)
+        q, r, e = pseudo_divmod(a, b, R)
+        assert len(r) == db and 0 <= e <= len(a) - len(b) + 1
+        lhs = [R.mul(ring_pow(b[-1], e, R), c) for c in a]
+        rhs = poly_mul(q, b, R)
+        for i, c in enumerate(r):
+            rhs[i] = R.add(rhs[i], c)
+        assert pstrip(lhs) == pstrip(rhs), (name, a, b)
+
+
+def associates(f, g, R):
+    """f and g differ by a factor of the fraction field: lc(g) f = lc(f) g."""
+    return (len(f) == len(g)
+            and [R.mul(g[-1], c) for c in f] == [R.mul(f[-1], c) for c in g])
+
+
+@pytest.mark.parametrize("name", GCD_RINGS)
+def test_subresultant_ends_on_an_associate_of_the_gcd(name):
+    """On a zero resultant the remainder sequence ends on the gcd over the
+    fraction field, up to a factor; on a nonzero one it ends on a nonzero
+    constant, and the resultant is the Sylvester determinant."""
+    ring = KERNEL_RINGS[name]
+    R = ring[0]
+    rng = random.Random(80 + GCD_RINGS.index(name))
+    shared = 0
+    for _ in range(40):
+        a0, b0 = (rand_poly(rng, ring, rng.randint(0, 4)) for _ in range(2))
+        res0, last0 = subresultant(a0, b0, R)
+        assert res0 == bareiss_det(sylvester(a0, b0, R), R)
+        if not res0:
+            continue                # a0, b0 share a factor: no known gcd
+        assert len(last0) == 1 and last0[0]
+        c = rand_poly(rng, ring, rng.randint(1, 3))
+        res, last = subresultant(poly_mul(c, a0, R), poly_mul(c, b0, R), R)
+        assert not res and associates(last, c, R), (name, a0, b0, c)
+        shared += 1
+    assert shared >= 20
+
+
+def test_primitive_gcd_is_an_associate_of_the_gcd():
+    """Euclid on primitive pseudo-remainders over F_3[t] ends on the shared
+    factor c, up to a factor in F_3(t), and on a constant for coprime
+    operands."""
+    ring = KERNEL_RINGS["F_3[t]"]
+    R = ring[0]
+    rng = random.Random(90)
+    shared = 0
+    for _ in range(40):
+        a0, b0 = (rand_poly(rng, ring, rng.randint(0, 4)) for _ in range(2))
+        if not subresultant(a0, b0, R)[0]:
+            continue
+        assert len(primitive_gcd(a0, b0, R, 3)) == 1
+        c = rand_poly(rng, ring, rng.randint(1, 3))
+        last = primitive_gcd(poly_mul(c, a0, R), poly_mul(c, b0, R), R, 3)
+        assert associates(last, c, R), (a0, b0, c)
+        shared += 1
+    assert shared >= 20
 
 
 def test_ring_pow():
