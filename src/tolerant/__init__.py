@@ -24,8 +24,7 @@ from .invariants import (REPEATED_ROOT, UNDEFINED, ErrorRecord,
 from .parsing import (factorization_text, parse_polynomial, polynomial_text)
 from .poly import (NEG_INFINITY, Polynomial, RootMultiset, SeparableForm,
                    poly_from_roots)
-from .resultant import (UPolynomial, discriminant, resultant_in_u,
-                        sylvester_resultant)
+from .resultant import discriminant, resultant_in_u, sylvester_resultant
 from .selfcheck import SelfcheckSummary, run_selfcheck
 
 __version__ = "0.1.0"
@@ -39,9 +38,9 @@ __all__ = [
     "InvalidFactorizationError", "InvariantReport", "NEG_INFINITY",
     "ParseError", "Polynomial",
     "REPEATED_ROOT", "RootMultiset", "SelfcheckSummary", "SeparableForm",
-    "TolerantError", "UNDEFINED", "UPolynomial",
-    "UnsupportedFieldError", "ZeroConstantTermError",
-    "ZeroDiscriminantFactorError", "ZeroInputError", "ZeroPolynomialError",
+    "TolerantError", "UNDEFINED", "UnsupportedFieldError",
+    "ZeroConstantTermError", "ZeroDiscriminantFactorError",
+    "ZeroInputError", "ZeroPolynomialError",
     "ZeroScaleError", "build_report", "discriminant", "dupl",
     "factor_prime_field", "factorization_text", "gdisc",
     "homothety_exponent", "in_T", "inversion_criterion",

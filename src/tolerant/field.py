@@ -22,6 +22,7 @@ Python ints coerce into any field, ``Fraction`` only into Q.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import math
@@ -274,14 +275,24 @@ def _with_division(ops: FieldOps,
 
 def _int_text(n: int) -> str:
     """Decimal text of an int of any size: str() refuses ints past the
-    interpreter's digit limit (640 at the least), so long ones are split."""
-    if n < 0:
-        return "-" + _int_text(-n)
+    interpreter's digit limit (640 at the least) and is quadratic, so a long
+    one is rebuilt as an exact Decimal, whose products are subquadratic."""
     if n.bit_length() <= 2000:
         return str(n)
-    k = n.bit_length() * 3 // 20            # about half of the digits
-    hi, lo = divmod(n, 10 ** k)
-    return _int_text(hi) + _int_text(lo).zfill(k)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        return str(_int_decimal(n))
+
+
+def _int_decimal(n: int) -> decimal.Decimal:
+    """n as a Decimal, by binary splitting: D(hi) * 2^k + D(lo)."""
+    if n < 0:
+        return -_int_decimal(-n)
+    if n.bit_length() <= 2000:
+        return decimal.Decimal(n)
+    k = n.bit_length() // 2
+    return (_int_decimal(n >> k) * decimal.Decimal(2) ** k
+            + _int_decimal(n & ((1 << k) - 1)))
 
 
 def _q_text(v: Fraction) -> str:

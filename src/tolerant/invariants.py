@@ -41,7 +41,7 @@ from .factor import (Factorization, is_irreducible_prime_field,
                      multiplicity_profile, squarefree_decomposition)
 from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial, RootMultiset
-from .resultant import (UPolynomial, discriminant, resultant, resultant_in_u,
+from .resultant import (discriminant, discriminant_and_gcd, resultant_in_u,
                         sylvester_resultant)
 
 REPEATED_ROOT = "REPEATED_ROOT"
@@ -77,11 +77,12 @@ def gdisc(f: Polynomial) -> FieldElement:
     nonzero product certifies w >= M.
 
     Width 1 runs first and certifies itself on separable f: G_1 = f' has
-    u-degree 0, so res_x(f, G_1) is the scalar res(f, f'), one subresultant
-    PRS of the cleared numerators (``resultant``).  When it vanishes, the
-    same PRS ends on g_1 = gcd(f, f') (g_1 = g_0 when f' = 0), and the gcd
-    chain g_0 = f.monic(), g_j = gcd(g_(j-1), D^j f) runs on from j = 2 to
-    the first constant g_M.  It splits g_0 into the blocks h_j = g_(j-1) /
+    u-degree 0, so res_x(f, G_1) is the scalar res(f, f'), and at k = 0
+    gdisc = (-1)^C(n,2) * disc(f), from the one PRS of
+    ``discriminant_and_gcd``.  When disc(f) vanishes, that PRS ends on
+    g_1 = gcd(f, f') (g_1 = g_0 when f' = 0), and the gcd chain
+    g_0 = f.monic(), g_j = gcd(g_(j-1), D^j f) runs on from j = 2 to the
+    first constant g_M.  It splits g_0 into the blocks h_j = g_(j-1) /
     g_j where the degree drops.  The product over the roots is
     multiplicative in that split, and for monic h_j only G_M mod h_j
     matters:
@@ -102,15 +103,11 @@ def gdisc(f: Polynomial) -> FieldElement:
     if n < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
     lc = f.leading_coefficient()
+    disc, g_j = discriminant_and_gcd(f)     # g_j = g_1 = gcd(f, f')
+    if disc:
+        return tol_variant("gdisc", lc, n, disc)    # disc = tol, separable f
     g, blocks = f.monic(), []
     derivatives = [f.hasse_derivative(1)]
-    g_j = g                             # gcd(g, f') when f' = 0
-    if derivatives[0]:
-        # res(f, f') = lc^(deg f') * prod_r f'(r), at u-valuation k = 0;
-        # its PRS ends on g_1
-        r, g_j = resultant(f, derivatives[0])
-        if r:
-            return r * lc ** (n - 2 - derivatives[0].degree)
     # g_j = gcd(g_(j-1), D^j f) keeps the roots of multiplicity > j
     for j in range(1, n + 1):
         if j > 1:
@@ -127,10 +124,9 @@ def gdisc(f: Polynomial) -> FieldElement:
     for h in blocks:
         # G_M mod h, less its s leading u-coefficients that reduce to zero
         reduced = [d % h for d in derivatives]
-        s = next((i for i, r in enumerate(reduced) if r), len(reduced))
-        G = UPolynomial(f.field, reduced[s:])
-        R = Polynomial.zero(f.field) if G.is_zero() else resultant_in_u(h, G)
-        if R.is_zero():
+        s = next((i for i, r in enumerate(reduced) if r), None)
+        R = None if s is None else resultant_in_u(h, reduced[s:])
+        if not R:
             raise ArithmeticError("u-resultant vanished; this cannot happen")
         v, c = _trailing(R)
         k += s * h.degree + v

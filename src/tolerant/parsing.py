@@ -54,7 +54,7 @@ MAX_DEGREE = 100_000
 def _int_value(digits: str) -> int:
     """The int of a digit string of any length.  int() refuses strings past
     the interpreter's digit limit (640 at the least), so long ones are split
-    in halves, the way ``field._int_text`` prints them."""
+    in halves."""
     if len(digits) <= 600:
         return int(digits)
     k = len(digits) // 2

@@ -1,7 +1,9 @@
 """Command-line contract: subcommands, flags, exit codes, serialization."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import tolerant
 from tolerant import (Factorization, Polynomial, parse_field,
                       parse_polynomial, rationals)
 from tolerant.cli import main
+from tolerant.field import _int_text
 
 
 def run(capsys, *argv):
@@ -355,6 +358,31 @@ def test_value_past_the_int_string_limit_prints(capsys):
     code, out, err = run(capsys, "tol", "x^1400+1")
     assert code == 0 and err == ""
     assert out.strip() == expected
+
+
+def test_int_text_matches_str_past_the_split_point():
+    # random values around the 2000-bit point where _int_text stops calling
+    # str(), and several splits past it, negative ones too
+    rng = random.Random(3)
+    values = [0, -1, 2 ** 2000, 2 ** 2000 - 1, -(2 ** 2001), 10 ** 1300]
+    for bits in [*range(1995, 2006), 4001, 8000, 30001]:
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        values += [n, -n]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in values:
+            assert _int_text(n) == str(n), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_value_of_millions_of_digits_prints_in_time():
+    # tol((2x+1)^2000) = (2^2000)^3998 has 2.4 million digits; printing them
+    # by repeated division by powers of ten took about a minute
+    out = run_in_subprocess("tol", "(2*x+1)^2000").strip()
+    assert out[-30:] == str(pow(2, 2000 * 3998, 10 ** 30)).zfill(30)
+    assert len(out) == math.floor(2000 * 3998 * math.log10(2)) + 1
 
 
 def test_printed_long_value_parses_back(capsys):

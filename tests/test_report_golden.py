@@ -1,5 +1,5 @@
 """`report` output pinned byte for byte, and the work one report does: one
-elimination at width 1 (the scalar PRS of res(f, f')) unless f' = 0, one
+elimination at width 1 (the scalar PRS of res(f, f')), one
 u-resultant per block of gdisc's gcd chain on repeated roots, no irreducible
 factorization, and within the
 per-factor formula one resultant per pair of parts and one discriminant per
@@ -112,7 +112,7 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
             return real(*args)
         return wrapper
 
-    for name in ("resultant", "resultant_in_u"):
+    for name in ("discriminant_and_gcd", "resultant_in_u"):
         monkeypatch.setattr(invariants, name,
                             recorded(getattr(invariants, name)))
 
@@ -161,14 +161,14 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     assert capsys.readouterr().out == expected + "\n"
     report = json.loads(expected)
     # The elimination runs only as gdisc, and only where gdisc is defined:
-    # once at width 1 (res(f, f')) unless f' = 0, and on repeated roots once
-    # more per block, each j where deg gcd(f, D^1 f, ..., D^j f) drops.
+    # once at width 1 (res(f, f'), which is 0 when f' = 0), and on repeated
+    # roots once more per block, each j where deg gcd(f, D^1 f, ..., D^j f)
+    # drops.
     if report["gdisc"] is None:
         eliminations = 0
     else:
         f = parse_polynomial(expr, parse_field(field))
-        eliminations = ((not f.derivative().is_zero())
-                        + (0 if report["separable"] else chain_drops(f)))
+        eliminations = 1 + (0 if report["separable"] else chain_drops(f))
     assert len(calls) == eliminations
     # Coprimality and separability are checked by the formula's own cross
     # resultants and part discriminants, on the squarefree decomposition

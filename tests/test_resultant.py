@@ -1,14 +1,20 @@
 """Sylvester resultants and discriminants against root-product oracles."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from tolerant import (Polynomial, UPolynomial, parse_field, prime_field,
-                      rational_function_field, rationals)
-from tolerant.errors import ConstantInputError, ZeroInputError
-from tolerant.resultant import discriminant, resultant_in_u, sylvester_resultant
+from tolerant import (Polynomial, RootMultiset, build_report, parse_field,
+                      parse_polynomial, poly_from_roots, polynomial_text,
+                      prime_field, rational_function_field, rationals, tol,
+                      tol_from_roots)
+from tolerant.cli import main
+from tolerant.errors import (ConstantInputError, FieldMismatchError,
+                             ZeroInputError)
+from tolerant.resultant import (discriminant, discriminant_and_gcd,
+                                resultant_in_u, sylvester_resultant)
 
 from conftest import linear_product, t_fraction_pool
 
@@ -176,18 +182,28 @@ def test_discriminant_zero_derivative_char_p():
     assert discriminant(f).is_zero()
 
 
-def test_upolynomial_accessors(Q):
+def evaluate_u(G, u0):
+    """G = sum_i u^i G[i] at u = u0, a polynomial in x."""
+    acc = Polynomial.zero(G[0].field)
+    for c in reversed(G):
+        acc = acc.scale(u0) + c
+    return acc
+
+
+def test_resultant_in_u_checks_its_inputs(Q, F7):
     x = Polynomial.x(Q)
+    with pytest.raises(FieldMismatchError):
+        resultant_in_u(x * x, [x, Polynomial.x(F7)])
+    with pytest.raises(ZeroInputError):
+        resultant_in_u(x * x, [Polynomial.zero(Q), Polynomial.zero(Q)])
+    with pytest.raises(ZeroInputError):
+        resultant_in_u(Polynomial.zero(Q), [x])
+    with pytest.raises(ConstantInputError):
+        resultant_in_u(Polynomial.one(Q), [x])
+    # x-degree is the largest entry degree, here 2 of u^2 x^2
     one = Polynomial.one(Q)
-    G = UPolynomial(Q, [x * x, one, x])       # x^2 + u + u^2 x
-    assert G.u_degree == 2
-    assert G.x_degree == 2
-    assert G.x_coefficient(0) == (Q.zero(), Q.one())     # constant-in-x: u
-    assert G.x_coefficient(1) == (Q.zero(), Q.zero(), Q.one())
-    assert G.x_coefficient(2) == (Q.one(),)
-    u0 = Q.from_int(3)
-    assert G.evaluate(u0) == x * x + x.scale(Q.from_int(9)) + \
-        Polynomial.constant(Q, Q.from_int(3))
+    R = resultant_in_u(x - one.scale(Q.from_int(2)), [x, one, x * x])
+    assert R == Polynomial.from_ints(Q, [2, 1, 4])       # G(2, u)
 
 
 def test_resultant_in_u_matches_specialization(Q, F7):
@@ -211,12 +227,11 @@ def test_resultant_in_u_matches_specialization(Q, F7):
             if f.is_zero() or f.degree < 2:
                 continue
             n = f.degree
-            G = UPolynomial(field, [f.hasse_derivative(i)
-                                    for i in range(1, n + 1)])
+            G = [f.hasse_derivative(i) for i in range(1, n + 1)]
             R = resultant_in_u(f, G)
             for u0 in u_values:
-                spec = G.evaluate(u0)
-                if spec.degree != G.x_degree:
+                spec = evaluate_u(G, u0)
+                if spec.degree != max(c.degree for c in G):
                     continue
                 assert R(u0) == sylvester_resultant(f, spec)
                 if field is F3T and any(c.value[1] != (1,) for c in f.coeffs):
@@ -228,8 +243,8 @@ def test_resultant_in_u_constant_in_x_shortcut():
     from tolerant import rational_function_field
     F5T = rational_function_field(5)
     f = Polynomial.x(F5T) ** 5 - Polynomial.constant(F5T, F5T.t())
-    G = UPolynomial(F5T, [f.hasse_derivative(i) for i in range(1, 6)])
-    assert G.x_degree == 0                    # every x-derivative collapses
+    G = [f.hasse_derivative(i) for i in range(1, 6)]
+    assert max(c.degree for c in G) == 0      # every x-derivative collapses
     R = resultant_in_u(f, G)
     # G = u^4, so res = (u^4)^5
     assert R == Polynomial.x(F5T) ** 20
@@ -266,10 +281,9 @@ def test_resultant_in_u_matches_sympy(name):
         n = f.degree
         for w in (n, 1):
             parts = [f.hasse_derivative(i) for i in range(1, w + 1)]
-            G = UPolynomial(field, parts)
-            if G.is_zero():
+            if not any(parts):
                 continue
-            got = resultant_in_u(f, G)
+            got = resultant_in_u(f, parts)
             G_expr = sum(u ** i * expr(p) for i, p in enumerate(parts))
             want = sympy.resultant(sympy.Poly(expr(f), x, u, **domain),
                                    sympy.Poly(G_expr, x, u, **domain))
@@ -278,3 +292,84 @@ def test_resultant_in_u_matches_sympy(name):
                         else int(c) % field.p for c in want]
             assert list(got.raw) == (want_raw if any(want_raw) else []), \
                 (str(f), w)
+
+
+def test_discriminant_and_gcd_returns_the_gcd_of_its_prs(Q, F5T):
+    f = linear_product(Q, [(2, 3), (3, 1), (-1, 2)], lc=5)
+    d, g = discriminant_and_gcd(f)
+    assert not d and g == linear_product(Q, [(2, 2), (-1, 1)])
+    d, g = discriminant_and_gcd(linear_product(Q, [(2, 1), (3, 1)], lc=5))
+    assert d.value == 25 and g == Polynomial.one(Q)
+    f = Polynomial.x(F5T) ** 10 - Polynomial.constant(F5T, F5T.t())
+    f = f.scale(F5T.t())                    # f' = 0: (0, f.monic())
+    assert discriminant_and_gcd(f) == (F5T.zero(), f.monic())
+
+
+@pytest.mark.parametrize("field,expr,value", [
+    # p | n, so deg f' < n - 1 and res(f, f') needs lc^(n-2-deg f')
+    ("fp:7", "2*x^7+x^5+1", "4"), ("fpt:3", "t*x^3+x^2+1", "2")])
+def test_disc_when_p_divides_the_degree(capsys, field, expr, value):
+    assert main(["disc", "--field", field, "--", expr]) == 0
+    assert capsys.readouterr().out.strip() == value
+    f = parse_polynomial(expr, parse_field(field))
+    assert discriminant(f) == tol(f)
+
+
+def p_divides_n_cases():
+    """Separable, lc != 1, p | n: 2*(x^3-x) over F_3, whose f' = 6x^2 - 2 = 1
+    is a constant, and 2*(x-1)*(x-2)*(x-t) over F_3(t), where deg f' = 1.
+    Over F_3, lc^(n-1-deg f') = 2^2 = 1, so res(f, f') / lc gives the same
+    value; over F_3(t) that power is 2, and only lc^(n-2-deg f') gives tol."""
+    F3, F3T = prime_field(3), rational_function_field(3)
+    return [
+        (F3, RootMultiset(tuple((F3.from_int(r), 1) for r in range(3)),
+                          F3.from_int(2))),
+        (F3T, RootMultiset(((F3T.from_int(1), 1), (F3T.from_int(2), 1),
+                            (F3T.t(), 1)), F3T.from_int(2))),
+    ]
+
+
+@pytest.mark.parametrize("field,rm", p_divides_n_cases(),
+                         ids=["fp:3", "fpt:3"])
+def test_disc_is_tol_on_separable_input_when_p_divides_n(capsys, field, rm):
+    f = poly_from_roots(rm, field)
+    assert f.derivative().degree < f.degree - 1
+    assert discriminant(f) == tol_from_roots(rm, f.degree)
+    report = build_report(f)
+    assert report.disc == report.tol and report.separable
+    assert main(["report", "--field", field.text(), "--",
+                 polynomial_text(f)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["disc"] == doc["tol"] and doc["separable"] is True
+
+
+@pytest.mark.parametrize("name", ["q", "fp:5", "fp:7", "fp:10007"])
+def test_discriminant_matches_sympy(name):
+    # sympy is an optional, test-only oracle.  Its discriminant divides
+    # res(f, f') by lc once as well, so the degrees here keep p from dividing
+    # n, where that is right.
+    sympy = pytest.importorskip("sympy")
+    field = parse_field(name)
+    x = sympy.symbols("x")
+    domain = {"domain": sympy.QQ} if field.p is None else {"modulus": field.p}
+    rng = random.Random(f"sympy-discriminant/{name}")
+    checked = 0
+    while checked < 25:
+        n = rng.randint(1, 9)
+        if field.p is not None and n % field.p == 0:
+            continue
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(n)] + [Fraction(rng.choice([-3, -1, 2, 5]))]
+        if field.p is not None and coeffs[-1].numerator % field.p == 0:
+            continue
+        f = Polynomial(field, [field.from_fraction(c) for c in coeffs])
+        expr = sum(sympy.Rational(c.value.numerator, c.value.denominator)
+                   * x ** i if field.p is None else int(c.value) * x ** i
+                   for i, c in enumerate(f.coeffs))
+        want = sympy.Poly(expr, x, **domain).discriminant()
+        got = discriminant(f).value
+        if field.p is None:
+            assert got == Fraction(int(want.p), int(want.q)), str(f)
+        else:
+            assert got == int(want) % field.p, str(f)
+        checked += 1

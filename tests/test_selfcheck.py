@@ -47,3 +47,12 @@ def test_selfcheck_count_zero_is_empty_pass():
 def test_selfcheck_fpt_unsupported():
     with pytest.raises(UnsupportedFieldError):
         run_selfcheck(rational_function_field(5), seed=0, count=5)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_selfcheck_disc_when_p_divides_the_degree(p):
+    # seed 1 draws separable inputs of degree divisible by p with lc != 1,
+    # where disc needs lc^(n-2-deg f') * res(f, f'), not res(f, f') / lc
+    s = run_selfcheck(prime_field(p), seed=1, count=200)
+    assert s.ok, s.failed
+    assert s.passed["disc-when-separable"] > 0
