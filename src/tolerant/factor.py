@@ -100,11 +100,10 @@ def _int_key(g: Polynomial):
     return g.raw
 
 
-def _sqf_char0(f: Polynomial) -> dict[int, list[Polynomial]]:
-    """Yun's algorithm on a monic input."""
+def _sqf_char0(f: Polynomial, c: Polynomial) -> dict[int, list[Polynomial]]:
+    """Yun's algorithm on a monic input, with c = gcd(f, f')."""
     out: dict[int, list[Polynomial]] = {}
     df = f.derivative()
-    c = f.gcd(df)
     w = f.exact_div(c)
     z = df.exact_div(c) - w.derivative()
     i = 1
@@ -118,13 +117,12 @@ def _sqf_char0(f: Polynomial) -> dict[int, list[Polynomial]]:
     return out
 
 
-def _sqf_charp(f: Polynomial) -> dict[int, list[Polynomial]]:
-    """Characteristic-p recursion on a monic input.  The part left after
-    the loop has zero derivative, so it is C(x^p); C is decomposed in turn
-    (see the module docstring for how its parts come back)."""
+def _sqf_charp(f: Polynomial, c: Polynomial) -> dict[int, list[Polynomial]]:
+    """Characteristic-p recursion on monic f, c = gcd(f, f').  The part
+    left after the loop has zero derivative, so it is C(x^p); C is
+    decomposed in turn (the module docstring says how its parts return)."""
     p = f.field.characteristic
     out: dict[int, list[Polynomial]] = {}
-    c = f.gcd(f.derivative())
     w = f.exact_div(c)
     i = 1
     while w.degree > 0:
@@ -136,7 +134,8 @@ def _sqf_charp(f: Polynomial) -> dict[int, list[Polynomial]]:
         w = y
         i += 1
     if c.degree > 0:
-        inner = _sqf_charp(Polynomial.from_raw(f.field, c.raw[::p]))
+        C = Polynomial.from_raw(f.field, c.raw[::p])
+        inner = _sqf_charp(C, C.gcd(C.derivative()))
         for m, gs in inner.items():
             if f.field.is_perfect:
                 out.setdefault(m * p, []).extend(gs)
@@ -147,15 +146,18 @@ def _sqf_charp(f: Polynomial) -> dict[int, list[Polynomial]]:
 
 def squarefree_decomposition(f: Polynomial) -> Factorization:
     """Pairwise-coprime parts g_m with f = lc * prod g_m^m, each of the
-    shape g(x^(p^e)) with g separable (e = 0 except over F_p(t))."""
+    shape g(x^(p^e)) with g separable (e = 0 except over F_p(t)).  Its first
+    gcd is c = gcd(f, f'); ``build_report`` hands over the one that ended
+    its PRS of (f, f'), which also gave disc and gdisc's width 1."""
     if f.degree < 1:
         raise ConstantInputError("squarefree decomposition needs degree >= 1")
-    monic = f.monic()
-    if f.field.characteristic == 0:
-        parts = _sqf_char0(monic)
-    else:
-        parts = _sqf_charp(monic)
-    return _canonical(parts, f.field, f.leading_coefficient())
+    return _squarefree_with_gcd(f, f.gcd(f.derivative()))
+
+
+def _squarefree_with_gcd(f: Polynomial, c: Polynomial) -> Factorization:
+    """squarefree_decomposition of f, given c = gcd(f, f') (monic)."""
+    sqf = _sqf_char0 if f.field.characteristic == 0 else _sqf_charp
+    return _canonical(sqf(f.monic(), c), f.field, f.leading_coefficient())
 
 
 # -- factorization over F_p ---------------------------------------------------

@@ -37,8 +37,9 @@ from .errors import (DegreeMismatchError, DegreeTooSmallError,
                      InvalidFactorizationError, TolerantError,
                      ZeroConstantTermError, ZeroDiscriminantFactorError,
                      ZeroPolynomialError)
-from .factor import (Factorization, is_irreducible_prime_field,
-                     multiplicity_profile, squarefree_decomposition)
+from .factor import (Factorization, _squarefree_with_gcd,
+                     is_irreducible_prime_field, multiplicity_profile,
+                     squarefree_decomposition)
 from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial, RootMultiset
 from .resultant import (discriminant, discriminant_and_gcd, resultant_in_u,
@@ -96,14 +97,20 @@ def gdisc(f: Polynomial) -> FieldElement:
     checked exact, and a block whose elimination vanishes raises, so a wrong
     gcd gives the same value or an ArithmeticError.  The gcds are of f with
     its own derivatives, not the factorization tol reads, so gdisc stays an
-    independent check."""
+    independent check.  ``build_report`` runs that PRS once for disc, gdisc
+    and the squarefree decomposition, and hands its pair to ``_gdisc_from``."""
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
-    n = f.degree
-    if n < 2:
+    if f.degree < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
+    return _gdisc_from(f, *discriminant_and_gcd(f))
+
+
+def _gdisc_from(f: Polynomial, disc: FieldElement,
+                g_j: Polynomial) -> FieldElement:
+    """gdisc of f, n >= 2, from (disc, g_j = g_1) of discriminant_and_gcd."""
+    n = f.degree
     lc = f.leading_coefficient()
-    disc, g_j = discriminant_and_gcd(f)     # g_j = g_1 = gcd(f, f')
     if disc:
         return tol_variant("gdisc", lc, n, disc)    # disc = tol, separable f
     g, blocks = f.monic(), []
@@ -414,7 +421,9 @@ def build_report(f: Polynomial,
     from tol.  gdisc is the elimination: one scalar resultant at width 1,
     which settles separable input, and on repeated roots one u-resultant per
     block of its gcd chain (see gdisc); paths_agree compares it with
-    (-1)^C(n,2) * tol."""
+    (-1)^C(n,2) * tol.  The PRS of (f, f') runs once; its disc and g_1 =
+    gcd(f, f') serve disc, gdisc's width 1 and the decomposition, and
+    gdisc checks g_1 by exact division: a wrong g_1 fakes no agreement."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):
@@ -435,8 +444,10 @@ def build_report(f: Polynomial,
         except TolerantError as exc:
             fac_error = ErrorRecord("factorization", exc.code, str(exc))
             fac = None
+    disc, g_1 = discriminant_and_gcd(f) if f.degree >= 2 else (None, None)
     if fac is None and f.degree >= 1:
-        fac = squarefree_decomposition(f)
+        fac = (squarefree_decomposition(f) if g_1 is None
+               else _squarefree_with_gcd(f, g_1))
 
     # Without a factorization f is zero or constant, and the library
     # functions give the value or record the precondition error.
@@ -447,8 +458,9 @@ def build_report(f: Polynomial,
     report.dupl = attempt("dupl", lambda: dupl(f) if t is None
                           else tol_variant("dupl", f.leading_coefficient(),
                                            f.degree, t))
-    report.gdisc = attempt("gdisc", lambda: gdisc(f))
-    d = attempt("disc", lambda: discriminant(f))
+    report.gdisc = attempt("gdisc", lambda: gdisc(f) if g_1 is None
+                           else _gdisc_from(f, disc, g_1))
+    d = attempt("disc", lambda: discriminant(f) if g_1 is None else disc)
     if d is None:
         report.separable = attempt("separable", lambda: f.is_separable())
     else:

@@ -40,35 +40,41 @@ def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
     return FieldElement(f.field, ops.rebuild(res, scale))
 
 
-def discriminant_and_gcd(f: Polynomial) -> tuple[FieldElement, Polynomial]:
-    """(disc(f), gcd(f, f')) from the one subresultant PRS of (f, f').
-
+def _discriminant(f: Polynomial) -> tuple[FieldElement, list | None]:
+    """disc(f) from the subresultant PRS of (f, f'), and when it is 0 and
+    f' != 0 the sequence's last nonzero remainder, cleared (else None).
     res(f, f') reads f' at its exact degree, which is below n - 1 when p
-    divides n, so disc(f) = (-1)^C(n,2) * lc^(n-2-deg f') * res(f, f').
-    The gcd is monic: 1 when disc(f) != 0, else the sequence's last nonzero
-    remainder made monic.  f' = 0 gives (0, f.monic())."""
+    divides n, so disc(f) = (-1)^C(n,2) * lc^(n-2-deg f') * res(f, f')."""
     n = f.degree
     if n < 1:
         raise ConstantInputError("discriminant needs degree >= 1")
     field, ops = f.field, f.field.ops
     df = f.derivative()
     if df.is_zero():
-        return field.zero(), f.monic()
+        return field.zero(), None
     fc, d_f = cleared(f.raw, ops)
     gc, d_g = cleared(df.raw, ops)
     res, last = subresultant(fc, gc, ops.ring)
     if not res:
-        return field.zero(), Polynomial.from_raw(field,
-                                                 monic_rebuilt(last, ops))
+        return field.zero(), last
     scale = _scale(d_f, df.degree, d_g, n, ops.ring)
     value = (FieldElement(field, ops.rebuild(res, scale))
              * f.leading_coefficient() ** (n - 2 - df.degree))
-    return (-value if (n * (n - 1) // 2) % 2 else value), Polynomial.one(field)
+    return (-value if (n * (n - 1) // 2) % 2 else value), None
+
+
+def discriminant_and_gcd(f: Polynomial) -> tuple[FieldElement, Polynomial]:
+    """(disc(f), monic gcd(f, f')) from the one subresultant PRS of (f, f'):
+    the gcd is 1 when disc(f) != 0, and f.monic() when f' = 0."""
+    disc, last = _discriminant(f)
+    if disc or last is None:            # separable, or f' = 0
+        return disc, Polynomial.one(f.field) if disc else f.monic()
+    return disc, Polynomial.from_raw(f.field, monic_rebuilt(last, f.field.ops))
 
 
 def discriminant(f: Polynomial) -> FieldElement:
     """disc(f) = lc^(2n-2) * prod_{i<j} (r_i - r_j)^2; zero when f' = 0."""
-    return discriminant_and_gcd(f)[0]
+    return _discriminant(f)[0]
 
 
 def resultant_in_u(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:

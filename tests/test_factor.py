@@ -319,3 +319,30 @@ def test_gcd_and_squarefree_parts_match_sympy(name):
             sympy.Poly(lead, x, **domain)).leading_coefficient()
         assert {m: h for h, m in fac.factors} == {
             m: from_sympy(part).monic() for part, m in parts}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007])
+def test_prime_field_factorization_matches_sympy(p):
+    # sympy's Poly.factor_list over GF(p) is the oracle, on products of
+    # random factors with repeated ones (multiplicities p and p + 1 too,
+    # where p is small enough)
+    sympy = pytest.importorskip("sympy")
+    field = prime_field(p)
+    x = sympy.Symbol("x")
+    rng = random.Random(f"sympy-factor/{p}")
+    exponents = [1, 2, 3] + ([p, p + 1] if p <= 7 else [])
+
+    def key(pairs):
+        return sorted((tuple(int(c) % p for c in coeffs), m)
+                      for coeffs, m in pairs)
+
+    for _ in range(10):
+        f = _random_factor(field, rng, 0)
+        for _ in range(3):
+            g = _random_factor(field, rng, rng.randint(1, 3))
+            f = f * g ** rng.choice(exponents)
+        fac = factor_prime_field(f, seed=rng.randrange(100))
+        lead, parts = sympy.Poly(f.raw[::-1], x, modulus=p).factor_list()
+        assert fac.unit == field.from_int(int(lead))
+        assert key((g.raw, m) for g, m in fac.factors) == key(
+            (part.monic().all_coeffs()[::-1], m) for part, m in parts)

@@ -226,6 +226,32 @@ def test_gdisc_eliminates_at_width_one_then_once_per_block(
     assert seen == calls
 
 
+_REAL_GCD = Polynomial.gcd
+
+
+def wrong_gcd(a, b, choice, rng):
+    """One of seven kinds of result for gcd(a, b), by choice: the true gcd
+    d, d not monic, 1, a itself, d times a factor of a / d, a proper factor
+    of d, and d times a linear non-divisor."""
+    real = _REAL_GCD
+    d = real(a, b)
+    F, x = a.field, Polynomial.x(a.field)
+    if choice == 0:
+        return d
+    if choice == 1:
+        return d.scale(F.from_int(2)) if F.characteristic != 2 else d
+    if choice == 2:
+        return Polynomial.one(F)
+    if choice == 3:
+        return a                        # no drop
+    if choice == 4:                     # d times a factor of a / d
+        q = a.exact_div(d)
+        return d * real(q, q.derivative() + x)
+    if choice == 5:                     # a proper factor of d, if any
+        return real(d, d.derivative()) if d.degree > 0 else d
+    return d * (x + Polynomial.constant(F, rng.randrange(1, 5)))
+
+
 def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
     """gdisc checks its gcd chain instead of trusting it: with gcds that
     return wrong divisors, non-divisors, non-monic or constant results,
@@ -234,27 +260,10 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
     cases = [(case_id, f) for case_id, f in WIDTH_CASES
              if f.degree <= 8 and not f.is_separable()]
     expected = {case_id: gdisc(f) for case_id, f in cases}
-    real = Polynomial.gcd
     rng = random.Random(12)
 
     def wrong(a, b):
-        d = real(a, b)
-        F, x = a.field, Polynomial.x(a.field)
-        choice = rng.randrange(7)
-        if choice == 0:
-            return d
-        if choice == 1:
-            return d.scale(F.from_int(2)) if F.characteristic != 2 else d
-        if choice == 2:
-            return Polynomial.one(F)
-        if choice == 3:
-            return a                        # no drop
-        if choice == 4:                     # d times a factor of a / d
-            q = a.exact_div(d)
-            return d * real(q, q.derivative() + x)
-        if choice == 5:                     # a proper factor of d, if any
-            return real(d, d.derivative()) if d.degree > 0 else d
-        return d * (x + Polynomial.constant(F, rng.randrange(1, 5)))
+        return wrong_gcd(a, b, rng.randrange(7), rng)
 
     real_disc_gcd = invariants.discriminant_and_gcd
 
@@ -275,6 +284,52 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
                 assert value == expected[case_id], case_id
                 outcomes["value"] += 1
     assert outcomes["value"] > 50 and outcomes["error"] > 50
+
+
+def test_wrong_width_one_results_never_agree_on_a_wrong_tol(monkeypatch):
+    """build_report hands the one PRS of (f, f'), (disc, g_1), to disc,
+    gdisc and the squarefree decomposition.  With each kind of wrong g_1,
+    the report raises (ArithmeticError from an inexact division, or
+    InvalidFactorizationError on parts that are not monic), or its gdisc
+    keeps the true value and paths_agree is true only on the true tol.  A wrong nonzero disc on separable input
+    makes gdisc wrong and paths_agree false."""
+    cases = [(case_id, f) for case_id, f in WIDTH_CASES if f.degree <= 8]
+    truth = {case_id: (tol(f), gdisc(f)) for case_id, f in cases}
+    real_disc_gcd = invariants.discriminant_and_gcd
+    rng = random.Random(13)
+    outcomes = {"raised": 0, "right": 0, "caught": 0}
+    for choice in range(7):
+        def wrong_g1(f):
+            d, g_1 = real_disc_gcd(f)
+            return d, (g_1 if d
+                       else wrong_gcd(f.monic(), f.derivative(), choice, rng))
+
+        monkeypatch.setattr(invariants, "discriminant_and_gcd", wrong_g1)
+        for case_id, f in cases:
+            t, g = truth[case_id]
+            try:
+                report = build_report(f)
+            except (ArithmeticError, InvalidFactorizationError):
+                outcomes["raised"] += 1
+                continue
+            assert report.gdisc in (None, g), (choice, case_id)
+            if report.tol == t:
+                outcomes["right"] += 1
+            else:
+                assert report.paths_agree is not True, (choice, case_id)
+                outcomes["caught"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+    def wrong_disc(f):
+        d, g_1 = real_disc_gcd(f)
+        return d * f.field.from_int(2), g_1
+
+    monkeypatch.setattr(invariants, "discriminant_and_gcd", wrong_disc)
+    separable = [f for _, f in cases if f.is_separable()]
+    assert len(separable) > 5
+    for f in separable:
+        report = build_report(f)
+        assert report.paths_agree is False or report.errors, f
 
 
 def test_dupl_is_lc_squared_times_tol(Q):

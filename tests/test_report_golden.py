@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from tolerant import factor, invariants, parse_field, parse_polynomial
+from tolerant import (Polynomial, factor, invariants, parse_field,
+                      parse_polynomial)
 from tolerant.cli import main
 
 GOLDEN = [
@@ -173,9 +174,10 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     # Coprimality and separability are checked by the formula's own cross
     # resultants and part discriminants, on the squarefree decomposition
     # and on a caller's factorization alike.  Outside the formula the
-    # report takes only disc(f).
+    # report takes disc(f) only where gdisc is undefined; elsewhere disc is
+    # gdisc's width-1 value.
     assert coprime_checks == []
-    assert outside == [0, 1]
+    assert outside == [0, int(report["gdisc"] is None)]
     for k, resultants, discriminants, returned in formula_calls:
         pairs = k * (k - 1) // 2
         if returned:
@@ -191,3 +193,35 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
                    for e in report["errors"])
     expected_calls = 1 + rejected if report["degree"] else 0
     assert len(formula_calls) == expected_calls
+
+
+@pytest.mark.parametrize(
+    "field,flags,expr",
+    [c[:3] for c in GOLDEN if (json.loads(c[3])["degree"] or 0) >= 2],
+    ids=[f"{c[0]}:{c[2]}{''.join(c[1])}" for c in GOLDEN
+         if (json.loads(c[3])["degree"] or 0) >= 2])
+def test_report_runs_the_prs_of_f_and_its_derivative_once(
+        capsys, monkeypatch, field, flags, expr):
+    """From degree 2 on, one ``discriminant_and_gcd`` call serves disc,
+    gdisc's width 1 and the squarefree decomposition, which never takes
+    gcd(f, f') again.  (When f' = 0 there is no PRS to repeat: gcd(g, 0) is
+    g made monic, and gdisc's chain takes it where D^j f vanishes.)"""
+    f = parse_polynomial(expr, parse_field(field))
+    pairs = [(g, g.derivative()) for g in (f, f.monic()) if g.derivative()]
+    shared, gcds = [], []
+    real_shared, real_gcd = invariants.discriminant_and_gcd, Polynomial.gcd
+
+    def counting_shared(g):
+        shared.append(g)
+        return real_shared(g)
+
+    def recording_gcd(a, b):
+        gcds.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(invariants, "discriminant_and_gcd", counting_shared)
+    monkeypatch.setattr(Polynomial, "gcd", recording_gcd)
+    assert main(["report", "--field", field, *flags, "--", expr]) == 0
+    capsys.readouterr()
+    assert shared == [f]
+    assert not any(pair in pairs or pair[::-1] in pairs for pair in gcds)
