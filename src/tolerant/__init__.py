@@ -18,8 +18,9 @@ from .field import (FieldDescriptor, FieldElement, FieldKind, parse_field,
                     prime_field, rational_function_field, rationals)
 from .invariants import (REPEATED_ROOT, UNDEFINED, ErrorRecord,
                          FactorFormula, InvariantReport, build_report, dupl,
-                         gdisc, homothety_exponent, in_T, inversion_criterion,
-                         tol, tol_from_factorization, tol_from_roots,
+                         gdisc, gdisc_by_elimination, homothety_exponent,
+                         in_T, inversion_criterion, tol,
+                         tol_from_factorization, tol_from_roots,
                          tol_irreducible)
 from .parsing import (factorization_text, parse_polynomial, polynomial_text)
 from .poly import (NEG_INFINITY, Polynomial, RootMultiset, SeparableForm,
@@ -43,6 +44,7 @@ __all__ = [
     "ZeroInputError", "ZeroPolynomialError",
     "ZeroScaleError", "build_report", "discriminant", "dupl",
     "factor_prime_field", "factorization_text", "gdisc",
+    "gdisc_by_elimination",
     "homothety_exponent", "in_T", "inversion_criterion",
     "is_irreducible_prime_field", "multiplicity_profile", "parse_field",
     "parse_polynomial", "poly_from_roots", "polynomial_text", "prime_field",

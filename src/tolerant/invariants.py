@@ -3,22 +3,20 @@
 tol is computed factorization-first: the squarefree decomposition of f has
 parts g(x^(p^e))^m with g separable, and the CORRECTED per-factor formula
 turns it into the collision product.  That route works uniformly over Q,
-F_p, and F_p(t), including inseparable inputs.  gdisc stays the paper's
-elimination: eliminate x from f and the weighted sum of its Hasse
-derivatives, take the lowest nonzero u-coefficient, and normalize.  The sum
-is cut at width w >= M, the largest root multiplicity, which leaves the
-value unchanged; a nonzero result certifies w >= M.  Width 1, res(f, f'),
-is one scalar PRS that runs first and settles separable f.  Otherwise it
-ends on g_1 = gcd(f, f'), the first link of a gcd chain of f with its Hasse
-derivatives that splits f into blocks, and since resultants are
-multiplicative in f, one small elimination per block, against the sum
-reduced mod that block, replaces the elimination against f.
+F_p, and F_p(t), including inseparable inputs.  gdisc reads the paper's
+elimination off its leading terms: one scalar resultant res(q_m, D^m f) per
+root multiplicity m, where q_m, the part of f on the roots of multiplicity
+exactly m, comes from a gcd chain of f with its Hasse derivatives.  Width 1,
+res(f, f'), is one scalar PRS that runs first and settles separable f, and
+ends on g_1 = gcd(f, f'), the first link of that chain.  The paper's
+elimination itself, eliminating x from f and the weighted sum of its Hasse
+derivatives, stays as ``gdisc_by_elimination``, the check path.
 
 Alternative routes (root products, and the per-factor formulas of the paper
 next to the corrected one) are implemented independently so the paths can
 cross-validate each other; tol_irreducible is the corrected formula on a
 single factor.  `build_report` computes each quantity once and
-runs the elimination as its one independent check.
+runs gdisc as its one independent check.
 
 `FactorFormula.PAPER_GENERAL` evaluates the uncorrected per-factor closed
 form, which disagrees with the defining root product on inputs mixing
@@ -61,58 +59,130 @@ def gdisc(f: Polynomial) -> FieldElement:
     """Resultant-route collision invariant, normalized so that
     gdisc(f) = (-1)^C(n,2) * tol(f) holds identically.
 
-    The value is read off res_x(f, G_w), G_w = sum_{i=1..w} u^(i-1) D^i f,
-    the paper's G = G_n cut at w >= M, the largest root multiplicity.  A
-    root r of multiplicity m has D^i f(r) = 0 for i < m and D^m f(r) != 0,
-    so for w >= M, G_w(r, u) = u^(m-1) (D^m f(r) + O(u)): u-valuation
-    exactly m - 1, with the same witness coefficient as under G.
-    res_x(f, G_w) = lc^d * prod_r G_w(r, u)^(m_r), d the x-degree of G_w,
-    and the trailing coefficient tc of the product, at u-valuation k,
-    encodes the collision product:
+    The paper reads it off the lowest u-coefficient of res_x(f, G) (see
+    gdisc_by_elimination): a root r of multiplicity m has D^i f(r) = 0 for
+    i < m and D^m f(r) != 0, so G(r, u) = u^(m-1) (D^m f(r) + O(u)).
+    Grouped by multiplicity, that coefficient needs no u:
 
-        tc = (-1)^(sum_{i<j} m_i m_j) * lc^n * prod_{i<j} (r_i - r_j)^(2 m_i m_j)
+        gdisc = (-1)^(k/2) * lc^(n-2) * prod_m res(q_m, D^m f),
+        k = sum_m (m - 1) deg q_m,
 
-    with k = sum_i m_i (m_i - 1) (always even) and sum_{i<j} m_i m_j =
-    C(n,2) - k/2.  Hence gdisc = (-1)^(k/2) * lc^(n-2) * tc, whichever
-    w >= M ran.  For w < M a root with m > w makes G_w(r, u) vanish, so a
-    nonzero product certifies w >= M.
+    q_m the monic part of f on its roots of multiplicity exactly m, at full
+    multiplicity.  Width 1 runs first: on separable f, gdisc = (-1)^C(n,2)
+    * disc(f) from the one PRS of ``discriminant_and_gcd``.  Otherwise that
+    PRS ends on g_1 = gcd(f, f') (g_0 when f' = 0), and the chain g_0 =
+    f.monic(), g_j = gcd(g_(j-1), D^j f) runs to the first constant g_M; the
+    roots of g_j are those of multiplicity > j, in any characteristic.
 
-    Width 1 runs first and certifies itself on separable f: G_1 = f' has
-    u-degree 0, so res_x(f, G_1) is the scalar res(f, f'), and at k = 0
-    gdisc = (-1)^C(n,2) * disc(f), from the one PRS of
-    ``discriminant_and_gcd``.  When disc(f) vanishes, that PRS ends on
-    g_1 = gcd(f, f') (g_1 = g_0 when f' = 0), and the gcd chain
-    g_0 = f.monic(), g_j = gcd(g_(j-1), D^j f) runs on from j = 2 to the
-    first constant g_M.  It splits g_0 into the blocks h_j = g_(j-1) /
-    g_j where the degree drops.  The product over the roots is
-    multiplicative in that split, and for monic h_j only G_M mod h_j
-    matters:
+    - Radical form, over Q and for n < p, where the Hasse binomials C(m, j),
+      j <= m, are nonzero: the blocks h_j = g_(j-1) / g_j are the radicals
+      of the roots of multiplicity >= j, so q_m = rad_m^m with rad_m =
+      h_m / h_(m+1).  A g_(j-1) dividing h_(j-1) is squarefree: g_j = 1.
+    - Split form, any field: where deg g_j drops, a_(j+1) is the part of
+      a_j on the roots of g_j (a_1 = f.monic()) and q_j = a_j / a_(j+1).
 
-        prod_r G_M(r, u)^(m_r) = prod_j res_x(h_j, G_M mod h_j),
+    The value rests on no gcd.  Every gcd result is made monic, so a scalar
+    multiple leaves no constant part to scale the value; every division is
+    checked exact, every res(q_m, D^m f) nonzero.  Radical: f.monic() =
+    prod_m rad_m^m, and a root r in rad_i has D^i f(r) = 0 unless i >= m_r,
+    so it sits once in rad_(m_r).  Split: each g_j is checked to divide
+    D^j f, so a root of q_j has multiplicity >= j, capped at j by D^j f(r)
+    != 0.  A wrong gcd thus gives the same value or an ArithmeticError.
+    gdisc's chain is its own, so it stays independent of tol's
+    factorization; ``build_report`` hands it the pair of its one PRS."""
+    return _gdisc_from(f, *_width_one(f))
 
-    one small elimination per block.  h_j divides D^i f for i < j, so at
-    least j - 1 leading u-coefficients of G_M mod h_j are zero; they are
-    counted and dropped, each adding deg h_j to the valuation.  The value
-    rests on nothing else: every division of the chain, g_1's included, is
-    checked exact, and a block whose elimination vanishes raises, so a wrong
-    gcd gives the same value or an ArithmeticError.  The gcds are of f with
-    its own derivatives, not the factorization tol reads, so gdisc stays an
-    independent check.  ``build_report`` runs that PRS once for disc, gdisc
-    and the squarefree decomposition, and hands its pair to ``_gdisc_from``."""
+
+def _width_one(f: Polynomial) -> tuple[FieldElement, Polynomial]:
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
     if f.degree < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
-    return _gdisc_from(f, *discriminant_and_gcd(f))
+    return discriminant_and_gcd(f)
 
 
 def _gdisc_from(f: Polynomial, disc: FieldElement,
                 g_j: Polynomial) -> FieldElement:
     """gdisc of f, n >= 2, from (disc, g_j = g_1) of discriminant_and_gcd."""
-    n = f.degree
+    n, p = f.degree, f.field.p
     lc = f.leading_coefficient()
     if disc:
         return tol_variant("gdisc", lc, n, disc)    # disc = tol, separable f
+    radical, one = p is None or n < p, Polynomial.one(f.field)
+    a = g = f.monic()
+    chain = []                      # (h_j, D^j f, g_j) for j = 1..M
+    for j in range(1, n + 1):
+        d = r = f.hasse_derivative(j)
+        if j > 1 and radical:       # g_(j-1) | h_(j-1): squarefree
+            g_j = g.gcd(d) if h % g else one
+        elif j > 1:                 # no drop where g_(j-1) | D^j f
+            r = d % g if d else d
+            g_j = g.gcd(r) if r else g
+        g_j = g_j.monic()
+        if not radical and r:
+            r.exact_div(g_j)        # so g_j | D^j f
+        h = g.exact_div(g_j) if g_j != g else one
+        chain.append((h, d, g_j))
+        g = g_j
+        if g.degree < 1:
+            break
+    else:
+        raise ArithmeticError("gcd chain did not reach a constant")
+    k, tc = 0, lc ** (n - 2)
+    for m, (h, d, g_m) in enumerate(chain, 1):
+        if radical:             # q_m = rad_m^m, rad_m = h_m / h_(m+1)
+            e, q = m, h.exact_div(chain[m][0] if m < len(chain) else one)
+        elif h.degree > 0:      # q_m = a_m / a_(m+1)
+            e, (a, q) = 1, _split(a, g_m)
+        else:
+            continue
+        if q.degree > 0:
+            v = sylvester_resultant(q, d) if d else None
+            if not v:
+                raise ArithmeticError("res(q_m, D^m f) vanished")
+            k += (m - 1) * e * q.degree
+            tc = tc * v ** e
+    return -tc if (k // 2) % 2 else tc          # (-1)^(k/2) * tc, k even
+
+
+def _split(a: Polynomial, c: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(the part of a on the roots of c, the rest of a), for monic a and c:
+    divide by c while exact, then by gcd(rest, c), which must shrink."""
+    part = Polynomial.one(a.field)
+    while c.degree > 0 and a.degree > 0:
+        q, r = divmod(a, c)
+        if not r:
+            part, a = part * c, q
+            continue
+        c_next = a.gcd(c).monic()
+        if c_next.degree >= c.degree:
+            raise ArithmeticError("gcd(rest, c) did not shrink")
+        c.exact_div(c_next)
+        c = c_next
+    return part, a
+
+
+def gdisc_by_elimination(f: Polynomial) -> FieldElement:
+    """gdisc by the paper's elimination, the check path that tests and
+    ``selfcheck`` compare gdisc with; no report runs it.
+
+    res_x(f, G_w), G_w = sum_{i=1..w} u^(i-1) D^i f, is lc^d * prod_r
+    G_w(r, u)^(m_r) with d the x-degree of G_w.  For w >= M, the largest
+    root multiplicity, the product's trailing coefficient tc sits at
+    u-valuation k = sum_r m_r (m_r - 1) and gdisc = (-1)^(k/2) * lc^(n-2) *
+    tc (see gdisc); for w < M it vanishes, so a nonzero product certifies
+    w >= M.  Past width 1 the chain g_j = gcd(g_(j-1), D^j f) splits
+    f.monic() into the blocks h_j = g_(j-1) / g_j where the degree drops,
+    and for monic h_j the product is prod_j res_x(h_j, G_M mod h_j), one
+    small elimination per block.  h_j divides D^i f for i < j, so the
+    leading u-coefficients of G_M mod h_j that vanish are counted and
+    dropped, each adding deg h_j to k.  Every division is checked exact
+    and a vanishing block raises."""
+    disc, g_j = _width_one(f)
+    n = f.degree
+    lc = f.leading_coefficient()
+    if disc:
+        return tol_variant("gdisc", lc, n, disc)
     g, blocks = f.monic(), []
     derivatives = [f.hasse_derivative(1)]
     # g_j = gcd(g_(j-1), D^j f) keeps the roots of multiplicity > j
@@ -418,12 +488,13 @@ def build_report(f: Polynomial,
     factorization that fails only the F_p irreducibility test keeps its tol;
     the rest of the report then reads the squarefree decomposition.  No
     separate coprimality test runs.  dupl, the sign law and in_T are derived
-    from tol.  gdisc is the elimination: one scalar resultant at width 1,
-    which settles separable input, and on repeated roots one u-resultant per
-    block of its gcd chain (see gdisc); paths_agree compares it with
-    (-1)^C(n,2) * tol.  The PRS of (f, f') runs once; its disc and g_1 =
-    gcd(f, f') serve disc, gdisc's width 1 and the decomposition, and
-    gdisc checks g_1 by exact division: a wrong g_1 fakes no agreement."""
+    from tol.  gdisc takes one scalar resultant at width 1, which settles
+    separable input, and on repeated roots one scalar resultant per root
+    multiplicity over its own gcd chain (see gdisc); no u-resultant runs.
+    paths_agree compares gdisc with (-1)^C(n,2) * tol.  The PRS of (f, f')
+    runs once; its disc and g_1 = gcd(f, f') serve disc, gdisc's width 1
+    and the decomposition, and gdisc checks g_1 by exact division: a wrong
+    g_1 fakes no agreement."""
     report = InvariantReport(input=f, field=f.field)
 
     def attempt(op, fn):

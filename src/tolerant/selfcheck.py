@@ -16,8 +16,8 @@ from typing import Optional
 from .errors import UnsupportedFieldError
 from .factor import Factorization, is_irreducible_prime_field
 from .field import FieldDescriptor, FieldElement, FieldKind
-from .invariants import (FactorFormula, dupl, gdisc, in_T,
-                         homothety_exponent, inversion_criterion, tol,
+from .invariants import (FactorFormula, dupl, gdisc, gdisc_by_elimination,
+                         in_T, homothety_exponent, inversion_criterion, tol,
                          tol_from_factorization, tol_from_roots)
 from .parsing import polynomial_text
 from .poly import Polynomial, RootMultiset, poly_from_roots
@@ -156,6 +156,9 @@ def _check_instance(f: Polynomial, fac: Factorization,
         g = gdisc(f)
         signed = -t if (f.degree * (f.degree - 1) // 2) % 2 else t
         check("sign-law", g == signed, g, signed)
+        # the paper's elimination, which no report runs
+        e = gdisc_by_elimination(f)
+        check("elimination", e == g, e, g)
 
     lc = f.leading_coefficient()
     dp = dupl(f)

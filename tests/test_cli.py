@@ -300,11 +300,15 @@ def test_report_on_short_high_degree_input_finishes(argv):
     ("gdisc", "(x^3+x+1)^12"),
     ("gdisc", "x^2401+1", "--field", "fp:7"),
     ("report", "(x^3-t)^4*(x+t)^5", "--field", "fpt:3"),
-], ids=["q-M30", "q-M12", "fp:7-sparse", "fpt:3-report"])
+    ("gdisc", "(x^20+3*x^7-5*x^3+2*x+7)^6*(x^10-x^3+4)^3"),
+    ("gdisc", "(x^7-2)^5*(x^9-3)^3*(x^4+5)^2"),
+], ids=["q-M30", "q-M12", "fp:7-sparse", "fpt:3-report", "q-dense-M6",
+        "q-binomials-M5"])
 def test_gdisc_on_high_multiplicity_input_finishes(argv):
     # Repeated roots of multiplicity near the degree, where one elimination
-    # against G cut at M ran for tens of seconds or more; gdisc now
-    # eliminates once per block of its gcd chain.
+    # against G cut at M ran for tens of seconds or more, and dense Q input
+    # whose block eliminations over Z[u] ran for seconds; gdisc now takes
+    # one scalar resultant per multiplicity.
     out = run_in_subprocess(*argv)
     field = parse_field(argv[3] if len(argv) > 2 else "q")
     f = parse_polynomial(argv[1], field)

@@ -123,9 +123,10 @@ def full_width_gdisc(f):
 
 
 def width_cases():
-    """Fixed inputs, and seeded ones of degree <= 10, on Q, F_3, F_7, F_3(t)
-    and F_5(t): separable (also where p divides n), repeated roots up to
-    M = n, inseparable parts, and f' = 0; each with a test id."""
+    """Fixed inputs of degree <= 12, and seeded ones of degree <= 10, on Q,
+    F_3, F_7, F_2(t), F_3(t) and F_5(t): separable (also where p divides n),
+    repeated roots up to M = n and at M = p and p + 1, inseparable parts,
+    and f' = 0; each with a test id."""
     fixed = [
         ("q", "x^3+x+1"), ("q", "(x+1)^3*(x-2)"), ("q", "(x^2+1)^2*(x-3)^4"),
         ("q", "3*(x-1/2)^5*(x+2)"), ("fp:7", "x^7-1"), ("fp:7", "(x^2+1)^7"),
@@ -148,6 +149,11 @@ def width_cases():
         ("fpt:3", "(x^3-t)^2*(x^3+t)"), ("fpt:3", "t*(x+t)^4*(x-1)^2"),
         ("fpt:5", "(x^5-t)*(x-1)^4"), ("fpt:5", "(x-t)^6*(x+1)"),
         ("fpt:5", "(x^2-t)^4"),
+        # multiplicities p and p + 1, where the blocks h_j are not radicals
+        # and gdisc takes its split form; F_2 and F_2(t)
+        ("fp:3", "(x-1)^3*(x+1)^4"), ("fpt:2", "(x^2+t)^3*(x+t)^4"),
+        ("fpt:2", "(x^2+t*x+1)^2*(x+t)^3"), ("fpt:5", "(x-t)^5*(x^5-t)"),
+        ("fp:7", "(x-1)^8*(x+2)^3"),
     ]
     cases = [(f"{name}:{text}", parse_polynomial(text, parse_field(name)))
              for name, text in fixed]
@@ -180,6 +186,7 @@ WIDTH_CASES = width_cases()
 def test_gdisc_matches_the_full_width_elimination(f):
     value = gdisc(f)
     assert value == full_width_gdisc(f)
+    assert value == invariants.gdisc_by_elimination(f)
     assert value == tol_variant("gdisc", f.leading_coefficient(), f.degree,
                                 tol(f))
 
@@ -195,35 +202,44 @@ def test_elimination_vanishes_exactly_below_the_largest_multiplicity(f):
 
 
 @pytest.mark.parametrize("field,text,calls", [
-    ("q", "x^3+x+1", [(3, 1)]),
-    # blocks (x+1)(x-2), x+1, x+1; on x+1, D^1 f and D^2 f reduce to zero
-    ("q", "(x+1)^3*(x-2)", [(4, 1), (2, 3), (1, 1), (1, 1)]),
-    ("q", "(x-1)^2*(x+1)^2", [(4, 1), (2, 1), (2, 1)]),
-    # f' = 0: the width-1 call returns disc = 0 and g_1 = f.monic(); the
-    # chain drops at j = 3 and j = 6 only
-    ("fpt:3", "(x^3-t)^2*(x^3+t)", [(9, 1), (6, 4), (3, 1)]),
-    # blocks x-1, x-1, x^3-t: x^3-t divides f' and D^2 f
-    ("fpt:3", "(x^3-t)*(x-1)^2", [(5, 1), (1, 1), (1, 1), (3, 1)])])
-def test_gdisc_eliminates_at_width_one_then_once_per_block(
+    ("q", "x^3+x+1", [(3, "width 1")]),
+    # radical form: rad_1 = x-2 against D^1 f, rad_3 = x+1 against D^3 f
+    ("q", "(x+1)^3*(x-2)", [(4, "width 1"), (1, 3), (1, 1)]),
+    ("q", "(x-1)^2*(x+1)^2", [(4, "width 1"), (2, 2)]),
+    # split form (n >= p), f' = 0: q_3 = x^3+t, q_6 = (x^3-t)^2, and
+    # D^6 f = 2 is a constant
+    ("fpt:3", "(x^3-t)^2*(x^3+t)", [(9, "width 1"), (3, 3), (6, 0)]),
+    # split form: q_2 = (x-1)^2, q_3 = x^3-t
+    ("fpt:3", "(x^3-t)*(x-1)^2", [(5, "width 1"), (2, 3), (3, 2)])])
+def test_gdisc_takes_one_scalar_resultant_per_multiplicity(
         monkeypatch, field, text, calls):
-    """Each call as (deg of the eliminated polynomial, u-width of G): the
-    width-1 call is the scalar PRS of ``discriminant_and_gcd(f)``, the
-    block calls are ``resultant_in_u``."""
+    """The width-1 call is the scalar PRS of ``discriminant_and_gcd(f)``, as
+    (deg f, "width 1"); on repeated roots there follows one
+    ``sylvester_resultant`` per root multiplicity m, as (deg q_m, deg D^m f)
+    with q_m in its radical or split form, and no ``resultant_in_u``."""
     seen = []
-    real_u, real_1 = invariants.resultant_in_u, invariants.discriminant_and_gcd
+    real_r = invariants.sylvester_resultant
+    real_1 = invariants.discriminant_and_gcd
 
-    def counting_u(f, G):
-        seen.append((f.degree, max(i for i, c in enumerate(G) if c) + 1))
-        return real_u(f, G)
+    def counting_r(q, d):
+        seen.append((q.degree, d.degree))
+        return real_r(q, d)
 
     def counting_1(f):
-        seen.append((f.degree, 1))
+        seen.append((f.degree, "width 1"))
         return real_1(f)
 
-    monkeypatch.setattr(invariants, "resultant_in_u", counting_u)
+    def no_u(*args):
+        raise AssertionError("gdisc ran the u-resultant")
+
+    monkeypatch.setattr(invariants, "sylvester_resultant", counting_r)
     monkeypatch.setattr(invariants, "discriminant_and_gcd", counting_1)
-    gdisc(parse_polynomial(text, parse_field(field)))
+    monkeypatch.setattr(invariants, "resultant_in_u", no_u)
+    f = parse_polynomial(text, parse_field(field))
+    gdisc(f)
     assert seen == calls
+    assert len(calls) - 1 == (0 if f.is_separable()
+                              else len(multiplicity_profile(f)))
 
 
 _REAL_GCD = Polynomial.gcd
@@ -284,6 +300,38 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
                 assert value == expected[case_id], case_id
                 outcomes["value"] += 1
     assert outcomes["value"] > 50 and outcomes["error"] > 50
+
+
+@pytest.mark.parametrize("field,text", [
+    ("fp:7", "(x-1)^8*(x+2)^3"), ("fpt:3", "(x^3-t)^2"),
+    ("fpt:3", "(x^3-t)^2*(x^3+t)"), ("q", "(x-1)^2*(x+1)^2")])
+def test_scalar_multiple_gcds_scale_no_value(monkeypatch, field, text):
+    """A gcd d of positive degree that equals one of its arguments made
+    monic comes back as 2 * d, from Polynomial.gcd and as g_1 of the width-1
+    PRS.  That passes every divisibility check, and unless gdisc makes it
+    monic it leaves a constant part 2 whose resultant scales the value.
+    gdisc gives the true value or an ArithmeticError."""
+    f = parse_polynomial(text, parse_field(field))
+    truth = tol_variant("gdisc", f.leading_coefficient(), f.degree, tol(f))
+    real_disc_gcd = invariants.discriminant_and_gcd
+
+    def scaled(a, b):
+        d = _REAL_GCD(a, b)
+        if d.degree > 0 and any(c and d == c.monic() for c in (a, b)):
+            return d.scale(f.field.from_int(2))
+        return d
+
+    def scaled_g1(g):
+        disc, g_1 = real_disc_gcd(g)
+        return disc, (g_1 if disc else scaled(g.monic(), g.derivative()))
+
+    monkeypatch.setattr(Polynomial, "gcd", scaled)
+    monkeypatch.setattr(invariants, "discriminant_and_gcd", scaled_g1)
+    try:
+        value = gdisc(f)
+    except ArithmeticError:
+        return
+    assert value == truth
 
 
 def test_wrong_width_one_results_never_agree_on_a_wrong_tol(monkeypatch):

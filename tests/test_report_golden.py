@@ -1,9 +1,9 @@
 """`report` output pinned byte for byte, and the work one report does: one
-elimination at width 1 (the scalar PRS of res(f, f')), one
-u-resultant per block of gdisc's gcd chain on repeated roots, no irreducible
-factorization, and within the
-per-factor formula one resultant per pair of parts and one discriminant per
-part, which are also the checks of a caller's factorization.
+scalar PRS of res(f, f') at width 1, on repeated roots one scalar resultant
+per root multiplicity for gdisc, no u-resultant, no irreducible
+factorization, and within the per-factor formula one resultant per pair of
+parts and one discriminant per part, which are also the checks of a
+caller's factorization.
 
 The cases cover Q, F_7, F_3(t) and F_5(t): the zero polynomial, a nonzero
 constant, degree 1, f(0) = 0, repeated roots, inseparable inputs, and caller
@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from tolerant import (Polynomial, factor, invariants, parse_field,
-                      parse_polynomial)
+from tolerant import (Polynomial, factor, invariants, multiplicity_profile,
+                      parse_field, parse_polynomial)
 from tolerant.cli import main
 
 GOLDEN = [
@@ -90,32 +90,20 @@ GOLDEN = [
 ]
 
 
-def chain_drops(f):
-    """The j at which deg gcd(f, D^1 f, ..., D^j f) drops, up to the first
-    constant: gdisc's blocks."""
-    g, drops, j = f.monic(), 0, 0
-    while g.degree > 0:
-        j += 1
-        g_j = g.gcd(f.hasse_derivative(j))
-        drops += g_j.degree < g.degree
-        g = g_j
-    return drops
-
-
 @pytest.mark.parametrize("field,flags,expr,expected", GOLDEN,
                          ids=[f"{c[0]}:{c[2]}{''.join(c[1])}" for c in GOLDEN])
 def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
-    calls = []
+    calls = {"discriminant_and_gcd": 0, "resultant_in_u": 0}
 
-    def recorded(real):
+    def recorded(name, real):
         def wrapper(*args):
-            calls.append(args)
+            calls[name] += 1
             return real(*args)
         return wrapper
 
-    for name in ("discriminant_and_gcd", "resultant_in_u"):
+    for name in calls:
         monkeypatch.setattr(invariants, name,
-                            recorded(getattr(invariants, name)))
+                            recorded(name, getattr(invariants, name)))
 
     def no_factoring(*args):
         raise AssertionError("report ran the irreducible factorization")
@@ -161,23 +149,22 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     assert main(["report", "--field", field, *flags, "--", expr]) == 0
     assert capsys.readouterr().out == expected + "\n"
     report = json.loads(expected)
-    # The elimination runs only as gdisc, and only where gdisc is defined:
+    # A report runs no u-resultant.  gdisc runs only where it is defined:
     # once at width 1 (res(f, f'), which is 0 when f' = 0), and on repeated
-    # roots once more per block, each j where deg gcd(f, D^1 f, ..., D^j f)
-    # drops.
-    if report["gdisc"] is None:
-        eliminations = 0
-    else:
+    # roots one scalar resultant res(q_m, D^m f) per root multiplicity m.
+    multiplicities = 0
+    if report["gdisc"] is not None and not report["separable"]:
         f = parse_polynomial(expr, parse_field(field))
-        eliminations = 1 + (0 if report["separable"] else chain_drops(f))
-    assert len(calls) == eliminations
+        multiplicities = len(multiplicity_profile(f))
+    assert calls == {"discriminant_and_gcd": int(report["gdisc"] is not None),
+                     "resultant_in_u": 0}
     # Coprimality and separability are checked by the formula's own cross
     # resultants and part discriminants, on the squarefree decomposition
     # and on a caller's factorization alike.  Outside the formula the
-    # report takes disc(f) only where gdisc is undefined; elsewhere disc is
-    # gdisc's width-1 value.
+    # report takes gdisc's resultants, and disc(f) only where gdisc is
+    # undefined; elsewhere disc is gdisc's width-1 value.
     assert coprime_checks == []
-    assert outside == [0, int(report["gdisc"] is None)]
+    assert outside == [multiplicities, int(report["gdisc"] is None)]
     for k, resultants, discriminants, returned in formula_calls:
         pairs = k * (k - 1) // 2
         if returned:

@@ -22,8 +22,19 @@ def test_selfcheck_fp_passes():
     assert s.failed == {}
     # every check family actually fired
     assert set(s.passed) >= {"tol-nonzero", "corrected-path", "sign-law",
-                             "duplicant-relation", "translation-invariance",
-                             "homothety-law", "inversion-criterion"}
+                             "elimination", "duplicant-relation",
+                             "translation-invariance", "homothety-law",
+                             "inversion-criterion"}
+
+
+@pytest.mark.parametrize("field", [rationals(), prime_field(7)],
+                         ids=["q", "fp:7"])
+def test_selfcheck_runs_the_elimination_on_every_instance(field):
+    # gdisc against the paper's elimination, on every instance of degree
+    # >= 2; no report runs the elimination
+    s = run_selfcheck(field, seed=3, count=40)
+    assert s.ok, s.failed
+    assert s.passed["elimination"] == s.passed["sign-law"] > 0
 
 
 def test_selfcheck_q_exercises_roots_oracle():
