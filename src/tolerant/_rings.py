@@ -22,6 +22,10 @@ performance-critical runs here on plain ints and tuples:
   product of each, for ``Polynomial`` products and u-resultants alike.
 * ``kron_mul`` and ``kron_tmul``: products in Z[y] and F_p[t][y] by
   Kronecker substitution.
+* ``ring_pow`` and ``power_product``: a power by square and multiply, and
+  a product of powers prod x_i^(e_i) by one squaring chain shared by all
+  its terms (Straus).  ``tol_from_factorization`` evaluates its numerator
+  and its denominator each as one ``power_product``.
 * ``pseudo_divmod``: lc(b)^e * a = q * b + r over any ``Ring``, the
   ``Polynomial`` division over Q and F_p(t), on cleared numerators (over
   F_p that is ``pdivmod``).  ``primitive_gcd`` runs Euclid on primitive
@@ -415,6 +419,28 @@ def ring_pow(x, e: int, R):
         result = mul(result, result)
         if bit == "1":
             result = mul(result, x)
+    return result
+
+
+def power_product(terms, R):
+    """prod x**e over the (x, e) pairs of ``terms``, each e >= 0, by Straus's
+    shared squaring chain (E. G. Straus, "Addition chains of vectors", 1964;
+    von zur Gathen & Gerhard, *Modern Computer Algebra*, 4.3): one chain as
+    long as the largest exponent's bit length, which at each bit multiplies
+    in every x whose e has that bit set.  That is one squaring per bit for
+    the whole product instead of one per bit and term, and no product of
+    finished powers.  Terms with e = 0 or x = one are skipped; R is as for
+    ``ring_pow``."""
+    terms = [(x, e) for x, e in terms if e and x != R.one]
+    if len(terms) < 2:
+        return ring_pow(*terms[0], R) if terms else R.one
+    mul, result = R.mul, None
+    for bit in reversed(range(max(e for _, e in terms).bit_length())):
+        if result is not None:
+            result = mul(result, result)
+        for x, e in terms:
+            if e >> bit & 1:
+                result = x if result is None else mul(result, x)
     return result
 
 

@@ -2,8 +2,9 @@
 
 tol is computed factorization-first: the squarefree decomposition of f has
 parts g(x^(p^e))^m with g separable, and the CORRECTED per-factor formula
-turns it into the collision product.  That route works uniformly over Q,
-F_p, and F_p(t), including inseparable inputs.  gdisc reads the paper's
+turns it into the collision product, evaluated as one product of powers on
+the field's numerator ring.  That route works uniformly over Q, F_p, and
+F_p(t), including inseparable inputs.  gdisc reads the paper's
 elimination off its leading terms: one scalar resultant res(q_m, D^m f) per
 root multiplicity m, where q_m, the part of f on the roots of multiplicity
 exactly m, comes from a gcd chain of f with its Hasse derivatives.  Width 1,
@@ -27,9 +28,12 @@ Keeping both makes the discrepancy checkable instead of silently patched.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
+from ._rings import power_product, pstretch, subresultant
 from .errors import (DegreeMismatchError, DegreeTooSmallError,
                      InseparableInSeparableModeError,
                      InvalidFactorizationError, TolerantError,
@@ -38,8 +42,8 @@ from .errors import (DegreeMismatchError, DegreeTooSmallError,
 from .factor import (Factorization, _squarefree_with_gcd,
                      is_irreducible_prime_field, multiplicity_profile,
                      squarefree_decomposition)
-from .field import FieldDescriptor, FieldElement, FieldKind
-from .poly import Polynomial, RootMultiset
+from .field import FieldDescriptor, FieldElement, FieldKind, cleared
+from .poly import Polynomial, RootMultiset, binomial_mod
 from .resultant import (discriminant, discriminant_and_gcd, resultant_in_u,
                         sylvester_resultant)
 
@@ -80,6 +84,8 @@ def gdisc(f: Polynomial) -> FieldElement:
       h_m / h_(m+1).  A g_(j-1) dividing h_(j-1) is squarefree: g_j = 1.
     - Split form, any field: where deg g_j drops, a_(j+1) is the part of
       a_j on the roots of g_j (a_1 = f.monic()) and q_j = a_j / a_(j+1).
+      A level j > 1 where Lucas' theorem shows D^j f = 0 has no drop and
+      is skipped without building D^j f (``_nonzero_levels``).
 
     The value rests on no gcd.  Every gcd result is made monic, so a scalar
     multiple leaves no constant part to scale the value; every division is
@@ -110,8 +116,8 @@ def _gdisc_from(f: Polynomial, disc: FieldElement,
         return tol_variant("gdisc", lc, n, disc)    # disc = tol, separable f
     radical, one = p is None or n < p, Polynomial.one(f.field)
     a = g = f.monic()
-    chain = []                      # (h_j, D^j f, g_j) for j = 1..M
-    for j in range(1, n + 1):
+    chain = []                      # (j, h_j, D^j f, g_j) for j = 1..M
+    for j in range(1, n + 1) if radical else _nonzero_levels(f):
         d = r = f.hasse_derivative(j)
         if j > 1 and radical:       # g_(j-1) | h_(j-1): squarefree
             g_j = g.gcd(d) if h % g else one
@@ -122,16 +128,16 @@ def _gdisc_from(f: Polynomial, disc: FieldElement,
         if not radical and r:
             r.exact_div(g_j)        # so g_j | D^j f
         h = g.exact_div(g_j) if g_j != g else one
-        chain.append((h, d, g_j))
+        chain.append((j, h, d, g_j))
         g = g_j
         if g.degree < 1:
             break
     else:
         raise ArithmeticError("gcd chain did not reach a constant")
     k, tc = 0, lc ** (n - 2)
-    for m, (h, d, g_m) in enumerate(chain, 1):
+    for m, h, d, g_m in chain:
         if radical:             # q_m = rad_m^m, rad_m = h_m / h_(m+1)
-            e, q = m, h.exact_div(chain[m][0] if m < len(chain) else one)
+            e, q = m, h.exact_div(chain[m][1] if m < len(chain) else one)
         elif h.degree > 0:      # q_m = a_m / a_(m+1)
             e, (a, q) = 1, _split(a, g_m)
         else:
@@ -143,6 +149,21 @@ def _gdisc_from(f: Polynomial, disc: FieldElement,
             k += (m - 1) * e * q.degree
             tc = tc * v ** e
     return -tc if (k // 2) % 2 else tc          # (-1)^(k/2) * tc, k even
+
+
+def _nonzero_levels(f: Polynomial) -> Iterator[int]:
+    """The levels j = 1..deg f of the split form: 1, and each j > 1 with
+    D^j f != 0.  By Lucas' theorem D^j x^i = C(i, j) x^(i-j) vanishes mod p
+    unless every base-p digit of j is at most that of i, so the levels
+    where no term of f survives are skipped without building D^j f: a
+    level with D^j f = 0 has no drop, since gcd(g_(j-1), 0) = g_(j-1)."""
+    p = f.field.p
+    support = [i for i, c in enumerate(f.raw) if f.field.ops.nonzero(c)]
+    yield 1
+    for j in range(2, f.degree + 1):
+        if any(binomial_mod(i, j, p)
+               for i in islice(support, bisect_left(support, j), None)):
+            yield j
 
 
 def _split(a: Polynomial, c: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -302,22 +323,45 @@ def tol_from_factorization(
               ^(2 m_i m_j p^(min(e_i,e_j)))  with E = max(e_i, e_j);
         agrees with PAPER_SEPARABLE when every e_i = 0.
 
+    Every mode is one product of powers, evaluated in the field's numerator
+    ring (Z, F_p or F_p[t]) and built into a field element once, by
+    ``FieldOps.rebuild``.  A term v^e puts num(v)^e into the numerator and
+    den(v)^e into the denominator, the two swapped when e < 0.  Each side
+    is one ``_rings.power_product``: a single squaring chain for all its
+    terms.  CORRECTED clears each desubstituted part once, sep_i = N_i /
+    d_i, and each Frobenius twist of it that a pair needs, twist(N_i) /
+    d_i^(p^a).  Each pair runs the subresultant PRS once, on the cleared
+    numerators.  Its resultant goes into the numerator, and its scale,
+    each part's denominator raised to the other part's degree, into the
+    denominator as powers of d_i and d_j.
+
     The PAPER modes check coprimality first, by
     ``Factorization.pairwise_coprime``.  CORRECTED is its own check: it
     takes each cross resultant once, before any discriminant.  The roots of
     twist(sep_i, E-e_i) are the p^E-th powers of those of f_i and Frobenius
     is injective, so a zero resultant means f_i and f_j share a root
-    (InvalidFactorizationError); a zero disc(sep_i) means a desubstituted
-    part with repeated roots (ZeroDiscriminantFactorError).
+    (InvalidFactorizationError, at the first such pair); a zero disc(sep_i)
+    means a desubstituted part with repeated roots
+    (ZeroDiscriminantFactorError, at the first such part).  No power is
+    taken before every check has passed.
     """
     if mode is not FactorFormula.CORRECTED:
         _check_coprime(fac)
     field = fac.field
     if not fac.factors:
         return field.one()
-    q = field.char_exponent
-    parts = fac.parts
-    acc = fac.unit ** (2 * fac.degree() - 2)
+    ops, q, parts = field.ops, field.char_exponent, fac.parts
+    nums, dens = [], []         # (numerator-ring value, exponent >= 0)
+
+    def put(v: FieldElement, e: int) -> None:
+        den = ops.den(v.value)
+        num = ops.clear(v.value, den)
+        if e < 0:
+            num, den, e = den, num, -e
+        nums.append((num, e))
+        dens.append((den, e))
+
+    put(fac.unit, 2 * fac.degree() - 2)
 
     if mode is FactorFormula.PAPER_SEPARABLE:
         for g, sep, e, m in parts:
@@ -326,12 +370,11 @@ def tol_from_factorization(
                     "separable-mode formula on an inseparable factor")
         big_n = sum(m for _, _, _, m in parts)
         for i, (g_i, _, _, m_i) in enumerate(parts):
-            acc = acc * discriminant(g_i) ** (m_i * (2 * m_i - big_n))
+            put(discriminant(g_i), m_i * (2 * m_i - big_n))
             for g_j, _, _, m_j in parts[i + 1:]:
-                acc = acc * discriminant(g_i * g_j) ** (m_i * m_j)
-        return acc
+                put(discriminant(g_i * g_j), m_i * m_j)
 
-    if mode is FactorFormula.PAPER_GENERAL:
+    elif mode is FactorFormula.PAPER_GENERAL:
         weights = [m * q ** e for _, _, e, m in parts]
         big_n = sum(weights)
         for i, (_, sep_i, e_i, m_i) in enumerate(parts):
@@ -339,7 +382,7 @@ def tol_from_factorization(
             if not d:
                 raise ZeroDiscriminantFactorError(
                     "zero discriminant of a desubstituted part")
-            acc = acc * d ** (weights[i] * (2 * weights[i] - big_n))
+            put(d, weights[i] * (2 * weights[i] - big_n))
             for j in range(i + 1, len(parts)):
                 _, sep_j, e_j, m_j = parts[j]
                 cross = discriminant(sep_i * sep_j)
@@ -347,25 +390,46 @@ def tol_from_factorization(
                     raise ZeroDiscriminantFactorError(
                         "zero cross discriminant (parts share a root after "
                         "desubstitution)")
-                acc = acc * cross ** (m_i * m_j * q ** (e_i + e_j))
-        return acc
+                put(cross, m_i * m_j * q ** (e_i + e_j))
 
-    for i, (_, sep_i, e_i, m_i) in enumerate(parts):
-        for _, sep_j, e_j, m_j in parts[i + 1:]:
-            big_e = max(e_i, e_j)
-            r = sylvester_resultant(sep_i.frobenius_twist(big_e - e_i),
-                                    sep_j.frobenius_twist(big_e - e_j))
-            if not r:
-                raise InvalidFactorizationError(
-                    "factors are not pairwise coprime")
-            acc = acc * r ** (2 * m_i * m_j * q ** min(e_i, e_j))
-    for _, sep, e, m in parts:
-        d = discriminant(sep)
-        if not d:
-            raise ZeroDiscriminantFactorError(
-                "zero discriminant of a desubstituted part")
-        acc = acc * d ** (m * m * q ** e)
-    return acc
+    else:
+        stretch = field.kind is FieldKind.RATIONAL_FUNCTION_FIELD
+        clear, twists = {}, {}      # i -> (N_i, d_i); (i, a) -> N_i twisted
+        den_exp = [0] * len(parts)
+
+        def twisted(i: int, a: int) -> list:
+            """The numerator of twist(sep_i, a) = twist(N_i) / d_i^(q^a)."""
+            if i not in clear:
+                clear[i] = cleared(parts[i][1].raw, ops)
+            if not (a and stretch):     # F_p fixes every coefficient
+                return clear[i][0]
+            if (i, a) not in twists:
+                twists[i, a] = [pstretch(c, q ** a) for c in clear[i][0]]
+            return twists[i, a]
+
+        for i, (_, sep_i, e_i, m_i) in enumerate(parts):
+            for j in range(i + 1, len(parts)):
+                _, sep_j, e_j, m_j = parts[j]
+                a_i, a_j = max(e_i, e_j) - e_i, max(e_i, e_j) - e_j
+                r = subresultant(twisted(i, a_i), twisted(j, a_j),
+                                 ops.ring)[0]
+                if not r:
+                    raise InvalidFactorizationError(
+                        "factors are not pairwise coprime")
+                w = 2 * m_i * m_j * q ** min(e_i, e_j)
+                nums.append((r, w))
+                den_exp[i] += w * sep_j.degree * q ** a_i
+                den_exp[j] += w * sep_i.degree * q ** a_j
+        for _, sep, e, m in parts:
+            disc = discriminant(sep)
+            if not disc:
+                raise ZeroDiscriminantFactorError(
+                    "zero discriminant of a desubstituted part")
+            put(disc, m * m * q ** e)
+        dens += [(clear[i][1], x) for i, x in enumerate(den_exp) if x]
+
+    return FieldElement(field, ops.rebuild(power_product(nums, ops.ring),
+                                           power_product(dens, ops.ring)))
 
 
 def _check_coprime(fac: Factorization) -> None:

@@ -268,18 +268,40 @@ def wrong_gcd(a, b, choice, rng):
     return d * (x + Polynomial.constant(F, rng.randrange(1, 5)))
 
 
+def test_gdisc_builds_no_vanishing_hasse_derivative(monkeypatch):
+    """x^2401 + 1 over F_7 has f' = 0 and one root of multiplicity 2401:
+    D^j f = 0 for every 0 < j < 2401, and the split form skips those levels
+    by Lucas' theorem instead of building each D^j f."""
+    f = parse_polynomial("x^2401+1", parse_field("fp:7"))
+    orders = []
+    real = Polynomial.hasse_derivative
+
+    def counting(self, r):
+        orders.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(Polynomial, "hasse_derivative", counting)
+    assert gdisc(f) == 1
+    assert len(orders) <= 4 and max(orders) == 2401
+
+
 def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
     """gdisc checks its gcd chain instead of trusting it: with gcds that
     return wrong divisors, non-divisors, non-monic or constant results,
     every run gives the true value or raises ArithmeticError.  That holds for
-    g_1, which the width-1 PRS hands over, as for every later gcd."""
+    g_1, which the width-1 PRS hands over, as for every later gcd.  Each run
+    records the kinds of result it drew: a run that drew only true gcds and
+    scalar multiples of them (kinds 0 and 1) must give the true value, and
+    every kind is drawn."""
     cases = [(case_id, f) for case_id, f in WIDTH_CASES
              if f.degree <= 8 and not f.is_separable()]
     expected = {case_id: gdisc(f) for case_id, f in cases}
     rng = random.Random(12)
+    drawn = []                          # kinds drawn in the current run
 
     def wrong(a, b):
-        return wrong_gcd(a, b, rng.randrange(7), rng)
+        drawn.append(rng.randrange(7))
+        return wrong_gcd(a, b, drawn[-1], rng)
 
     real_disc_gcd = invariants.discriminant_and_gcd
 
@@ -289,17 +311,22 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "gcd", wrong)
     monkeypatch.setattr(invariants, "discriminant_and_gcd", wrong_g1)
-    outcomes = {"value": 0, "error": 0}
+    kinds, runs = set(), {"true": 0, "value": 0, "error": 0}
     for _ in range(6):
         for case_id, f in cases:
+            drawn.clear()
             try:
                 value = gdisc(f)
             except ArithmeticError:
-                outcomes["error"] += 1
+                assert not set(drawn) <= {0, 1}, (case_id, drawn)
+                runs["error"] += 1
             else:
-                assert value == expected[case_id], case_id
-                outcomes["value"] += 1
-    assert outcomes["value"] > 50 and outcomes["error"] > 50
+                assert value == expected[case_id], (case_id, drawn)
+                runs["value"] += 1
+            kinds.update(drawn)
+            runs["true"] += set(drawn) <= {0, 1}
+    assert kinds == set(range(7))
+    assert all(runs.values()), runs
 
 
 @pytest.mark.parametrize("field,text", [

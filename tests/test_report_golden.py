@@ -115,7 +115,9 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     monkeypatch.setattr(factor.Factorization, "pairwise_coprime",
                         lambda self: coprime_checks.append(self))
     # [resultants, discriminants] taken outside tol_from_factorization, and
-    # per call of it [parts, resultants, discriminants, returned]
+    # per call of it [parts, resultants, discriminants, returned].  Outside,
+    # a resultant is a ``sylvester_resultant`` call (gdisc's); inside, a
+    # ``subresultant`` call on the cleared numerators of a pair of parts.
     outside = [0, 0]
     formula_calls = []
     inside = []
@@ -144,6 +146,8 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     monkeypatch.setattr(invariants, "tol_from_factorization", counting_tol)
     monkeypatch.setattr(invariants, "sylvester_resultant",
                         counting(0, invariants.sylvester_resultant))
+    monkeypatch.setattr(invariants, "subresultant",
+                        counting(0, invariants.subresultant))
     monkeypatch.setattr(invariants, "discriminant",
                         counting(1, invariants.discriminant))
     assert main(["report", "--field", field, *flags, "--", expr]) == 0
