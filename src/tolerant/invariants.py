@@ -11,7 +11,8 @@ exactly m, comes from a gcd chain of f with its Hasse derivatives.  Width 1,
 res(f, f'), is one scalar PRS that runs first and settles separable f, and
 ends on g_1 = gcd(f, f'), the first link of that chain.  The paper's
 elimination itself, eliminating x from f and the weighted sum of its Hasse
-derivatives, stays as ``gdisc_by_elimination``, the check path.
+derivatives, stays as ``gdisc_by_elimination``, the check path, on a gcd
+chain of its own that shares no step with that PRS.
 
 Alternative routes (root products, and the per-factor formulas of the paper
 next to the corrected one) are implemented independently so the paths can
@@ -42,7 +43,7 @@ from .errors import (DegreeMismatchError, DegreeTooSmallError,
 from .factor import (Factorization, _squarefree_with_gcd,
                      is_irreducible_prime_field, multiplicity_profile,
                      squarefree_decomposition)
-from .field import FieldDescriptor, FieldElement, FieldKind, cleared
+from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial, RootMultiset, binomial_mod
 from .resultant import (discriminant, discriminant_and_gcd, resultant_in_u,
                         sylvester_resultant)
@@ -96,15 +97,15 @@ def gdisc(f: Polynomial) -> FieldElement:
     != 0.  A wrong gcd thus gives the same value or an ArithmeticError.
     gdisc's chain is its own, so it stays independent of tol's
     factorization; ``build_report`` hands it the pair of its one PRS."""
-    return _gdisc_from(f, *_width_one(f))
+    _check_gdisc_input(f)
+    return _gdisc_from(f, *discriminant_and_gcd(f))
 
 
-def _width_one(f: Polynomial) -> tuple[FieldElement, Polynomial]:
+def _check_gdisc_input(f: Polynomial) -> None:
     if f.is_zero():
         raise ZeroPolynomialError("gdisc of the zero polynomial")
     if f.degree < 2:
         raise DegreeTooSmallError("gdisc needs degree >= 2")
-    return discriminant_and_gcd(f)
 
 
 def _gdisc_from(f: Polynomial, disc: FieldElement,
@@ -192,25 +193,23 @@ def gdisc_by_elimination(f: Polynomial) -> FieldElement:
     root multiplicity, the product's trailing coefficient tc sits at
     u-valuation k = sum_r m_r (m_r - 1) and gdisc = (-1)^(k/2) * lc^(n-2) *
     tc (see gdisc); for w < M it vanishes, so a nonzero product certifies
-    w >= M.  Past width 1 the chain g_j = gcd(g_(j-1), D^j f) splits
-    f.monic() into the blocks h_j = g_(j-1) / g_j where the degree drops,
-    and for monic h_j the product is prod_j res_x(h_j, G_M mod h_j), one
-    small elimination per block.  h_j divides D^i f for i < j, so the
-    leading u-coefficients of G_M mod h_j that vanish are counted and
-    dropped, each adding deg h_j to k.  Every division is checked exact
-    and a vanishing block raises."""
-    disc, g_j = _width_one(f)
+    w >= M.  The chain g_0 = f.monic(), g_j = gcd(g_(j-1), D^j f) by
+    ``Polynomial.gcd`` splits f.monic() into the blocks h_j = g_(j-1) / g_j
+    where the degree drops, and for monic h_j the product is prod_j
+    res_x(h_j, G_M mod h_j), one small elimination per block.  h_j divides
+    D^i f for i < j, so the leading u-coefficients of G_M mod h_j that
+    vanish are counted and dropped, each adding deg h_j to k.  Every
+    division is checked exact and a vanishing block raises.  The chain is
+    its own from j = 1 on and separable f is one block of width 1, so no
+    step shares the PRS of (f, f') that gdisc starts from."""
+    _check_gdisc_input(f)
     n = f.degree
     lc = f.leading_coefficient()
-    if disc:
-        return tol_variant("gdisc", lc, n, disc)
-    g, blocks = f.monic(), []
-    derivatives = [f.hasse_derivative(1)]
+    g, blocks, derivatives = f.monic(), [], []
     # g_j = gcd(g_(j-1), D^j f) keeps the roots of multiplicity > j
     for j in range(1, n + 1):
-        if j > 1:
-            derivatives.append(f.hasse_derivative(j))
-            g_j = g.gcd(derivatives[-1])
+        derivatives.append(f.hasse_derivative(j))
+        g_j = g.gcd(derivatives[-1])
         if g_j.degree < g.degree:
             blocks.append((g.exact_div(g_j) if g_j.degree > 0 else g).monic())
             g = g_j
@@ -311,7 +310,9 @@ def tol_from_factorization(
 
     PAPER_SEPARABLE: all factors separable, N = sum m_i,
         lc^(2n-2) * prod disc(f_i)^(m_i (2 m_i - N))
-                  * prod_{i<j} disc(f_i f_j)^(m_i m_j).
+                  * prod_{i<j} disc(f_i f_j)^(m_i m_j);
+        that is PAPER_GENERAL at every e_i = 0, and runs as its loop once
+        the factors pass the separability check.
     PAPER_GENERAL: uncorrected inseparable variant, N = sum m_i p^(e_i),
         with within-terms disc(sep_i)^(m_i p^(e_i) (2 m_i p^(e_i) - N)) and
         cross-terms disc(sep_i sep_j)^(m_i m_j p^(e_i + e_j)).  Overshoots
@@ -336,17 +337,22 @@ def tol_from_factorization(
     denominator as powers of d_i and d_j.
 
     The PAPER modes check coprimality first, by
-    ``Factorization.pairwise_coprime``.  CORRECTED is its own check: it
-    takes each cross resultant once, before any discriminant.  The roots of
-    twist(sep_i, E-e_i) are the p^E-th powers of those of f_i and Frobenius
-    is injective, so a zero resultant means f_i and f_j share a root
-    (InvalidFactorizationError, at the first such pair); a zero disc(sep_i)
-    means a desubstituted part with repeated roots
-    (ZeroDiscriminantFactorError, at the first such part).  No power is
-    taken before every check has passed.
+    ``Factorization.pairwise_coprime``; PAPER_SEPARABLE then checks that
+    every factor is separable (InseparableInSeparableModeError).  CORRECTED
+    is its own check: it takes each cross resultant once, before any
+    discriminant.  The roots of twist(sep_i, E-e_i) are the p^E-th powers
+    of those of f_i and Frobenius is injective, so a zero resultant means
+    f_i and f_j share a root (InvalidFactorizationError, at the first such
+    pair); a zero disc(sep_i) means a desubstituted part with repeated
+    roots (ZeroDiscriminantFactorError, at the first such part).  No power
+    is taken before every check has passed.
     """
     if mode is not FactorFormula.CORRECTED:
         _check_coprime(fac)
+    if mode is FactorFormula.PAPER_SEPARABLE and any(
+            e > 0 or not g.is_separable() for g, _, e, _ in fac.parts):
+        raise InseparableInSeparableModeError(
+            "separable-mode formula on an inseparable factor")
     field = fac.field
     if not fac.factors:
         return field.one()
@@ -354,8 +360,7 @@ def tol_from_factorization(
     nums, dens = [], []         # (numerator-ring value, exponent >= 0)
 
     def put(v: FieldElement, e: int) -> None:
-        den = ops.den(v.value)
-        num = ops.clear(v.value, den)
+        (num,), den = ops.cleared((v.value,))
         if e < 0:
             num, den, e = den, num, -e
         nums.append((num, e))
@@ -363,18 +368,7 @@ def tol_from_factorization(
 
     put(fac.unit, 2 * fac.degree() - 2)
 
-    if mode is FactorFormula.PAPER_SEPARABLE:
-        for g, sep, e, m in parts:
-            if e > 0 or not g.is_separable():
-                raise InseparableInSeparableModeError(
-                    "separable-mode formula on an inseparable factor")
-        big_n = sum(m for _, _, _, m in parts)
-        for i, (g_i, _, _, m_i) in enumerate(parts):
-            put(discriminant(g_i), m_i * (2 * m_i - big_n))
-            for g_j, _, _, m_j in parts[i + 1:]:
-                put(discriminant(g_i * g_j), m_i * m_j)
-
-    elif mode is FactorFormula.PAPER_GENERAL:
+    if mode is not FactorFormula.CORRECTED:
         weights = [m * q ** e for _, _, e, m in parts]
         big_n = sum(weights)
         for i, (_, sep_i, e_i, m_i) in enumerate(parts):
@@ -400,7 +394,7 @@ def tol_from_factorization(
         def twisted(i: int, a: int) -> list:
             """The numerator of twist(sep_i, a) = twist(N_i) / d_i^(q^a)."""
             if i not in clear:
-                clear[i] = cleared(parts[i][1].raw, ops)
+                clear[i] = ops.cleared(parts[i][1].raw)
             if not (a and stretch):     # F_p fixes every coefficient
                 return clear[i][0]
             if (i, a) not in twists:

@@ -5,17 +5,17 @@ first and normalized: the last entry is nonzero, the zero polynomial is the
 empty tuple, and ``degree`` of zero is the distinguished ``NEG_INFINITY``
 marker (which compares below every int).
 
-A product is one product of numerator lists in the field's
-``FieldOps.u_ring``, the ring the u-resultant runs in too: a Kronecker
-substitution (one big-int multiplication) for dense operands, the schoolbook
-loop for sparse ones.  Division and gcd run on the ``_rings`` kernels
-through ``FieldOps.divmod`` and ``FieldOps.gcd``: over F_p on residue
-tuples (``pdivmod``, ``pgcd``); over Q and F_p(t) each operand is cleared
-once, pseudo-divided in the numerator ring (Z or F_p[t]) and each result
-coefficient rebuilt once.  The gcd over Q is the subresultant PRS of the
-cleared Z[x] numerators, over F_p(t) Euclid on primitive pseudo-remainders
-in F_p[t][x].  Beyond
-ring arithmetic this module carries every transform the invariant formulas
+A product clears each operand by one ``FieldOps.cleared`` call and
+multiplies the numerator lists in the field's ``FieldOps.u_ring``, the ring
+the u-resultant runs in too: a Kronecker substitution (one big-int
+multiplication) for dense operands, the schoolbook loop for sparse ones.
+Division and gcd run on the ``_rings`` kernels through ``FieldOps.divmod``
+and ``FieldOps.gcd``: over F_p on residue tuples (``pdivmod``, ``pgcd``);
+over Q and F_p(t) each operand is cleared once, pseudo-divided in the
+numerator ring (Z or F_p[t]) and each result coefficient rebuilt once.  The
+gcd over Q is the subresultant PRS of the cleared Z[x] numerators, over
+F_p(t) Euclid on primitive pseudo-remainders in F_p[t][x].  Beyond ring
+arithmetic this module carries every transform the invariant formulas
 need: Hasse derivatives (binomials mod p by Lucas' theorem),
 Taylor shift f(x+a), homothety f(ax), the reciprocal x^n f(1/x),
 separability, desubstitution f = f_sep(x^(p^e)), and the coefficient-wise
@@ -36,7 +36,7 @@ from .errors import (ConstantInputError, DivisionByZeroError,
                      UnsupportedFieldError, ZeroConstantTermError,
                      ZeroScaleError)
 from ._rings import ring_pow
-from .field import FieldDescriptor, FieldElement, cleared
+from .field import FieldDescriptor, FieldElement
 
 NEG_INFINITY = float("-inf")
 
@@ -188,8 +188,8 @@ class Polynomial:
         if len(a) == 1:
             return other._times(a[0])
         ops = self.field.ops
-        num_a, d_a = cleared(a, ops)
-        num_b, d_b = (num_a, d_a) if b is a else cleared(b, ops)
+        num_a, d_a = ops.cleared(a)
+        num_b, d_b = (num_a, d_a) if b is a else ops.cleared(b)
         scale, rebuild = ops.ring.mul(d_a, d_b), ops.rebuild
         product = ops.u_ring.mul(num_a, num_b)
         return Polynomial.from_raw(self.field,

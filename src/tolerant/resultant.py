@@ -1,11 +1,12 @@
 """Resultants over a field and over the ring of u-polynomials.
 
 Every entry point reduces to one call of the subresultant kernel
-(``_rings.subresultant``).  Each operand's raw coefficients are cleared
-to the field's numerator ring (integers, residues, or F_p[t] tuples; see
-``FieldOps``) with one lcm of their denominators, and the resultant is
-unscaled at the end.  ``discriminant_and_gcd`` also hands over the gcd that
-the remainder sequence of (f, f') ends on.  Convention:
+(``_rings.subresultant``) on coefficients cleared to the field's numerator
+ring (integers, residues, or F_p[t] tuples) by one ``FieldOps.cleared``
+call per operand, and unscales the resultant by one ``power_product`` of
+the denominators; ``sylvester_resultant`` and the discriminant share that
+step (``_resultant_and_last``).  ``discriminant_and_gcd`` also hands over
+the gcd that the remainder sequence of (f, f') ends on.  Convention:
 res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f, the Sylvester
 determinant with the deg(g) rows of f on top.
 """
@@ -14,16 +15,26 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._rings import pstrip, ring_pow, subresultant
+from ._rings import power_product, pstrip, subresultant
 from .errors import ConstantInputError, FieldMismatchError, ZeroInputError
-from .field import FieldElement, cleared, common_den, monic_rebuilt
+from .field import FieldElement, monic_rebuilt
 from .poly import Polynomial
 
 
-def _scale(d_f, m: int, d_g, n: int, ring):
-    """d_f^m * d_g^n, since res(F/d_f, G/d_g) = res(F, G) / (d_f^m * d_g^n)
-    for m = deg G and n = deg F."""
-    return ring.mul(ring_pow(d_f, m, ring), ring_pow(d_g, n, ring))
+def _resultant_and_last(f: Polynomial,
+                        g: Polynomial) -> tuple[FieldElement, list]:
+    """(res(f, g), the last nonzero remainder of their PRS, cleared) for
+    nonzero f and g: both operands are cleared, F = f * d_f and G = g * d_g,
+    the PRS runs once on F and G, and res(f, g) = res(F, G) / (d_f^deg g *
+    d_g^deg f) is rebuilt once."""
+    field, ops = f.field, f.field.ops
+    fc, d_f = ops.cleared(f.raw)
+    gc, d_g = ops.cleared(g.raw)
+    res, last = subresultant(fc, gc, ops.ring)
+    if not res:
+        return field.zero(), last
+    scale = power_product(((d_f, g.degree), (d_g, f.degree)), ops.ring)
+    return FieldElement(field, ops.rebuild(res, scale)), last
 
 
 def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
@@ -32,12 +43,7 @@ def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
         raise FieldMismatchError("resultant arguments over different fields")
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("resultant of the zero polynomial")
-    ops = f.field.ops
-    fc, d_f = cleared(f.raw, ops)
-    gc, d_g = cleared(g.raw, ops)
-    res = subresultant(fc, gc, ops.ring)[0]
-    scale = _scale(d_f, g.degree, d_g, f.degree, ops.ring)
-    return FieldElement(f.field, ops.rebuild(res, scale))
+    return _resultant_and_last(f, g)[0]
 
 
 def _discriminant(f: Polynomial) -> tuple[FieldElement, list | None]:
@@ -48,18 +54,13 @@ def _discriminant(f: Polynomial) -> tuple[FieldElement, list | None]:
     n = f.degree
     if n < 1:
         raise ConstantInputError("discriminant needs degree >= 1")
-    field, ops = f.field, f.field.ops
     df = f.derivative()
     if df.is_zero():
-        return field.zero(), None
-    fc, d_f = cleared(f.raw, ops)
-    gc, d_g = cleared(df.raw, ops)
-    res, last = subresultant(fc, gc, ops.ring)
+        return f.field.zero(), None
+    res, last = _resultant_and_last(f, df)
     if not res:
-        return field.zero(), last
-    scale = _scale(d_f, df.degree, d_g, n, ops.ring)
-    value = (FieldElement(field, ops.rebuild(res, scale))
-             * f.leading_coefficient() ** (n - 2 - df.degree))
+        return res, last
+    value = res * f.leading_coefficient() ** (n - 2 - df.degree)
     return (-value if (n * (n - 1) // 2) % 2 else value), None
 
 
@@ -91,16 +92,14 @@ def resultant_in_u(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
         raise ZeroInputError("resultant of the zero input")
     if f.degree < 1:
         raise ConstantInputError("resultant in u needs deg f >= 1")
-    field = f.field
-    ops = field.ops
-    d = max(c.degree for c in G)
-    fc, d_f = cleared(f.raw, ops)
+    field, ops = f.field, f.field.ops
+    d, w, zero = max(c.degree for c in G), len(G), ops.from_int(0)
+    fc, d_f = ops.cleared(f.raw)
     f_entries = [(c,) if c else () for c in fc]
     # entry j is the u-vector of the x^j coefficient of G, cleared
-    d_g = common_den((v for c in G for v in c.raw), ops)
-    g_entries = [pstrip([ops.clear(c.raw[j], d_g) if j < len(c.raw)
-                         else ops.ring.zero for c in G])
-                 for j in range(d + 1)]
+    gc, d_g = ops.cleared([c.raw[j] if j < len(c.raw) else zero
+                           for j in range(d + 1) for c in G])
+    g_entries = [pstrip(gc[j * w:(j + 1) * w]) for j in range(d + 1)]
     res = subresultant(f_entries, g_entries, ops.u_ring)[0]
-    scale = _scale(d_f, d, d_g, f.degree, ops.ring)
+    scale = power_product(((d_f, d), (d_g, f.degree)), ops.ring)
     return Polynomial.from_raw(field, [ops.rebuild(c, scale) for c in res])

@@ -1,11 +1,12 @@
 """Field descriptors and exact element arithmetic over Q, F_p, F_p(t)."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tolerant import (FieldKind, parse_field, prime_field,
+from tolerant import (FieldKind, Polynomial, parse_field, prime_field,
                       rational_function_field, rationals)
 from tolerant.errors import (DivisionByZeroError, FieldMismatchError,
                              TolerantError, UnsupportedFieldError)
@@ -236,3 +237,47 @@ def test_from_fraction_reduces_mod_p():
     assert F.from_fraction(Fraction(1, 2)).value == 4
     with pytest.raises(TolerantError):
         prime_field(2).from_fraction(Fraction(1, 2))
+
+
+def _cleared_cases():
+    """(field, lists of values) per field: zeros, a one-element and an
+    empty list; non-integral values over Q, t-denominators over F_3(t)."""
+    Q, F7, F3T = rationals(), prime_field(7), rational_function_field(3)
+    q = [Q.from_fraction(Fraction(n, d))
+         for n, d in ((3, 4), (0, 1), (-5, 6), (2, 1), (7, 10), (1, 12))]
+    fp = [F7.from_int(n) for n in (3, 0, 6, 1)]
+    t, one = F3T.t(), F3T.one()
+    fpt = [one / (t + one), F3T.zero(), t / (t + one), (t + one + one) / t,
+           t * t, one / (t * t + one)]
+    return [(F, [vs, vs[2:3], vs[1:2], []]) for F, vs in
+            ((Q, q), (F7, fp), (F3T, fpt))]
+
+
+def _t_lcm(dens, p):
+    """Monic lcm of F_p[t] tuples, by gcds of F_p[x] polynomials."""
+    F = prime_field(p)
+    acc = Polynomial.one(F)
+    for d in dens:
+        d = Polynomial.from_raw(F, d)
+        acc = (acc * d).exact_div(acc.gcd(d))
+    return acc.monic().raw
+
+
+@pytest.mark.parametrize("F,lists", _cleared_cases(),
+                         ids=["q", "fp:7", "fpt:3"])
+def test_cleared_gives_numerators_over_the_lcm_of_the_denominators(F, lists):
+    """``FieldOps.cleared(values)`` is (numerators, d): d the lcm of the
+    values' denominators, monic over F_p[t], and rebuild(num_i, d) = v_i.
+    Over F_p, d is 1 and the numerators are the values themselves."""
+    ops = F.ops
+    for values in lists:
+        raw = [v.value for v in values]
+        nums, d = ops.cleared(raw)
+        if F.kind is FieldKind.RATIONALS:
+            assert d == math.lcm(*(v.denominator for v in raw))
+        elif F.kind is FieldKind.PRIME_FIELD:
+            assert d == 1 and list(nums) == raw
+        else:
+            assert d == _t_lcm([den for _, den in raw], F.p) and d[-1] == 1
+        assert len(nums) == len(raw)
+        assert [ops.rebuild(n, d) for n in nums] == raw

@@ -154,6 +154,10 @@ def width_cases():
         ("fp:3", "(x-1)^3*(x+1)^4"), ("fpt:2", "(x^2+t)^3*(x+t)^4"),
         ("fpt:2", "(x^2+t*x+1)^2*(x+t)^3"), ("fpt:5", "(x-t)^5*(x^5-t)"),
         ("fp:7", "(x-1)^8*(x+2)^3"),
+        # quadratics: the full-width G = [f', D^2 f] has entries of
+        # x-degree 1 and 0 with different denominators, cleared together
+        ("q", "1/2*x^2+1/3*x+5/7"), ("q", "1/2*(x-1/3)^2"),
+        ("fpt:3", "x^2/t+x/(t+1)+t"), ("fpt:3", "(x-1/(t+1))^2/t"),
     ]
     cases = [(f"{name}:{text}", parse_polynomial(text, parse_field(name)))
              for name, text in fixed]
@@ -405,6 +409,39 @@ def test_wrong_width_one_results_never_agree_on_a_wrong_tol(monkeypatch):
     for f in separable:
         report = build_report(f)
         assert report.paths_agree is False or report.errors, f
+
+
+def test_elimination_shares_no_step_with_the_width_one_prs(monkeypatch):
+    """gdisc_by_elimination walks its own gcd chain from g_0 = f.monic(),
+    so the (disc, g_1) of the PRS of (f, f') that gdisc starts from does
+    not reach it: with a wrong nonzero disc, and then with each kind of
+    wrong g_1, it still equals the sign law on tol computed before."""
+    cases = [f for _, f in WIDTH_CASES if f.degree <= 8]
+    truth = [tol_variant("gdisc", f.leading_coefficient(), f.degree, tol(f))
+             for f in cases]
+    real_disc_gcd = invariants.discriminant_and_gcd
+    rng = random.Random(14)
+
+    def wrong_disc(f):
+        d, g_1 = real_disc_gcd(f)
+        # a nonzero value other than d; F_2 has none besides 1
+        return next((w for w in (d * 2, d + 1, d + 2) if w and w != d),
+                    d), g_1
+
+    def wrong_g1(choice):
+        def patched(f):
+            d, g_1 = real_disc_gcd(f)
+            return d, wrong_gcd(f.monic(), f.derivative(), choice, rng)
+        return patched
+
+    for patch in [wrong_disc] + [wrong_g1(choice) for choice in range(1, 7)]:
+        monkeypatch.setattr(invariants, "discriminant_and_gcd", patch)
+        for f, value in zip(cases, truth):
+            assert invariants.gdisc_by_elimination(f) == value, str(f)
+    # the wrong disc does reach gdisc, which starts from that PRS
+    monkeypatch.setattr(invariants, "discriminant_and_gcd", wrong_disc)
+    assert any(gdisc(f) != value for f, value in zip(cases, truth)
+               if f.is_separable())
 
 
 def test_dupl_is_lc_squared_times_tol(Q):

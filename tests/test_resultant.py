@@ -239,6 +239,31 @@ def test_resultant_in_u_matches_specialization(Q, F7):
     assert with_denominator > 0
 
 
+def test_resultant_in_u_clears_a_width_one_g_like_the_scalar_resultant(
+        Q, F3T):
+    """With G = [g], res_x(f, G) is res(f, g), constant in u, also where
+    the coefficients of f and g have different denominators: over Q
+    non-integral ones, over F_3(t) t-denominators such as 1/(t+1)."""
+    rng = random.Random(18)
+    pool = t_fraction_pool(F3T)
+    for field, coeff in (
+            (Q, lambda: Q.from_fraction(Fraction(rng.randint(-6, 6),
+                                                 rng.randint(1, 4)))),
+            (F3T, lambda: rng.choice(pool))):
+        checked = 0
+        for _ in range(30):
+            f = Polynomial(field, [coeff() for _ in range(rng.randint(2, 6))])
+            g = Polynomial(field, [coeff() for _ in range(rng.randint(1, 5))])
+            if f.degree < 1 or g.is_zero():
+                continue
+            R = resultant_in_u(f, [g])
+            assert R.degree <= 0
+            assert (R.coeffs[0] if R else field.zero()) == \
+                sylvester_resultant(f, g), (str(f), str(g))
+            checked += 1
+        assert checked > 15
+
+
 def test_resultant_in_u_constant_in_x_shortcut():
     from tolerant import rational_function_field
     F5T = rational_function_field(5)
