@@ -15,9 +15,10 @@ performance-critical runs here on plain ints and tuples:
   covers Z, ``mod_ring(p)`` F_p, ``fp_poly_ring(p)`` F_p[t] (on ``pmul``),
   and ``tuple_poly_ring`` dense R[y] for any base ``Ring`` R.
   ``kron_poly_ring`` is such an R[y] whose products go through a Kronecker
-  product once both operands are dense enough (``TMUL_KRON_MIN``,
-  ``TMUL_KRON_SPREAD``): Z[u] on ``kron_mul``, and F_p[t][u] on
-  ``kron_tmul`` (``fpt_u_ring``).  The polynomial rings Z[y], F_p[y] and
+  product once both operands are dense enough: at least one entry in
+  ``TMUL_KRON_SPREAD`` nonzero, and ``PMUL_KRON_MIN`` nonzero entries for
+  Z[u] on ``kron_mul``, ``TMUL_KRON_MIN`` for F_p[t][u] on ``kron_tmul``
+  (``fpt_u_ring``).  The polynomial rings Z[y], F_p[y] and
   F_p[t][y] are the u-rings of ``FieldOps``, and their ``mul`` is the one
   product of each, for ``Polynomial`` products and u-resultants alike.
 * ``kron_mul`` and ``kron_tmul``: products in Z[y] and F_p[t][y] by
@@ -369,34 +370,36 @@ def tuple_poly_ring(R: Ring) -> Ring:
     return Ring((), (R.one,), add, sub, mul, neg, exact_div)
 
 
-# A product in Z[u] or F_p[t][u] is one Kronecker product when each operand
-# has at least TMUL_KRON_MIN nonzero u-coefficients, at least one in
+# A product in F_p[t][u] is one Kronecker product when each operand has at
+# least TMUL_KRON_MIN nonzero u-coefficients, at least one in
 # TMUL_KRON_SPREAD of its u-coefficients.  Below either bound the schoolbook
 # loop, which skips zero coefficients, does less work: packing every zero
 # slot costs more than the pairs of nonzero entries it replaces.  The bounds
 # were measured on the sparse u-polynomials gdisc built when it still
 # eliminated over u (over F_3(t), of length near 1000 with 2-35 % of their
-# entries nonzero; over Q, in "x^20+x+1", a median of 2.7 % in the sparser
-# operand).  Today the product serves ``Polynomial`` products (parsed
-# powers, ``Factorization.expand``, gdisc's ``_split``) and
-# ``gdisc_by_elimination``; no measurement on that traffic has moved them.
+# entries nonzero).  In Z[u] the least count is PMUL_KRON_MIN instead:
+# kron_mul's fixed cost of a few microseconds per call made it slower than
+# the schoolbook loop on random equal-length operands of 3 to 8 entries, and
+# it is no slower from 12 on.  The product serves ``Polynomial`` products
+# (parsed powers, ``Factorization.expand``, gdisc's ``_split``) and
+# ``gdisc_by_elimination``.
 TMUL_KRON_MIN = 3
 TMUL_KRON_SPREAD = 4
 
 
-def kron_poly_ring(R: Ring,
-                   kron: Callable[[Sequence, Sequence], list]) -> Ring:
+def kron_poly_ring(R: Ring, kron: Callable[[Sequence, Sequence], list],
+                   least: int) -> Ring:
     """``tuple_poly_ring(R)`` whose product is ``kron`` once both operands
-    pass ``TMUL_KRON_MIN`` and ``TMUL_KRON_SPREAD``, and the schoolbook loop
-    below them: Z[u] with ``kron_mul``, and ``fpt_u_ring``.  Operands may be
-    lists or tuples; the product is a tuple."""
+    have ``least`` nonzero entries, at least one in ``TMUL_KRON_SPREAD``,
+    and the schoolbook loop below them: Z[u] with ``kron_mul`` from
+    ``PMUL_KRON_MIN``, and ``fpt_u_ring``.  Operands may be lists or tuples;
+    the product is a tuple."""
     ring = tuple_poly_ring(R)
     schoolbook, zero = ring.mul, R.zero
 
     def dense(c: Sequence) -> bool:
         nonzero = len(c) - c.count(zero)
-        return (nonzero >= TMUL_KRON_MIN
-                and nonzero * TMUL_KRON_SPREAD >= len(c))
+        return nonzero >= least and nonzero * TMUL_KRON_SPREAD >= len(c)
 
     def mul(a: Sequence, b: Sequence) -> tuple:
         if dense(a) and dense(b):
@@ -409,7 +412,8 @@ def kron_poly_ring(R: Ring,
 def fpt_u_ring(p: int) -> Ring:
     """F_p[t][u], the u-ring of F_p(t), with dense products by
     ``kron_tmul``."""
-    return kron_poly_ring(fp_poly_ring(p), lambda a, b: kron_tmul(a, b, p))
+    return kron_poly_ring(fp_poly_ring(p), lambda a, b: kron_tmul(a, b, p),
+                          TMUL_KRON_MIN)
 
 
 def ring_pow(x, e: int, R):

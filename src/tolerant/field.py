@@ -299,7 +299,8 @@ def _q_ops() -> FieldOps:
         add=operator.add, neg=operator.neg, mul=operator.mul,
         inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction,
         one=Fraction(1), text=_q_text,
-        ring=ring, u_ring=_rings.kron_poly_ring(ring, _rings.kron_mul),
+        ring=ring, u_ring=_rings.kron_poly_ring(ring, _rings.kron_mul,
+                                                _rings.PMUL_KRON_MIN),
         cleared=_q_cleared, rebuild=Fraction)
     # the gcd is the last nonzero remainder of the subresultant PRS in Z[x]
     return _with_division(ops, lambda a, b: _rings.subresultant(a, b, ring)[1])

@@ -4,9 +4,16 @@ Grammar (whitespace-insensitive, U+2212 accepted for '-'):
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' NUMBER)*
+    unary  := '-' unary | atom ('^' NUMBER)*
     atom   := NUMBER | 'x' | 't' | '(' expr ')'
+
+NUMBER is a run of the ASCII digits 0-9.  One compiled regex splits the
+text into token strings: a NUMBER, or any other single non-space
+character; whitespace between tokens is skipped.  The grammar walks that
+list by index, and no token carries its offset: an error re-scans the text
+to find the offset of the token it names.  Any character outside the
+grammar, including a non-ASCII digit, is an unexpected character, and the
+first one in the text is the error reported, ahead of any other.
 
 Exponents are nonnegative integer literals.  An exponent above
 ``MAX_DEGREE``, or a power, product, factored group or factored product
@@ -34,13 +41,20 @@ arithmetic, whose product is the field's ``u_ring.mul``.
 
 from __future__ import annotations
 
+import re
+from itertools import islice
+
 from . import _rings
 from .errors import FieldLiteralError, InputTooLargeError, ParseError
 from .factor import Factorization
 from .field import FieldDescriptor, FieldKind
 from .poly import Polynomial
 
-_OPS = set("+-*/^()")
+# A NUMBER, or one non-space character; [0-9], since \d would match every
+# Unicode decimal digit.
+_TOKEN = re.compile(r"[0-9]+|\S")
+# A character that is neither whitespace nor part of a token of the grammar.
+_UNEXPECTED = re.compile(r"[^0-9xt+\-*/^()\s]")
 
 # Each '(' and each unary '-' opens one level of recursion in the parser;
 # deeper input is refused before it can exhaust the interpreter's stack.
@@ -61,50 +75,13 @@ def _int_value(digits: str) -> int:
     return _int_value(digits[:-k]) * 10 ** k + _int_value(digits[-k:])
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.pos})"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if ch in ("x", "t"):
-            out.append(_Token("NAME", ch, i))
-            i += 1
-            continue
-        if ch in _OPS:
-            out.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("END", "", n))
-    return out
-
-
 class _Parser:
-    """Recursive descent over the tokens.  Every grammar method returns a
-    term map ``{x-degree: nonzero raw value}`` that no other value shares,
-    so a sum may merge into its left operand in place."""
+    """Recursive descent over the token strings, the last of which is ""
+    for the end of input.  A token is a NUMBER exactly when
+    "0" <= token < ":", the characters around the ASCII digits.  Every
+    grammar method returns a term map ``{x-degree: nonzero raw value}`` that
+    no other value shares, so a sum may merge into its left operand in
+    place."""
 
     def __init__(self, text: str, field: FieldDescriptor):
         self.field = field
@@ -112,61 +89,57 @@ class _Parser:
         # F_p(t)'s t, whose powers are built directly
         self.t = (field.t().value
                   if field.kind is FieldKind.RATIONAL_FUNCTION_FIELD else None)
-        self.tokens = _tokenize(text.replace("−", "-"))
+        # U+2212 is one character, as '-' is, so no offset moves
+        self.text = text.replace("−", "-")
+        self.tokens = _TOKEN.findall(self.text)
+        self.tokens.append("")
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def fail(self, message: str, at: int, error=ParseError):
+        """Raise `error` at the offset of token `at`, or a ParseError at the
+        text's first unexpected character if it has one."""
+        bad = _UNEXPECTED.search(self.text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}",
+                             bad.start())
+        starts = (m.start() for m in _TOKEN.finditer(self.text))
+        raise error(message, next(islice(starts, at, None), len(self.text)))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def check_size(self, size: int, at: int) -> None:
+        if size > MAX_DEGREE:
+            self.fail(f"exponent or degree above the cap of {MAX_DEGREE}", at,
+                      InputTooLargeError)
 
-    def accept_op(self, *ops: str):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in ops:
-            return self.advance()
-        return None
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.pos)
-
-    def nested(self, parse):
-        """parse() one level deeper, just past a '(' or a unary '-'."""
+    def nested(self, parse, at: int):
+        """parse() one level deeper, past the '(' or unary '-' at token
+        `at`."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             self.tokens[self.i - 1].pos)
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", at)
         self.depth += 1
         value = parse()
         self.depth -= 1
         return value
 
+    def group(self, at: int) -> dict:
+        """'(' expr ')', the '(' being token `at`, the one just read."""
+        value = self.nested(self.expr, at)
+        if self.tokens[self.i] != ")":
+            self.fail("expected ')'", self.i)
+        self.i += 1
+        return value
+
     def exponent(self, base: dict) -> int:
         """The NUMBER after a '^' that raises `base`, refused when the
         exponent or the power's degree would pass MAX_DEGREE."""
-        num = self.peek()
-        if num.kind != "NUMBER":
-            self.fail("exponent must be a nonnegative integer literal")
-        self.advance()
-        e = _int_value(num.text)
-        self.check_size(max(1, *self.degrees(base)) * e, num.pos)
+        i = self.i
+        digits = self.tokens[i]
+        if not "0" <= digits < ":":
+            self.fail("exponent must be a nonnegative integer literal", i)
+        self.i = i + 1
+        e = _int_value(digits)
+        self.check_size(max(1, *self.degrees(base)) * e, i)
         return e
-
-    def check_size(self, size: int, pos: int) -> None:
-        if size > MAX_DEGREE:
-            raise InputTooLargeError(
-                f"exponent or degree above the cap of {MAX_DEGREE}", pos)
-
-    def group(self) -> dict:
-        """'(' expr ')', the '(' being the next token."""
-        self.advance()
-        value = self.nested(self.expr)
-        if not self.accept_op(")"):
-            self.fail("expected ')'")
-        return value
 
     # -- term maps ----------------------------------------------------------
 
@@ -195,8 +168,19 @@ class _Parser:
         mul = self.ops.mul
         return {k + d: mul(v, c) for k, v in terms.items()}
 
-    def product(self, a: dict, b: dict) -> dict:
-        """a * b; a Polynomial product only when both have several terms."""
+    def product(self, a: dict, b: dict, at: int) -> dict:
+        """a * b, whose second factor starts at token `at`; a Polynomial
+        product only when both have several terms."""
+        if len(a) == 1 == len(b):
+            (d, c), = a.items()
+            (k, v), = b.items()
+            size = d + k
+            if self.t is not None:
+                size = max(size, max(map(len, c)) + max(map(len, v)) - 2)
+            self.check_size(size, at)
+            return {d + k: self.ops.mul(c, v)}
+        self.check_size(max(map(sum, zip(self.degrees(a), self.degrees(b)))),
+                        at)
         if len(a) < len(b):
             a, b = b, a
         if len(b) > 1:
@@ -223,14 +207,15 @@ class _Parser:
 
     def expr(self) -> dict:
         value = self.term()
+        tokens = self.tokens
         add, neg, nonzero = self.ops.add, self.ops.neg, self.ops.nonzero
         while True:
-            tok = self.accept_op("+", "-")
-            if tok is None:
+            op = tokens[self.i]
+            if op != "+" and op != "-":
                 return value
-            minus = tok.text == "-"
+            self.i += 1
             for d, c in self.term().items():
-                if minus:
+                if op == "-":
                     c = neg(c)
                 if d in value:
                     c = add(value[d], c)
@@ -241,58 +226,62 @@ class _Parser:
 
     def term(self) -> dict:
         value = self.unary()
+        tokens = self.tokens
         while True:
-            tok = self.accept_op("*", "/")
-            if tok is None:
+            op = tokens[self.i]
+            if op != "*" and op != "/":
                 return value
-            rhs_pos = self.peek().pos
+            at = self.i = self.i + 1
             rhs = self.unary()
-            if tok.text == "*":
-                self.check_size(max(map(sum, zip(self.degrees(value),
-                                                 self.degrees(rhs)))), rhs_pos)
-                value = self.product(value, rhs)
+            if op == "*":
+                value = self.product(value, rhs, at)
                 continue
             if max(rhs, default=0) > 0:
-                raise ParseError("divisor must be constant in x", rhs_pos)
+                self.fail("divisor must be constant in x", at)
             if not rhs:
-                raise FieldLiteralError(
-                    f"division by zero in {self.field.text()}", rhs_pos)
+                self.fail(f"division by zero in {self.field.text()}", at,
+                          FieldLiteralError)
             value = self.shifted(value, 0, self.ops.inverse(rhs[0]))
 
     def unary(self) -> dict:
-        if self.accept_op("-"):
+        """'-' unary | atom ('^' NUMBER)*, with x^NUMBER and t^NUMBER built
+        in one step."""
+        tokens, i = self.tokens, self.i
+        tok = tokens[i]
+        self.i = i + 1
+        if tok == "-":
             neg = self.ops.neg
-            return {d: neg(c) for d, c in self.nested(self.unary).items()}
-        return self.power()
-
-    def power(self) -> dict:
-        value = self.atom()
-        while self.accept_op("^"):
+            return {d: neg(c) for d, c in self.nested(self.unary, i).items()}
+        if "0" <= tok < ":":
+            c = self.ops.from_int(_int_value(tok))
+            value = {0: c} if self.ops.nonzero(c) else {}
+        elif tok == "x" or tok == "t":
+            if tok == "t" and self.t is None:
+                self.fail(f"t is not an element of {self.field.text()}", i,
+                          FieldLiteralError)
+            digits = tokens[i + 2] if tokens[i + 1] == "^" else ""
+            if "0" <= digits < ":":
+                e = _int_value(digits)
+                self.check_size(e, i + 2)
+                self.i = i + 3
+                value = ({e: self.ops.one} if tok == "x"
+                         else self.raised({0: self.t}, e))
+            else:
+                value = {1: self.ops.one} if tok == "x" else {0: self.t}
+        elif tok == "(":
+            value = self.group(i)
+        else:
+            self.fail(f"unexpected {tok!r}" if tok else
+                      "unexpected end of input", i)
+        while tokens[self.i] == "^":
+            self.i += 1
             value = self.raised(value, self.exponent(value))
         return value
 
-    def atom(self) -> dict:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            c = self.ops.from_int(_int_value(tok.text))
-            return {0: c} if self.ops.nonzero(c) else {}
-        if tok.kind == "NAME":
-            self.advance()
-            if tok.text == "x":
-                return {1: self.ops.one}
-            if self.t is None:
-                raise FieldLiteralError(
-                    f"t is not an element of {self.field.text()}", tok.pos)
-            return {0: self.t}
-        if tok.kind == "OP" and tok.text == "(":
-            return self.group()
-        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
-
     def expect_end(self):
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        tok = self.tokens[self.i]
+        if tok:
+            self.fail(f"unexpected {tok!r}", self.i)
 
     # -- factored form --------------------------------------------------------
 
@@ -302,7 +291,7 @@ class _Parser:
         invert_next = False
         size = (0, 0)           # degrees in x and t of the whole product
         while True:
-            start = self.peek().pos
+            start = self.i
             piece, mult, negate = self.factored_piece()
             size = tuple(s + d * mult for s, d in zip(size, self.degrees(piece)))
             self.check_size(max(size), start)
@@ -313,14 +302,13 @@ class _Parser:
                 c = piece.constant_term() ** mult
                 if invert_next:
                     if not c:
-                        raise FieldLiteralError(
-                            f"division by zero in {self.field.text()}", start)
+                        self.fail(f"division by zero in {self.field.text()}",
+                                  start, FieldLiteralError)
                     c = c.inverse()
                 unit = unit * c
             else:
                 if invert_next:
-                    raise ParseError("cannot divide by a nonconstant factor",
-                                     start)
+                    self.fail("cannot divide by a nonconstant factor", start)
                 unit = unit * piece.leading_coefficient() ** mult
                 if mult > 0:
                     monic = piece.monic()
@@ -330,17 +318,17 @@ class _Parser:
                             break
                     else:
                         factors.append((monic, mult))
-            tok = self.peek()
-            if tok.kind == "END":
+            sep = self.tokens[self.i]
+            if not sep:
                 break
-            sep = self.accept_op("*", "/")
-            if sep is None:
-                raise ParseError("factored input must be a '*'-separated "
-                                 "product of parenthesized groups", tok.pos)
-            invert_next = sep.text == "/"
+            if sep != "*" and sep != "/":
+                self.fail("factored input must be a '*'-separated product "
+                          "of parenthesized groups", self.i)
+            self.i += 1
+            invert_next = sep == "/"
         if not unit:
-            raise FieldLiteralError("unit of a factorization must be nonzero",
-                                    self.peek().pos)
+            self.fail("unit of a factorization must be nonzero", self.i,
+                      FieldLiteralError)
         return Factorization(unit, tuple(factors))
 
     def factored_piece(self) -> tuple[dict, int, bool]:
@@ -348,26 +336,28 @@ class _Parser:
         The sign of the whole item is returned separately so that it lands
         on the unit exactly once (- (x-1)^2 means -((x-1)^2))."""
         negate = False
-        while self.accept_op("-"):
+        while self.tokens[self.i] == "-":
+            self.i += 1
             negate = not negate
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "(":
-            value = self.group()
+        at = self.i
+        if self.tokens[at] == "(":
+            self.i += 1
+            value = self.group(at)
             mult = 1
-            if self.accept_op("^"):
+            if self.tokens[self.i] == "^":
+                self.i += 1
                 mult = self.exponent(value)
             return value, mult, negate
-        value = self.power()
+        value = self.unary()            # an atom and its powers: no '-' here
         if max(value, default=0) > 0:
-            raise ParseError("nonconstant factors must be parenthesized",
-                             tok.pos)
+            self.fail("nonconstant factors must be parenthesized", at)
         return value, 1, negate
 
 
 def parse_polynomial(text: str, field: FieldDescriptor, factored: bool = False):
     """Parse to a Polynomial, or to a Factorization in factored mode."""
     parser = _Parser(text, field)
-    if parser.peek().kind == "END":
+    if not parser.tokens[0]:
         raise ParseError("empty input", 0)
     if factored:
         return parser.factored()

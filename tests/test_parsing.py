@@ -67,7 +67,7 @@ def test_residue_literals_reduce_mod_p(F7):
         parse_polynomial("x/7", F7)       # 1/7 = 1/0 mod 7
 
 
-@pytest.mark.parametrize("text,offset", [
+ERROR_OFFSETS = [
     ("x^^2", 2),
     ("", 0),
     ("x +", 3),
@@ -79,7 +79,14 @@ def test_residue_literals_reduce_mod_p(F7):
     ("x^2 + 3/(x+1)", 8),
     ("x + 2*x^3/0", 10),
     ("x + t^2", 4),
-])
+    # NUMBER is ASCII digits only: any other digit is an unexpected character
+    ("x^²+1", 2),
+    ("x^٣+1", 2),
+    ("x + ٣", 4),
+]
+
+
+@pytest.mark.parametrize("text,offset", ERROR_OFFSETS)
 def test_error_offsets(Q, text, offset):
     with pytest.raises(ParseError) as e:
         parse_polynomial(text, Q)
@@ -88,6 +95,59 @@ def test_error_offsets(Q, text, offset):
     literal = text in ("1/0", "x + 2*x^3/0", "x + t^2")
     assert e.value.code == ("FIELD_LITERAL_ERROR" if literal
                             else "SYNTAX_ERROR")
+
+
+@pytest.mark.parametrize("text,offset", ERROR_OFFSETS)
+def test_error_offsets_move_with_text_before_the_error(Q, text, offset):
+    # offsets are found by scanning the text again once an error is raised:
+    # text put before the error moves the offset by exactly its length, and
+    # U+2212 counts as one character, as '-' does
+    with pytest.raises(ParseError) as e:
+        parse_polynomial(text, Q)
+    prefixes = ["x^2 \u2212 1 + ", "\u2212", "(\u22122)*"]
+    if text:            # only whitespace is the empty input, at offset 0
+        prefixes.append(" \t\n ")
+    for prefix in prefixes:
+        with pytest.raises(ParseError) as moved:
+            parse_polynomial(prefix + text, Q)
+        assert moved.value.position == offset + len(prefix), prefix + text
+        assert moved.value.code == e.value.code
+
+
+# an unexpected character, and a '(' left open, about 10000 characters into a
+# long sum of monomials
+_SUM_10K = " + ".join(f"{k}*x^{k}" for k in range(1, 1250))
+
+
+@pytest.mark.parametrize("text,offset,message", [
+    (_SUM_10K + " + 3*x $ + x^2", len(_SUM_10K) + 7, "character '$'"),
+    (_SUM_10K + " + (x - 1 + 2*x^3 x", len(_SUM_10K) + 18, "expected ')'"),
+    (_SUM_10K + " + (x - 1 + 2*x^3 ", len(_SUM_10K) + 18, "expected ')'"),
+    # an unexpected character fails ahead of an earlier error
+    ("1/0 + " + _SUM_10K + " # x", len(_SUM_10K) + 7, "character '#'"),
+])
+def test_error_offsets_deep_in_long_input(Q, text, offset, message):
+    assert len(_SUM_10K) > 10_000
+    with pytest.raises(ParseError) as e:
+        parse_polynomial(text, Q)
+    assert e.value.code == "SYNTAX_ERROR"
+    assert e.value.position == offset
+    assert message in str(e.value)
+
+
+@pytest.mark.parametrize("text,offset,message", [
+    ("x*(x-1)", 0, "nonconstant factors must be parenthesized"),
+    ("(x+1)/(x-1)", 6, "cannot divide by a nonconstant factor"),
+    ("2*(x+1)^2 (x-1)", 10, "'*'-separated product"),
+    ("-\u2212(x+1)/-(x-1)", 8, "cannot divide by a nonconstant factor"),
+])
+def test_factored_error_offsets(Q, text, offset, message):
+    for prefix in ("", "\t\u22121 * "):
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(prefix + text, Q, factored=True)
+        assert e.value.code == "SYNTAX_ERROR"
+        assert e.value.position == offset + len(prefix)
+        assert message in str(e.value)
 
 
 def test_deep_nesting_is_a_syntax_error(Q, capsys):
@@ -354,6 +414,110 @@ def test_term_maps_match_polynomial_arithmetic(name):
             assert got == Polynomial.zero(field)
         elif trial % 4 == 1:
             assert got.degree <= top
+
+
+class _Nested:
+    """Random nested expressions over one field, as (tokens, expected
+    Polynomial) pairs: parenthesized sums and their powers, chains of unary
+    minus and of '^', x^k and t^k, products of one-term and of multi-term
+    values, and division by nonzero constants."""
+
+    def __init__(self, field, rng):
+        self.field, self.rng = field, rng
+        self.over_t = field.kind.value == "fpt"
+
+    def const(self, n):
+        return Polynomial.constant(self.field, self.field.from_int(n))
+
+    def divisor(self):
+        """A nonzero constant that may follow '/'."""
+        rng, p = self.rng, self.field.p or 0
+        choices = ["n", "-n"] + (["t^k", "(t+1)"] if self.over_t else [])
+        kind = rng.choice(choices)
+        n = rng.randint(1, 30)
+        while p and n % p == 0:
+            n += 1
+        if kind == "n":
+            return [str(n)], self.const(n)
+        if kind == "-n":
+            return ["-", str(n)], -self.const(n)
+        t = Polynomial.constant(self.field, self.field.t())
+        if kind == "t^k":
+            k = rng.randint(0, 4)
+            return ["t", "^", str(k)], t ** k
+        return ["(", "t", "+", "1", ")"], t + self.const(1)
+
+    def atom(self, depth):
+        rng = self.rng
+        kinds = ["n", "x", "x^k"] + (["t", "t^k"] if self.over_t else [])
+        if depth:
+            kinds += ["(expr)"] * 2
+        kind = rng.choice(kinds)
+        if kind == "n":
+            n = rng.randint(0, 40)
+            return [str(n)], self.const(n), True
+        if kind != "(expr)":
+            value = (Polynomial.x(self.field) if kind[0] == "x" else
+                     Polynomial.constant(self.field, self.field.t()))
+            if kind in ("x", "t"):
+                return [kind], value, True
+            k = rng.randint(0, 6)
+            return [kind[0], "^", str(k)], value ** k, True
+        tokens, value = self.expr(depth - 1)
+        return ["("] + tokens + [")"], value, False
+
+    def unary(self, depth):
+        rng = self.rng
+        minus = rng.choice([0, 0, 0, 1, 2, 3])
+        tokens, value, small = self.atom(depth)
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            k = rng.randint(0, 3 if small else 2)
+            tokens, value = tokens + ["^", str(k)], value ** k
+        if minus % 2:
+            value = -value
+        return ["-"] * minus + tokens, value
+
+    def term(self, depth):
+        tokens, value = self.unary(depth)
+        for _ in range(self.rng.choice([0, 1, 1, 2, 3])):
+            if self.rng.random() < 0.25:
+                more, divisor = self.divisor()
+                inverse = divisor.constant_term().inverse()
+                tokens, value = tokens + ["/"] + more, value * inverse
+            else:
+                more, factor = self.unary(depth)
+                tokens, value = tokens + ["*"] + more, value * factor
+        return tokens, value
+
+    def expr(self, depth):
+        tokens, value = self.term(depth)
+        for _ in range(self.rng.randint(0, 3)):
+            sign = self.rng.choice("+-")
+            more, rhs = self.term(depth)
+            tokens = tokens + [sign] + more
+            value = value + rhs if sign == "+" else value - rhs
+        return tokens, value
+
+    def text(self, tokens):
+        """The tokens joined by random whitespace (none included), with
+        U+2212 for some of the '-'."""
+        rng = self.rng
+        out = []
+        for tok in tokens:
+            if tok == "-" and rng.random() < 0.3:
+                tok = "\u2212"
+            out += [rng.choice(["", "", " ", "  ", "\t", "\n", " \n\t"]), tok]
+        return "".join(out)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "fpt:5"])
+def test_nested_expressions_match_polynomial_arithmetic(name):
+    field = parse_field(name)
+    gen = _Nested(field, random.Random(f"nested/{name}"))
+    for _ in range(150):
+        tokens, expected = gen.expr(3)
+        text = gen.text(tokens)
+        assert parse_polynomial(text, field) == expected, text
 
 
 def test_cancelled_terms_leave_nothing_behind(Q, F3T):

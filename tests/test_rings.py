@@ -157,7 +157,15 @@ Q_U_RING = rationals().ops.u_ring
 def u_ring(p):
     """The u-ring of F_p(t), or of Q for p = 0, built on each call, so that
     it takes a patched ``_rings.kron_mul``."""
-    return fpt_u_ring(p) if p else kron_poly_ring(int_ring(), _rings.kron_mul)
+    if p:
+        return fpt_u_ring(p)
+    return kron_poly_ring(int_ring(), _rings.kron_mul, PMUL_KRON_MIN)
+
+
+def least_kron(p):
+    """The nonzero u-coefficients each operand needs for a Kronecker
+    product in the u-ring of F_p(t), or of Q for p = 0."""
+    return TMUL_KRON_MIN if p else PMUL_KRON_MIN
 
 
 def u_poly(rng, p, length, nonzero, t_len):
@@ -189,21 +197,23 @@ def naive_umul(a, b, p):
 @pytest.mark.parametrize("p", [2, 3, 7, 10007, 0])
 def test_fpt_u_ring_product_matches_schoolbook(p):
     # the u-ring of F_p(t), and for p = 0 that of Q, against the plain ring
-    # and the oracle, with operands on both sides of TMUL_KRON_MIN and
-    # TMUL_KRON_SPREAD
+    # and the oracle, with operands on both sides of the least nonzero count
+    # (TMUL_KRON_MIN, for Q PMUL_KRON_MIN) and of TMUL_KRON_SPREAD
     R = u_ring(p)
     plain = tuple_poly_ring(fp_poly_ring(p) if p else int_ring())
     rng = random.Random(f"tmul/{p}")
-    edge = TMUL_KRON_MIN * TMUL_KRON_SPREAD
+    least = least_kron(p)
+    edge = least * TMUL_KRON_SPREAD
     # (u-length, nonzero u-coefficients): dense at every length up to 8,
-    # sparse at the spread bound and one past it, long and very sparse
+    # sparse at the spread bound and one past it, long and very sparse, and
+    # dense just below and at the least count
     shapes = [(n, n) for n in range(1, 9)] + [
-        (edge, TMUL_KRON_MIN), (edge + 1, TMUL_KRON_MIN), (20, 16), (40, 4),
-        (30, 2)]
+        (edge, least), (edge + 1, least), (20, 16), (40, 4), (30, 2),
+        (least - 1, least - 1), (least, least)]
     for length, nonzero in shapes:
         for _ in range(4):
             a = u_poly(rng, p, length, nonzero, rng.choice((1, 3, 20)))
-            n = rng.randint(1, 12)
+            n = rng.randint(1, 2 * least + 6)
             b = u_poly(rng, p, n, rng.randint(1, n), 3)
             for x, y in ((a, a), (a, b), (b, a)):
                 assert R.mul(x, y) == plain.mul(x, y) == naive_umul(x, y, p)
@@ -214,8 +224,9 @@ def test_fpt_u_ring_product_matches_schoolbook(p):
 @pytest.mark.parametrize("p", [3, 0])
 def test_fpt_u_ring_takes_both_paths(p, monkeypatch):
     # the product is one Kronecker product exactly when both operands have
-    # at least TMUL_KRON_MIN nonzero u-coefficients, one in TMUL_KRON_SPREAD
-    # or more; kron_tmul packs into one kron_mul, which is counted
+    # at least TMUL_KRON_MIN (over Q, PMUL_KRON_MIN) nonzero u-coefficients,
+    # one in TMUL_KRON_SPREAD or more; kron_tmul packs into one kron_mul,
+    # which is counted
     calls = []
 
     def counted(a, b):
@@ -225,13 +236,14 @@ def test_fpt_u_ring_takes_both_paths(p, monkeypatch):
     monkeypatch.setattr(_rings, "kron_mul", counted)
     R = u_ring(p)
     rng = random.Random(7)
-    edge = TMUL_KRON_MIN * TMUL_KRON_SPREAD
-    dense = u_poly(rng, p, TMUL_KRON_MIN, TMUL_KRON_MIN, 3)
+    least = least_kron(p)
+    edge = least * TMUL_KRON_SPREAD
+    dense = u_poly(rng, p, least, least, 3)
     for a, b, kron in (
             (dense, dense, True),
-            (dense, u_poly(rng, p, edge, TMUL_KRON_MIN, 3), True),
-            (dense, u_poly(rng, p, edge + 1, TMUL_KRON_MIN, 3), False),
-            (dense, u_poly(rng, p, 5, TMUL_KRON_MIN - 1, 3), False)):
+            (dense, u_poly(rng, p, edge, least, 3), True),
+            (dense, u_poly(rng, p, edge + 1, least, 3), False),
+            (dense, u_poly(rng, p, least + 2, least - 1, 3), False)):
         calls.clear()
         assert R.mul(a, b) == naive_umul(a, b, p)
         assert calls == ([1] if kron else [])
