@@ -7,17 +7,23 @@ performance-critical runs here on plain ints and tuples:
 * ``pXXX`` functions: dense polynomials over F_p as tuples of residues,
   lowest degree first, normalized (no trailing zeros, ``()`` is zero).  These
   double as F_p[t] scalars for the rational function field and as F_p[x]
-  values for factorization.  ``pmul`` is one big-int product by Kronecker
-  substitution from ``PMUL_KRON_MIN`` nonzero entries in the shorter operand
-  on, and the schoolbook loop below.
+  values for factorization.  ``pmul`` returns a unit or constant operand's
+  product without multiplying, and is otherwise one big-int product by
+  Kronecker substitution from ``PMUL_KRON_MIN`` = 6 nonzero entries in the
+  shorter operand on (``PMUL_WIDE_KRON_MIN`` = 8 when a slot needs more
+  than 8 bytes), and the schoolbook loop below.  Slots of up to 8 bytes
+  are packed and read back by ``struct`` at C speed, not one coefficient
+  at a time.
 * ``Ring`` bundles: a minimal integral-domain interface (add/sub/mul/exact
-  division) over some raw element type whose zero is falsy.  ``int_ring``
-  covers Z, ``mod_ring(p)`` F_p, ``fp_poly_ring(p)`` F_p[t] (on ``pmul``),
-  and ``tuple_poly_ring`` dense R[y] for any base ``Ring`` R.
+  division, and scaling by an int in the numerator rings) over some raw
+  element type whose zero is falsy.  ``int_ring`` covers Z, ``mod_ring(p)``
+  F_p, ``fp_poly_ring(p)`` F_p[t] (on ``pmul``), and ``tuple_poly_ring``
+  dense R[y] for any base ``Ring`` R.
   ``kron_poly_ring`` is such an R[y] whose products go through a Kronecker
   product once both operands are dense enough: at least one entry in
-  ``TMUL_KRON_SPREAD`` nonzero, and ``PMUL_KRON_MIN`` nonzero entries for
-  Z[u] on ``kron_mul``, ``TMUL_KRON_MIN`` for F_p[t][u] on ``kron_tmul``
+  ``TMUL_KRON_SPREAD`` nonzero, and ``KRON_MUL_MIN`` = 12 nonzero entries
+  for Z[u] on ``kron_mul`` (its own count: it is ``kron_mul``'s fixed cost,
+  not ``pmul``'s), ``TMUL_KRON_MIN`` for F_p[t][u] on ``kron_tmul``
   (``fpt_u_ring``).  The polynomial rings Z[y], F_p[y] and
   F_p[t][y] are the u-rings of ``FieldOps``, and their ``mul`` is the one
   product of each, for ``Polynomial`` products and u-resultants alike.
@@ -31,10 +37,13 @@ performance-critical runs here on plain ints and tuples:
   ``Polynomial`` division over Q and F_p(t), on cleared numerators (over
   F_p that is ``pdivmod``).  ``primitive_gcd`` runs Euclid on primitive
   pseudo-remainders in F_p[t][x], the gcd of F_p(t).
-* ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS, the
-  kernel behind every resultant in the package.  It also returns the last
-  nonzero remainder, an associate of gcd(a, b) over the fraction field:
-  ``Polynomial.gcd`` over Q and gdisc's g_1 = gcd(f, f') come from it.
+* ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS,
+  the resultant kernel of Z, F_p[t] and the u-rings, and ``fp_resultant``:
+  res(a, b) over F_p by Euclid over the field, the kernel of F_p.  Each
+  field's ``FieldOps.resultant`` is one of the two.  Both also return the
+  last nonzero remainder, an associate of gcd(a, b) over the fraction
+  field: ``Polynomial.gcd`` over Q and gdisc's g_1 = gcd(f, f') come from
+  it.
 * ``bareiss_det`` and ``naive_det``: exact determinants, kept as test
   oracles for the kernel.
 """
@@ -42,6 +51,7 @@ performance-critical runs here on plain ints and tuples:
 from __future__ import annotations
 
 import operator
+import struct
 from typing import Any, Callable, NamedTuple, Sequence
 
 
@@ -75,37 +85,80 @@ def pneg(a: tuple, p: int) -> tuple:
 
 # Nonzero entries the shorter ``pmul`` operand needs before one big-int
 # product beats the schoolbook loop.  Measured on random dense operands at
-# p = 3, 10007 and 2^31 - 1: break-even at 8-10 entries for operands of equal
-# length and at about 6 when the other operand is four times longer; 12 is
-# the first count at which Kronecker wins at every one of those primes.
-PMUL_KRON_MIN = 12
+# p = 2, 3, 17, 257, 10007 and 65537 (CPython 3.11, x86-64): with slots of
+# at most 8 bytes, which ``struct`` fills and reads at C speed, the product
+# breaks even at 5 entries when both operands are that long and wins by
+# 20-30 % at 6; with the other operand four times longer it wins from 3.  Slots wider than 8 bytes, which only p above about 2^30 needs at
+# such lengths, are packed one coefficient at a time; there the product
+# breaks even at 7 entries and wins from 8 (at p = 2^31 - 1).  Z[u] keeps
+# its own count, ``KRON_MUL_MIN``.
+PMUL_KRON_MIN = 6
+PMUL_WIDE_KRON_MIN = 8
+
+# The struct codes of the standard slot widths, and the standard width that
+# holds w <= 8 bytes for each w.  A product whose width is not standard
+# packs into the next standard one while the product stays within
+# ``ROUND_UP_BYTES`` (with p = 10007, up to about 512 entries per operand),
+# and in exact-width slots beyond: past that size the larger big-int
+# product cost more than the packing saved (measured from 5 to 8 bytes).
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_STANDARD_WIDTH = (0, 1, 2, 4, 4, 8, 8, 8, 8)
+ROUND_UP_BYTES = 8192
 
 
 def pmul(a: tuple, b: tuple, p: int) -> tuple:
     """a * b in F_p[y] for tuples of residues in [0, p).
 
-    Below ``PMUL_KRON_MIN`` nonzero entries in the shorter operand this is
-    the schoolbook loop.  From there it is Kronecker substitution with
-    unsigned slots: a product coefficient is a sum of at most
-    min(len a, len b) terms, each at most (p-1)^2, so slots of w bytes
-    holding that bound never carry into each other.  A square packs once."""
+    A unit or constant operand scales the other one.  Otherwise it is
+    Kronecker substitution with unsigned slots once the shorter operand has
+    ``PMUL_KRON_MIN`` nonzero entries (``PMUL_WIDE_KRON_MIN`` for slots
+    wider than 8 bytes), and the schoolbook loop below that.  A product
+    coefficient is a sum of at most min(len a, len b) terms, each at most
+    (p-1)^2, so slots of w bytes holding that bound never carry into each
+    other.  Slots of 1, 2, 4 or 8 bytes are packed and read back by one
+    ``struct`` call each; a square packs once."""
     la, lb = len(a), len(b)
     if la < lb:
         a, b, la, lb = b, a, lb, la
-    if not lb:
-        return ()
+    if lb < 2:
+        if not lb:
+            return ()
+        c = b[0]
+        return tuple(a) if c == 1 else tuple([x * c % p for x in a])
     n = la + lb - 1
-    if lb < PMUL_KRON_MIN or lb - b.count(0) < PMUL_KRON_MIN:
-        out = [0] * n
-        for i, x in enumerate(b):
-            if x:
-                for j, y in enumerate(a, i):
-                    if y:
-                        out[j] += x * y
-        return pstrip([c % p for c in out])
-    w = (((p - 1) ** 2 * lb).bit_length() + 7) // 8
+    # from p = 2^30 on, slots exceed 8 bytes at 16 entries at the latest,
+    # so the wide count applies there without the slot width
+    least = PMUL_KRON_MIN if p < 1 << 30 else PMUL_WIDE_KRON_MIN
+    if lb >= least:
+        nonzero = lb - b.count(0)
+        if nonzero >= least:
+            w = (((p - 1) ** 2 * lb).bit_length() + 7) // 8
+            if w <= 8 and (w in _SLOT_CODES
+                           or n * _STANDARD_WIDTH[w] <= ROUND_UP_BYTES):
+                w = _STANDARD_WIDTH[w]
+                fmt = "<%d" + _SLOT_CODES[w]
+                packed = int.from_bytes(struct.pack(fmt % la, *a), "little")
+                product = packed * (packed if b is a else int.from_bytes(
+                    struct.pack(fmt % lb, *b), "little"))
+                return pstrip([c % p for c in struct.unpack(
+                    fmt % n, product.to_bytes(n * w, "little"))])
+            if nonzero >= PMUL_WIDE_KRON_MIN:
+                return _pmul_exact(a, b, p, n, w)
+    out = [0] * n
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                if y:
+                    out[j] += x * y
+    return pstrip([c % p for c in out])
 
-    def pack(c: tuple) -> int:
+
+def _pmul_exact(a: Sequence, b: Sequence, p: int, n: int, w: int) -> tuple:
+    """``pmul``'s Kronecker product in slots of exactly w bytes, each packed
+    and read back one coefficient at a time: for slots wider than 8 bytes,
+    and for long products whose width is not standard."""
+
+    def pack(c: Sequence) -> int:
         return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]),
                               "little")
 
@@ -246,7 +299,10 @@ def kron_tmul(a: list, b: list, p: int) -> list:
 
 class Ring(NamedTuple):
     """Integral-domain operations over one raw element type; its zero is
-    the one falsy element (0 or the empty tuple), so ``not x`` tests it."""
+    the one falsy element (0 or the empty tuple), so ``not x`` tests it.
+    ``times_int(x, n)`` is x times the image of the int n, in the numerator
+    rings of the fields (Z, F_p and F_p[t]); the polynomial rings over them
+    leave it out."""
 
     zero: Any
     one: Any
@@ -255,6 +311,7 @@ class Ring(NamedTuple):
     mul: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     exact_div: Callable[[Any, Any], Any]
+    times_int: Callable[[Any, int], Any] = None
 
 
 class InexactDivision(ArithmeticError):
@@ -269,19 +326,24 @@ def int_ring() -> Ring:
         return q
 
     return Ring(0, 1, operator.add, operator.sub, operator.mul, operator.neg,
-                exact_div)
+                exact_div, operator.mul)
 
 
 def mod_ring(p: int) -> Ring:
+    """F_p as residues; its resultants are ``fp_resultant``'s, not the
+    generic PRS's."""
     def exact_div(a: int, b: int) -> int:
         return a * pow(b, -1, p) % p
+
+    def mul(a: int, b: int) -> int:
+        return a * b % p
 
     return Ring(0, 1,
                 lambda a, b: (a + b) % p,
                 lambda a, b: (a - b) % p,
-                lambda a, b: a * b % p,
+                mul,
                 lambda a: (-a) % p,
-                exact_div)
+                exact_div, mul)
 
 
 def fp_poly_ring(p: int) -> Ring:
@@ -298,7 +360,8 @@ def fp_poly_ring(p: int) -> Ring:
                 lambda a, b: psub(a, b, p),
                 lambda a, b: pmul(a, b, p),
                 lambda a: pneg(a, p),
-                exact_div)
+                exact_div,
+                lambda a, n: pmul_ground(a, n, p))
 
 
 def tuple_poly_ring(R: Ring) -> Ring:
@@ -377,7 +440,7 @@ def tuple_poly_ring(R: Ring) -> Ring:
 # slot costs more than the pairs of nonzero entries it replaces.  The bounds
 # were measured on the sparse u-polynomials gdisc built when it still
 # eliminated over u (over F_3(t), of length near 1000 with 2-35 % of their
-# entries nonzero).  In Z[u] the least count is PMUL_KRON_MIN instead:
+# entries nonzero).  In Z[u] the least count is KRON_MUL_MIN instead:
 # kron_mul's fixed cost of a few microseconds per call made it slower than
 # the schoolbook loop on random equal-length operands of 3 to 8 entries, and
 # it is no slower from 12 on.  The product serves ``Polynomial`` products
@@ -385,6 +448,7 @@ def tuple_poly_ring(R: Ring) -> Ring:
 # ``gdisc_by_elimination``.
 TMUL_KRON_MIN = 3
 TMUL_KRON_SPREAD = 4
+KRON_MUL_MIN = 12
 
 
 def kron_poly_ring(R: Ring, kron: Callable[[Sequence, Sequence], list],
@@ -392,7 +456,7 @@ def kron_poly_ring(R: Ring, kron: Callable[[Sequence, Sequence], list],
     """``tuple_poly_ring(R)`` whose product is ``kron`` once both operands
     have ``least`` nonzero entries, at least one in ``TMUL_KRON_SPREAD``,
     and the schoolbook loop below them: Z[u] with ``kron_mul`` from
-    ``PMUL_KRON_MIN``, and ``fpt_u_ring``.  Operands may be lists or tuples;
+    ``KRON_MUL_MIN``, and ``fpt_u_ring``.  Operands may be lists or tuples;
     the product is a tuple."""
     ring = tuple_poly_ring(R)
     schoolbook, zero = ring.mul, R.zero
@@ -572,6 +636,56 @@ def subresultant(a: list, b: list, R: Ring) -> tuple[Any, list]:
             if da > 1:
                 res = div(ring_pow(res, da, R), ring_pow(h, da - 1, R))
             return (R.neg(res) if negate else res), b
+
+
+def fp_resultant(a: Sequence, b: Sequence, p: int) -> tuple[int, Sequence]:
+    """(res(a, b), the last nonzero remainder) over F_p, by Euclid's
+    algorithm over the field (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 6.3 and 11.2): ``subresultant``'s contract for residue lists.
+
+    With a = q * b + r and deg r = d_r, res(a, b) = (-1)^(deg a * deg b) *
+    lc(b)^(deg a - d_r) * res(b, r), and res(a, c) = c^(deg a) for a
+    constant c.  Each step takes one inverse, of lc(b), and reduces a by b
+    one row at a time, all rows in one pass when the degrees differ by 0 or
+    1, which is nearly every step; the factors go into one residue."""
+    da, db = len(a) - 1, len(b) - 1
+    acc = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            acc = -1
+    while db:
+        lb = b[-1]
+        inv = 1 if lb == 1 else pow(lb, -1, p)
+        if da == db:
+            c = a[da] * inv % p
+            r = [(x - c * y) % p for x, y in zip(a, b)]
+        elif da == db + 1:
+            # a - (c1 y + c0) b, both quotient digits known up front
+            c1 = a[da] * inv % p
+            c0 = (a[db] - c1 * b[db - 1]) * inv % p
+            r = [(a[0] - c0 * b[0]) % p]
+            r += [(x - c1 * y1 - c0 * y0) % p
+                  for x, y1, y0 in zip(a[1:db], b, b[1:db])]
+        else:
+            ninv, low, r = p - inv, b[:db], list(a)
+            for k in range(da, db - 1, -1):
+                c = r[k] * ninv % p
+                if c:
+                    r[k - db:k] = [(x + c * y) % p
+                                   for x, y in zip(r[k - db:k], low)]
+        dr = db
+        while dr and not r[dr - 1]:
+            dr -= 1
+        if not dr:
+            return 0, b
+        dr -= 1
+        if da & db & 1:
+            acc = -acc
+        if lb != 1:
+            acc = acc * (lb if da - dr == 1 else pow(lb, da - dr, p)) % p
+        a, b, da, db = b, r[:dr + 1], db, dr
+    return acc * pow(b[0], da, p) % p, b
 
 
 def bareiss_det(rows: list[list], R: Ring):

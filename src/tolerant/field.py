@@ -201,6 +201,11 @@ class FieldOps(NamedTuple):
     ``cleared(values)`` takes a sequence of values to (values * d, d) in
     ``ring``, d the lcm of their denominators (monic over F_p[t]); over F_p
     it is (values, 1).  ``rebuild(num, scale)`` is the value num / scale.
+    ``resultant(a, b)`` is the one resultant kernel of ``ring``, chosen
+    here: Euclid over the field (``fp_resultant``) for F_p, the
+    subresultant PRS for Z and F_p[t]; it takes two coefficient lists and
+    returns (res, the last nonzero remainder).  ``times_int(v, n)`` is the
+    value v times the int n, with no field product.
 
     ``divmod(a, b)`` is Euclidean division of normalized coefficient tuples
     (b nonzero), and ``gcd(a, b)`` the monic gcd of two nonzero ones; both
@@ -218,6 +223,8 @@ class FieldOps(NamedTuple):
     u_ring: _rings.Ring
     cleared: Callable[[Sequence], tuple[Sequence, Any]]
     rebuild: Callable[[Any, Any], Any]
+    resultant: Callable[[Sequence, Sequence], tuple[Any, Sequence]]
+    times_int: Callable[[Any, int], Any]
     divmod: Callable[[Sequence, Sequence], tuple[Sequence, Sequence]] = None
     gcd: Callable[[Sequence, Sequence], Sequence] = None
 
@@ -300,10 +307,12 @@ def _q_ops() -> FieldOps:
         inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction,
         one=Fraction(1), text=_q_text,
         ring=ring, u_ring=_rings.kron_poly_ring(ring, _rings.kron_mul,
-                                                _rings.PMUL_KRON_MIN),
-        cleared=_q_cleared, rebuild=Fraction)
+                                                _rings.KRON_MUL_MIN),
+        cleared=_q_cleared, rebuild=Fraction,
+        resultant=lambda a, b: _rings.subresultant(a, b, ring),
+        times_int=operator.mul)
     # the gcd is the last nonzero remainder of the subresultant PRS in Z[x]
-    return _with_division(ops, lambda a, b: _rings.subresultant(a, b, ring)[1])
+    return _with_division(ops, lambda a, b: ops.resultant(a, b)[1])
 
 
 def _fp_ops(p: int) -> FieldOps:
@@ -316,6 +325,8 @@ def _fp_ops(p: int) -> FieldOps:
         cleared=lambda values: (values, 1),
         rebuild=lambda num, scale: num if scale == 1 else ring.exact_div(
             num, scale),
+        resultant=lambda a, b: _rings.fp_resultant(a, b, p),
+        times_int=ring.times_int,
         divmod=lambda a, b: _rings.pdivmod(a, b, p),
         gcd=lambda a, b: _rings.pgcd(a, b, p))
 
@@ -349,6 +360,11 @@ def _fpt_ops(p: int) -> FieldOps:
                 for num, den in values], d
 
     ring = _rings.fp_poly_ring(p)
+
+    def times_int(v, n: int):
+        # n is a unit of F_p or zero, so num * n / den stays reduced
+        return (ring.times_int(v[0], n), v[1]) if n % p else ((), (1,))
+
     ops = FieldOps(
         add=add, neg=lambda v: (_rings.pneg(v[0], p), v[1]),
         mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
@@ -356,7 +372,9 @@ def _fpt_ops(p: int) -> FieldOps:
         nonzero=lambda v: bool(v[0]), from_int=from_int, one=((1,), (1,)),
         text=text,
         ring=ring, u_ring=_rings.fpt_u_ring(p),
-        cleared=cleared, rebuild=lambda num, scale: _fpt_reduce(num, scale, p))
+        cleared=cleared, rebuild=lambda num, scale: _fpt_reduce(num, scale, p),
+        resultant=lambda a, b: _rings.subresultant(a, b, ring),
+        times_int=times_int)
     # not the subresultant PRS in F_p[t][x]: its exact divisions of long
     # F_p[t] tuples are schoolbook pdivmod, which made it slower
     return _with_division(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Iterator, Optional, Union
 
-from ._rings import power_product, pstretch, subresultant
+from ._rings import power_product, pstretch, ring_pow
 from .errors import (DegreeMismatchError, DegreeTooSmallError,
                      InseparableInSeparableModeError,
                      InvalidFactorizationError, TolerantError,
@@ -45,7 +45,8 @@ from .factor import (Factorization, _squarefree_with_gcd,
                      squarefree_decomposition)
 from .field import FieldDescriptor, FieldElement, FieldKind
 from .poly import Polynomial, RootMultiset, binomial_mod
-from .resultant import (discriminant, discriminant_and_gcd, resultant_in_u,
+from .resultant import (discriminant, discriminant_and_gcd,
+                        numerator_discriminant, resultant_in_u,
                         sylvester_resultant)
 
 REPEATED_ROOT = "REPEATED_ROOT"
@@ -331,10 +332,14 @@ def tol_from_factorization(
     is one ``_rings.power_product``: a single squaring chain for all its
     terms.  CORRECTED clears each desubstituted part once, sep_i = N_i /
     d_i, and each Frobenius twist of it that a pair needs, twist(N_i) /
-    d_i^(p^a).  Each pair runs the subresultant PRS once, on the cleared
-    numerators.  Its resultant goes into the numerator, and its scale,
-    each part's denominator raised to the other part's degree, into the
-    denominator as powers of d_i and d_j.
+    d_i^(p^a).  Each pair runs the ring's resultant kernel
+    (``FieldOps.resultant``) once, on the cleared numerators.  Its
+    resultant goes into the numerator, and its scale, each part's
+    denominator raised to the other part's degree, into the denominator as
+    powers of d_i and d_j.  Each part's discriminant comes from N_i the
+    same way (``numerator_discriminant``), with no field value in between
+    where d_i = 1: its kernel resultant goes straight into the numerator.
+    Elsewhere it is reduced over its power of d_i by one rebuild first.
 
     The PAPER modes check coprimality first, by
     ``Factorization.pairwise_coprime``; PAPER_SEPARABLE then checks that
@@ -357,16 +362,18 @@ def tol_from_factorization(
     if not fac.factors:
         return field.one()
     ops, q, parts = field.ops, field.char_exponent, fac.parts
+    ring = ops.ring
     nums, dens = [], []         # (numerator-ring value, exponent >= 0)
 
-    def put(v: FieldElement, e: int) -> None:
-        (num,), den = ops.cleared((v.value,))
+    def put(v, e: int) -> None:
+        """v^e for a raw field value v."""
+        (num,), den = ops.cleared((v,))
         if e < 0:
             num, den, e = den, num, -e
         nums.append((num, e))
         dens.append((den, e))
 
-    put(fac.unit, 2 * fac.degree() - 2)
+    put(fac.unit.value, 2 * fac.degree() - 2)
 
     if mode is not FactorFormula.CORRECTED:
         weights = [m * q ** e for _, _, e, m in parts]
@@ -376,7 +383,7 @@ def tol_from_factorization(
             if not d:
                 raise ZeroDiscriminantFactorError(
                     "zero discriminant of a desubstituted part")
-            put(d, weights[i] * (2 * weights[i] - big_n))
+            put(d.value, weights[i] * (2 * weights[i] - big_n))
             for j in range(i + 1, len(parts)):
                 _, sep_j, e_j, m_j = parts[j]
                 cross = discriminant(sep_i * sep_j)
@@ -384,7 +391,7 @@ def tol_from_factorization(
                     raise ZeroDiscriminantFactorError(
                         "zero cross discriminant (parts share a root after "
                         "desubstitution)")
-                put(cross, m_i * m_j * q ** (e_i + e_j))
+                put(cross.value, m_i * m_j * q ** (e_i + e_j))
 
     else:
         stretch = field.kind is FieldKind.RATIONAL_FUNCTION_FIELD
@@ -405,8 +412,7 @@ def tol_from_factorization(
             for j in range(i + 1, len(parts)):
                 _, sep_j, e_j, m_j = parts[j]
                 a_i, a_j = max(e_i, e_j) - e_i, max(e_i, e_j) - e_j
-                r = subresultant(twisted(i, a_i), twisted(j, a_j),
-                                 ops.ring)[0]
+                r = ops.resultant(twisted(i, a_i), twisted(j, a_j))[0]
                 if not r:
                     raise InvalidFactorizationError(
                         "factors are not pairwise coprime")
@@ -414,16 +420,24 @@ def tol_from_factorization(
                 nums.append((r, w))
                 den_exp[i] += w * sep_j.degree * q ** a_i
                 den_exp[j] += w * sep_i.degree * q ** a_j
-        for _, sep, e, m in parts:
-            disc = discriminant(sep)
-            if not disc:
+        for i, (_, sep, e, m) in enumerate(parts):
+            r, k, _ = numerator_discriminant(twisted(i, 0), ops)
+            if not r:
                 raise ZeroDiscriminantFactorError(
                     "zero discriminant of a desubstituted part")
-            put(disc, m * m * q ** e)
+            # sep is monic, so lc(N_i) = d_i: disc(sep) = r / d_i^(2n-2-k),
+            # reduced first where d_i != 1, since a large w would raise the
+            # factors r and d_i share in both products
+            w, d_i = m * m * q ** e, clear[i][1]
+            if d_i == ring.one:
+                nums.append((r, w))
+            else:
+                put(ops.rebuild(r, ring_pow(d_i, 2 * sep.degree - 2 - k,
+                                            ring)), w)
         dens += [(clear[i][1], x) for i, x in enumerate(den_exp) if x]
 
-    return FieldElement(field, ops.rebuild(power_product(nums, ops.ring),
-                                           power_product(dens, ops.ring)))
+    return FieldElement(field, ops.rebuild(power_product(nums, ring),
+                                           power_product(dens, ring)))
 
 
 def _check_coprime(fac: Factorization) -> None:

@@ -275,13 +275,14 @@ class Polynomial:
         over Z; in characteristic p, mod p by Lucas' theorem, so no binomial
         is larger than p.  A binomial is taken only where the coefficient is
         nonzero, so sparse input costs its number of terms, not its degree,
-        in binomials."""
+        in binomials, and scales it as an int (``FieldOps.times_int``), with
+        no field product."""
         if r < 0:
             raise ValueError("Hasse derivative order must be >= 0")
         if r == 0:
             return self
         ops = self.field.ops
-        mul, from_int, nonzero = ops.mul, ops.from_int, ops.nonzero
+        times, nonzero = ops.times_int, ops.nonzero
         out = list(self.raw[r:])
         p = self.field.p                    # None over Q
         if p is None or r < p:
@@ -289,10 +290,10 @@ class Polynomial:
             # C(n mod p, r); over Q, n < len(raw) and n % m is n
             m = p or len(self.raw)
             for i in compress(range(len(out)), map(nonzero, out)):
-                out[i] = mul(out[i], from_int(comb((i + r) % m, r)))
+                out[i] = times(out[i], comb((i + r) % m, r))
         else:
             for i in compress(range(len(out)), map(nonzero, out)):
-                out[i] = mul(out[i], from_int(binomial_mod(i + r, r, p)))
+                out[i] = times(out[i], binomial_mod(i + r, r, p))
         if out and not nonzero(out[-1]):
             # binomials vanish mod p: cut the zero top in one step
             zeros = next(compress(count(), map(nonzero, reversed(out))),

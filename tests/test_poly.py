@@ -363,6 +363,30 @@ def test_hasse_derivative_across_the_characteristic(F7, F3T):
             assert f.hasse_derivative(r) == expected
 
 
+def test_hasse_derivative_scales_fractions_by_binomials(Q, F3T):
+    # coefficients with denominators (Fractions over Q, t-denominators over
+    # F_3(t)), every order: each raw coefficient is the canonical value of
+    # the boxed product c_n * C(n, r), and a binomial that vanishes mod 3
+    # leaves the canonical zero inside, and none at the top
+    rng = random.Random(23)
+    for field in (Q, F3T):
+        pool = ([field.from_fraction(Fraction(a, b)) for a in (-5, 1, 3, 7)
+                 for b in (1, 2, 9)] if field is Q
+                else t_fraction_pool(field)[1:])
+        for _ in range(20):
+            coeffs = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+            f = Polynomial(field, coeffs)
+            for r in range(len(coeffs) + 1):
+                expected = Polynomial(field, [
+                    c * field.from_int(math.comb(n, r))
+                    for n, c in enumerate(coeffs) if n >= r])
+                assert f.hasse_derivative(r).raw == expected.raw
+    t = F3T.t()
+    f = Polynomial(F3T, [F3T.one(), 1 / t, F3T.zero(), t / (t + 1), F3T.one()])
+    zero = ((), (1,))
+    assert f.derivative().raw == (((1,), (0, 1)), zero, zero, ((1,), (1,)))
+
+
 def test_hasse_derivative_composition(Q, F7, F3T):
     # D^r after D^s is C(r+s, r) D^(r+s); holds even where r! vanishes
     rng = random.Random(16)

@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from tolerant import (Polynomial, factor, invariants, multiplicity_profile,
-                      parse_field, parse_polynomial)
+from tolerant import (Polynomial, _rings, factor, invariants,
+                      multiplicity_profile, parse_field, parse_polynomial)
 from tolerant.cli import main
 
 GOLDEN = [
@@ -116,11 +116,16 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
                         lambda self: coprime_checks.append(self))
     # [resultants, discriminants] taken outside tol_from_factorization, and
     # per call of it [parts, resultants, discriminants, returned].  Outside,
-    # a resultant is a ``sylvester_resultant`` call (gdisc's); inside, a
-    # ``subresultant`` call on the cleared numerators of a pair of parts.
+    # a resultant is a ``sylvester_resultant`` call (gdisc's).  Inside, it
+    # is a call of the numerator ring's kernel (``FieldOps.resultant``:
+    # ``_rings.fp_resultant`` over F_p, ``_rings.subresultant`` over Q and
+    # F_p(t)) on the cleared numerators of a pair of parts, and a
+    # discriminant is a ``numerator_discriminant`` call on a part's cleared
+    # numerators; the one kernel call that runs within it is its own.
     outside = [0, 0]
     formula_calls = []
     inside = []
+    in_discriminant = []
 
     def counting(slot, real):
         def wrapper(*args):
@@ -131,7 +136,23 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
             return real(*args)
         return wrapper
 
+    def counting_kernel(real):
+        def wrapper(*args):
+            if inside and not in_discriminant:
+                formula_calls[-1][1] += 1
+            return real(*args)
+        return wrapper
+
+    def counting_part_discriminant(*args):
+        formula_calls[-1][2] += 1
+        in_discriminant.append(True)
+        try:
+            return real_part_discriminant(*args)
+        finally:
+            in_discriminant.pop()
+
     real_tol = invariants.tol_from_factorization
+    real_part_discriminant = invariants.numerator_discriminant
 
     def counting_tol(fac, *args):
         formula_calls.append([len(fac.factors), 0, 0, False])
@@ -146,8 +167,11 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     monkeypatch.setattr(invariants, "tol_from_factorization", counting_tol)
     monkeypatch.setattr(invariants, "sylvester_resultant",
                         counting(0, invariants.sylvester_resultant))
-    monkeypatch.setattr(invariants, "subresultant",
-                        counting(0, invariants.subresultant))
+    for kernel in ("subresultant", "fp_resultant"):
+        monkeypatch.setattr(_rings, kernel,
+                            counting_kernel(getattr(_rings, kernel)))
+    monkeypatch.setattr(invariants, "numerator_discriminant",
+                        counting_part_discriminant)
     monkeypatch.setattr(invariants, "discriminant",
                         counting(1, invariants.discriminant))
     assert main(["report", "--field", field, *flags, "--", expr]) == 0

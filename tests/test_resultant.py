@@ -13,8 +13,10 @@ from tolerant import (Polynomial, RootMultiset, build_report, parse_field,
 from tolerant.cli import main
 from tolerant.errors import (ConstantInputError, FieldMismatchError,
                              ZeroInputError)
+from tolerant.field import FieldElement, monic_rebuilt
 from tolerant.resultant import (discriminant, discriminant_and_gcd,
-                                resultant_in_u, sylvester_resultant)
+                                numerator_discriminant, resultant_in_u,
+                                sylvester_resultant)
 
 from conftest import linear_product, t_fraction_pool
 
@@ -393,8 +395,74 @@ def test_discriminant_matches_sympy(name):
                    for i, c in enumerate(f.coeffs))
         want = sympy.Poly(expr, x, **domain).discriminant()
         got = discriminant(f).value
+        assert disc_from_terms(f)[0].value == got
         if field.p is None:
             assert got == Fraction(int(want.p), int(want.q)), str(f)
         else:
             assert got == int(want) % field.p, str(f)
         checked += 1
+
+
+def disc_from_terms(f):
+    """(disc(f), last) read off ``numerator_discriminant`` in boxed field
+    arithmetic: r * lc(num)^k / d^(2n-2) for f = num / d."""
+    field, ops = f.field, f.field.ops
+    num, d = ops.cleared(f.raw)
+    r, k, last = numerator_discriminant(num, ops)
+
+    def box(v):
+        return FieldElement(field, ops.rebuild(v, ops.ring.one))
+
+    return box(r) * box(num[-1]) ** k / box(d) ** (2 * f.degree - 2), last
+
+
+def root_pool(field, rng):
+    """Distinct roots to draw from: residues, fractions, or F_p(t) values
+    with t-denominators."""
+    if field.kind.value == "fpt":
+        t = field.t()
+        pool = t_fraction_pool(field) + [t * t + 1, (t * t + t) / (t + 2),
+                                         field.from_int(2) / t]
+        return list(dict.fromkeys(pool))
+    if field.p is not None:
+        return [field.from_int(r) for r in range(min(field.p, 12))]
+    return [field.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(12)]
+
+
+@pytest.mark.parametrize("name", ["q", "fp:2", "fp:3", "fp:7", "fp:10007",
+                                  "fpt:3", "fpt:5"])
+def test_numerator_discriminant_matches_root_products(name):
+    # disc(f) = lc^(2n-2) * prod_{i<j} (r_i - r_j)^2 on distinct roots, with
+    # lc != 1 and degrees that p divides (deg f' < n - 1), and over F_p(t)
+    # roots and lc with t-denominators; on repeated roots r = 0 and the
+    # kernel's last remainder is an associate of gcd(f, f')
+    field = parse_field(name)
+    rng = random.Random(f"numerator-disc/{name}")
+    pool = root_pool(field, rng)
+    lcs = [c for c in pool if c and c != field.one()] or [field.one()]
+    p_divides = 0
+    for _ in range(40):
+        roots = rng.sample(pool, rng.randint(1, min(len(pool), 7)))
+        roots = list(dict.fromkeys(roots))
+        lc = rng.choice(lcs)
+        rm = RootMultiset(tuple((r, 1) for r in roots), lc)
+        f = poly_from_roots(rm, field)
+        n = f.degree
+        expected = lc ** (2 * n - 2)
+        for i, r in enumerate(roots):
+            for s in roots[i + 1:]:
+                expected = expected * (r - s) ** 2
+        got, last = disc_from_terms(f)
+        assert got == expected == discriminant(f), (name, str(f))
+        assert last is None
+        p_divides += bool(field.p) and n % field.p == 0 and n > 1
+        g = f * poly_from_roots(RootMultiset(((roots[0], 1),), field.one()),
+                                field)
+        zero, last = disc_from_terms(g)
+        assert not zero
+        gcd = g.gcd(g.derivative())
+        if g.derivative():
+            assert Polynomial.from_raw(field, monic_rebuilt(last, field.ops)) \
+                == gcd
+    assert p_divides >= (3 if field.p and field.p <= 7 else 0)

@@ -3,18 +3,21 @@ a cofactor-expansion oracle, and the subresultant resultant against Bareiss
 on the Sylvester matrix, over every ring the package uses."""
 
 import random
+import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from tolerant import _rings, rationals
-from tolerant._rings import (PMUL_KRON_MIN, TMUL_KRON_MIN, TMUL_KRON_SPREAD,
+from tolerant._rings import (KRON_MUL_MIN, PMUL_KRON_MIN, PMUL_WIDE_KRON_MIN,
+                             TMUL_KRON_MIN, TMUL_KRON_SPREAD,
                              InexactDivision, bareiss_det, fp_poly_ring,
-                             fpt_u_ring, int_ring, kron_mul, kron_poly_ring,
-                             kron_tmul, mod_ring, naive_det, pdivmod, pgcd,
-                             plcm, pmod, pmonic, pmul, ppow_mod,
-                             primitive_gcd, pseudo_divmod, pstrip, ring_pow,
-                             subresultant, tuple_poly_ring)
+                             fp_resultant, fpt_u_ring, int_ring, kron_mul,
+                             kron_poly_ring, kron_tmul, mod_ring, naive_det,
+                             pdivmod, pgcd, plcm, pmod, pmonic, pmul,
+                             ppow_mod, primitive_gcd, pseudo_divmod, pstrip,
+                             ring_pow, subresultant, tuple_poly_ring)
 
 from conftest import naive_pmul, naive_tmul
 
@@ -127,11 +130,27 @@ def sparse_tuple(rng, p, length, nonzero):
     return tuple(out)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 10007, 2 ** 31 - 1])
+PMUL_PRIMES = [2, 3, 7, 17, 257, 10007, 65537, 2 ** 31 - 1, 2 ** 61 - 1]
+
+
+def slot_edges(p, longest=600):
+    """Shorter-operand lengths up to ``longest`` on each side of every slot
+    bound: (p-1)^2 * len below and at or above 2^8, 2^16, 2^24, 2^32, 2^40
+    and 2^64, where the slots widen from 1, 2, 3, 4 and 5 bytes and the
+    packing leaves the machine word."""
+    out = set()
+    for bits in (8, 16, 24, 32, 40, 64):
+        edge = -(-2 ** bits // (p - 1) ** 2)   # least length reaching 2^bits
+        out.update(n for n in (edge - 1, edge) if 1 <= n <= longest)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", PMUL_PRIMES)
 def test_pmul_matches_schoolbook_across_the_crossover(p):
     # shorter-operand nonzero counts 1..64 put the product on both sides of
-    # PMUL_KRON_MIN: dense operands, interior zeros, monomials, squares
-    assert 1 < PMUL_KRON_MIN <= 64
+    # PMUL_KRON_MIN and PMUL_WIDE_KRON_MIN: dense operands, interior zeros,
+    # monomials, squares
+    assert 1 < PMUL_KRON_MIN <= PMUL_WIDE_KRON_MIN <= 64
     rng = random.Random(f"pmul/{p}")
     for s in range(1, 65):
         dense = sparse_tuple(rng, p, s, s)
@@ -149,6 +168,58 @@ def test_pmul_matches_schoolbook_across_the_crossover(p):
         assert pmul(dense, (), p) == pmul((), spread, p) == ()
 
 
+@pytest.mark.parametrize("p", PMUL_PRIMES)
+def test_pmul_at_every_slot_width(p, monkeypatch):
+    # lengths that put (p-1)^2 * len on each side of every slot bound, with
+    # every coefficient at p - 1 (the largest product coefficients) or
+    # random.  Which packing ran is recorded: struct-packed standard slots
+    # below p = 2^30, exact-width slots one coefficient at a time from
+    # p = 2^31 - 1 on, and for p = 10007 and 65537 also at 600 entries,
+    # where 5- and 6-byte slots rounded up to 8 would pass ROUND_UP_BYTES
+    packed, exact = [], []
+    real_unpack, real_exact = struct.unpack, _rings._pmul_exact
+
+    def unpack(fmt, data):
+        packed.append(fmt)
+        return real_unpack(fmt, data)
+
+    def exact_width(*args):
+        exact.append(args[-1])
+        return real_exact(*args)
+
+    monkeypatch.setattr(_rings, "struct",
+                        SimpleNamespace(pack=struct.pack, unpack=unpack))
+    monkeypatch.setattr(_rings, "_pmul_exact", exact_width)
+    rng = random.Random(f"pmul-slots/{p}")
+    for n in slot_edges(p) + [1, 2, PMUL_KRON_MIN, PMUL_WIDE_KRON_MIN, 600]:
+        top = (p - 1,) * n
+        other = sparse_tuple(rng, p, n + rng.randint(0, 3), n)
+        for a, b in ((top, top), (top, other), (other, top)):
+            assert pmul(a, b, p) == naive_pmul(a, b, p), (p, n)
+    assert bool(packed) is (p < 2 ** 30)
+    assert bool(exact) is (p in (10007, 65537) or p > 2 ** 30)
+    if p < 2 ** 30:                 # only long products of 5 or 6 bytes
+        assert set(exact) <= {5, 6}
+
+
+@pytest.mark.parametrize("p", PMUL_PRIMES)
+def test_pmul_unit_constant_and_list_operands(p):
+    # a unit or constant operand scales the other one, on either side; list
+    # operands give the same tuple as tuples do
+    rng = random.Random(f"pmul-lists/{p}")
+    for n in (1, 3, PMUL_KRON_MIN, 40):
+        a = sparse_tuple(rng, p, n, n)
+        c = (rng.randrange(2, p) if p > 2 else 1,)
+        for x, y in ((a, (1,)), ((1,), a), (a, c), (c, a)):
+            got = pmul(x, y, p)
+            assert type(got) is tuple and got == naive_pmul(x, y, p)
+        b = sparse_tuple(rng, p, n + 2, n)
+        for x, y in ((list(a), list(b)), (list(a), b), (a, list(b))):
+            got = pmul(x, y, p)
+            assert type(got) is tuple and got == naive_pmul(a, b, p)
+        assert pmul([], list(a), p) == ()
+
+
 # The u-ring of Q, Z[u]; below, p = 0 stands for it next to the u-ring of
 # F_p(t).
 Q_U_RING = rationals().ops.u_ring
@@ -159,13 +230,13 @@ def u_ring(p):
     it takes a patched ``_rings.kron_mul``."""
     if p:
         return fpt_u_ring(p)
-    return kron_poly_ring(int_ring(), _rings.kron_mul, PMUL_KRON_MIN)
+    return kron_poly_ring(int_ring(), _rings.kron_mul, KRON_MUL_MIN)
 
 
 def least_kron(p):
     """The nonzero u-coefficients each operand needs for a Kronecker
     product in the u-ring of F_p(t), or of Q for p = 0."""
-    return TMUL_KRON_MIN if p else PMUL_KRON_MIN
+    return TMUL_KRON_MIN if p else KRON_MUL_MIN
 
 
 def u_poly(rng, p, length, nonzero, t_len):
@@ -198,7 +269,7 @@ def naive_umul(a, b, p):
 def test_fpt_u_ring_product_matches_schoolbook(p):
     # the u-ring of F_p(t), and for p = 0 that of Q, against the plain ring
     # and the oracle, with operands on both sides of the least nonzero count
-    # (TMUL_KRON_MIN, for Q PMUL_KRON_MIN) and of TMUL_KRON_SPREAD
+    # (TMUL_KRON_MIN, for Q KRON_MUL_MIN) and of TMUL_KRON_SPREAD
     R = u_ring(p)
     plain = tuple_poly_ring(fp_poly_ring(p) if p else int_ring())
     rng = random.Random(f"tmul/{p}")
@@ -224,7 +295,7 @@ def test_fpt_u_ring_product_matches_schoolbook(p):
 @pytest.mark.parametrize("p", [3, 0])
 def test_fpt_u_ring_takes_both_paths(p, monkeypatch):
     # the product is one Kronecker product exactly when both operands have
-    # at least TMUL_KRON_MIN (over Q, PMUL_KRON_MIN) nonzero u-coefficients,
+    # at least TMUL_KRON_MIN (over Q, KRON_MUL_MIN) nonzero u-coefficients,
     # one in TMUL_KRON_SPREAD or more; kron_tmul packs into one kron_mul,
     # which is counted
     calls = []
@@ -499,6 +570,75 @@ def test_subresultant_constants_and_swap_sign():
     a, b = [1, 2, 0, 3], [5, 0, 1, 0, 2, 7]
     assert subresultant(a, b, R)[0] == -subresultant(b, a, R)[0]  # 3 * 5 odd
     assert subresultant([-6, 1], [-1, 0, 1], R)[0] == 35  # x-6, x^2-1: 36-1
+
+
+# -- the F_p kernel: Euclid over the field ----------------------------------
+
+FP_KERNEL_PRIMES = [2, 3, 10007, 2 ** 31 - 1]
+
+
+def fp_kernel_ring(p):
+    """A KERNEL_RINGS-style entry for F_p: residues, leading coefficients
+    scaled by 2 (by 1 over F_2)."""
+    return mod_ring(p), lambda rng: rng.randrange(p), 2 % p or 1
+
+
+@pytest.mark.parametrize("p", FP_KERNEL_PRIMES)
+def test_fp_resultant_matches_bareiss_on_sylvester(p):
+    # every kernel case: all degree pairs up to 4 (constants, deg a < deg b,
+    # both degrees odd), degree gaps, and shared factors (zero resultants);
+    # the PRS over F_p agrees too
+    ring = fp_kernel_ring(p)
+    R = ring[0]
+    rng = random.Random(f"fp-kernel/{p}")
+    zeros = 0
+    for a, b in kernel_cases(rng, ring):
+        expected = bareiss_det(sylvester(a, b, R), R)
+        assert fp_resultant(a, b, p)[0] == expected, (p, a, b)
+        assert subresultant(a, b, R)[0] == expected
+        zeros += not expected
+    assert zeros >= 3
+
+
+@pytest.mark.parametrize("p", FP_KERNEL_PRIMES)
+def test_fp_resultant_constants_and_sign_rule(p):
+    c, d = 3 % p or 1, 5 % p or 1
+    assert fp_resultant([c], [d], p) == (1, [d])
+    assert fp_resultant([c], [1, 2 % p, 1], p)[0] == c * c % p   # c^deg b
+    assert fp_resultant([1, 0, 1], [d], p)[0] == d * d % p       # d^deg a
+    rng = random.Random(f"fp-sign/{p}")
+    ring = fp_kernel_ring(p)
+    for da, db in ((1, 3), (3, 5), (2, 3), (1, 4), (0, 3)):
+        a, b = rand_poly(rng, ring, da), rand_poly(rng, ring, db)
+        # deg a < deg b: res(a, b) = (-1)^(deg a * deg b) res(b, a)
+        sign = -1 if da * db % 2 else 1
+        assert fp_resultant(a, b, p)[0] == sign * fp_resultant(b, a, p)[0] % p
+        assert fp_resultant(a, b, p)[0] == bareiss_det(sylvester(a, b, ring[0]),
+                                                       ring[0])
+    # x - 6 and x^2 - 1: (6^2 - 1) = 35
+    assert fp_resultant([-6 % p, 1], [p - 1, 0, 1], p)[0] == 35 % p
+
+
+@pytest.mark.parametrize("p", FP_KERNEL_PRIMES)
+def test_fp_resultant_ends_on_an_associate_of_the_gcd(p):
+    """On a zero resultant Euclid ends on the gcd up to a unit; on a nonzero
+    one, on a nonzero constant."""
+    ring = fp_kernel_ring(p)
+    R = ring[0]
+    rng = random.Random(f"fp-gcd/{p}")
+    shared = 0
+    for _ in range(40):
+        a0, b0 = (rand_poly(rng, ring, rng.randint(0, 4)) for _ in range(2))
+        res0, last0 = fp_resultant(a0, b0, p)
+        assert res0 == bareiss_det(sylvester(a0, b0, R), R)
+        if not res0:
+            continue
+        assert len(last0) == 1 and last0[0]
+        c = rand_poly(rng, ring, rng.randint(1, 3))
+        res, last = fp_resultant(poly_mul(c, a0, R), poly_mul(c, b0, R), p)
+        assert not res and associates(last, c, R), (p, a0, b0, c)
+        shared += 1
+    assert shared >= 15
 
 
 # the numerator rings of Q, F_p and F_p(t), whose remainder sequences give
