@@ -3,17 +3,28 @@
 One structured JSON object per input on stdout (``--pretty`` for indented
 output); all values are canonical exact strings, never decimals.  Exit codes:
 0 success, 1 input error, 2 self-check mismatch.
+
+The five expression commands (tol, dupl, gdisc, disc, report) are read by a
+hand parse of their fixed grammar: one expression, the exact option names
+``--field V``, ``--mode V``, ``--output V``, ``--factored``,
+``--assert-irreducible`` and ``--pretty`` in any order (a repeated option
+keeps its last value), and an optional ``--`` right before the expression.
+Every other argv goes to argparse unchanged: ``batch``, ``selfcheck``,
+``-h``, ``--opt=V`` forms, abbreviated option names, an option value that
+starts with '-', an unknown ``--mode``, a missing or second expression, a
+``--`` not followed by exactly one token.  argparse is imported only then,
+so its messages and exit codes are the CLI's.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from collections import Counter
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Optional
 
 from .errors import TolerantError
@@ -26,13 +37,21 @@ from .resultant import discriminant
 from .selfcheck import run_selfcheck
 
 _VALUE_COMMANDS = ("tol", "dupl", "gdisc", "disc")
+_EXPR_COMMANDS = _VALUE_COMMANDS + ("report",)
+
+# The fixed grammar of the expression commands: option -> attribute.
+_VALUE_OPTIONS = {"--field": "field", "--mode": "mode", "--output": "output"}
+_FLAGS = {"--factored": "factored", "--assert-irreducible":
+          "assert_irreducible", "--pretty": "pretty"}
+_MODES = frozenset(m.value for m in FactorFormula)
 
 # What argparse itself reads as a negative number, hence as a positional.
 _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tolerant",
         description="Exact root-collision invariants of univariate "
@@ -238,9 +257,41 @@ def _expression_last(argv: list[str]) -> list[str]:
     return argv
 
 
+def _fast_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would build for an expression command, or
+    None when argv leaves the fixed grammar (see the module docstring)."""
+    if not argv or argv[0] not in _EXPR_COMMANDS:
+        return None
+    args = {"command": argv[0], "expr": None, "field": "q", "factored": False,
+            "assert_irreducible": False, "mode": FactorFormula.CORRECTED.value,
+            "pretty": False, "output": None}
+    tokens = argv[1:]
+    if "--" in tokens:
+        cut = tokens.index("--")
+        if cut != len(tokens) - 2:
+            return None
+        args["expr"] = tokens[-1]
+        tokens = tokens[:cut]
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in _FLAGS:
+            args[_FLAGS[token]] = True
+        elif token in _VALUE_OPTIONS:
+            value = next(tokens, "-")
+            if value.startswith("-") or (token == "--mode"
+                                         and value not in _MODES):
+                return None
+            args[_VALUE_OPTIONS[token]] = value
+        elif token.startswith("-") or args["expr"] is not None:
+            return None
+        else:
+            args["expr"] = token
+    return None if args["expr"] is None else SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_expression_last(argv))
+    argv = _expression_last(sys.argv[1:] if argv is None else list(argv))
+    args = _fast_args(argv) or _build_parser().parse_args(argv)
     try:
         if args.command in _VALUE_COMMANDS:
             return _value_command(args)

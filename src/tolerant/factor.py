@@ -155,9 +155,12 @@ def squarefree_decomposition(f: Polynomial) -> Factorization:
 
 
 def _squarefree_with_gcd(f: Polynomial, c: Polynomial) -> Factorization:
-    """squarefree_decomposition of f, given c = gcd(f, f') (monic)."""
+    """squarefree_decomposition of f, given c = gcd(f, f') (monic).  When
+    c = 1, f is separable and its one part is f.monic(), what both loops
+    would return after their exact divisions by 1; it is returned at once."""
     sqf = _sqf_char0 if f.field.characteristic == 0 else _sqf_charp
-    return _canonical(sqf(f.monic(), c), f.field, f.leading_coefficient())
+    parts = {1: [f.monic()]} if c.degree < 1 else sqf(f.monic(), c)
+    return _canonical(parts, f.field, f.leading_coefficient())
 
 
 # -- factorization over F_p ---------------------------------------------------

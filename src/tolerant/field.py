@@ -78,16 +78,6 @@ class FieldDescriptor:
     ops: "FieldOps" = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind is FieldKind.RATIONALS:
-            if self.p is not None:
-                raise ValueError("rationals take no modulus")
-        else:
-            if self.p is None:
-                raise ValueError(f"{self.kind.value} needs a prime modulus")
-            if not 2 <= self.p < MODULUS_CAP:
-                raise ValueError(f"modulus must be in [2, 2^31): {self.p}")
-            if not is_prime(self.p):
-                raise ValueError(f"modulus is not prime: {self.p}")
         object.__setattr__(self, "ops", _field_ops(self.kind, self.p))
 
     def __reduce__(self):
@@ -383,8 +373,18 @@ def _fpt_ops(p: int) -> FieldOps:
 
 @functools.cache
 def _field_ops(kind: FieldKind, p: Union[int, None]) -> FieldOps:
+    """The ops table of (kind, p); the modulus is checked, and the table
+    built, once per pair."""
     if kind is FieldKind.RATIONALS:
+        if p is not None:
+            raise ValueError("rationals take no modulus")
         return _q_ops()
+    if p is None:
+        raise ValueError(f"{kind.value} needs a prime modulus")
+    if not 2 <= p < MODULUS_CAP:
+        raise ValueError(f"modulus must be in [2, 2^31): {p}")
+    if not is_prime(p):
+        raise ValueError(f"modulus is not prime: {p}")
     if kind is FieldKind.PRIME_FIELD:
         return _fp_ops(p)
     return _fpt_ops(p)
@@ -508,26 +508,6 @@ class FieldElement:
             return self.inverse() ** (-e)
         return FieldElement(self.field,
                             _rings.ring_pow(self.value, e, self.field.ops))
-
-    # -- characteristic-p structure ---------------------------------------
-
-    def frobenius_power(self, a: int) -> "FieldElement":
-        """c^(p^a), by repeated p-th powering."""
-        if a < 0:
-            raise ValueError("negative Frobenius exponent")
-        if a == 0:
-            return self
-        if self.field.characteristic == 0:
-            raise UnsupportedFieldError("Frobenius needs characteristic p")
-        p = self.field.p
-        if self.field.kind is FieldKind.PRIME_FIELD:
-            return self            # a^p = a in F_p
-        # (sum c_i t^i)^p = sum c_i t^(ip): coefficients are Frobenius-fixed
-        num, den = self.value
-        for _ in range(a):
-            num = _rings.pstretch(num, p)
-            den = _rings.pstretch(den, p)
-        return FieldElement(self.field, (num, den))
 
     # -- text --------------------------------------------------------------
 

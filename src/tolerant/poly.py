@@ -18,8 +18,7 @@ F_p(t) Euclid on primitive pseudo-remainders in F_p[t][x].  Beyond ring
 arithmetic this module carries every transform the invariant formulas
 need: Hasse derivatives (binomials mod p by Lucas' theorem),
 Taylor shift f(x+a), homothety f(ax), the reciprocal x^n f(1/x),
-separability, desubstitution f = f_sep(x^(p^e)), and the coefficient-wise
-Frobenius twist.
+separability, and desubstitution f = f_sep(x^(p^e)).
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (ConstantInputError, DivisionByZeroError,
                      DuplicateRootsError, FieldMismatchError,
-                     UnsupportedFieldError, ZeroConstantTermError,
-                     ZeroScaleError)
+                     ZeroConstantTermError, ZeroScaleError)
 from ._rings import ring_pow
 from .field import FieldDescriptor, FieldElement
 
@@ -368,16 +366,6 @@ class Polynomial:
             g = Polynomial.from_raw(self.field, g.raw[::p])
             e += 1
         return SeparableForm(g, e)
-
-    def frobenius_twist(self, a: int) -> "Polynomial":
-        """Coefficient-wise c -> c^(p^a); roots get raised to the p^a."""
-        if a < 0:
-            raise ValueError("negative twist exponent")
-        if a == 0:
-            return self
-        if self.field.characteristic == 0:
-            raise UnsupportedFieldError("Frobenius twist needs characteristic p")
-        return Polynomial(self.field, [c.frobenius_power(a) for c in self.coeffs])
 
 
 def binomial_mod(n: int, k: int, p: int) -> int:

@@ -5,9 +5,10 @@ from itertools import zip_longest
 
 import pytest
 
-from tolerant import (FieldDescriptor, Polynomial, prime_field,
+from tolerant import (FieldDescriptor, FieldElement, FieldKind, Polynomial,
+                      UnsupportedFieldError, prime_field,
                       rational_function_field, rationals)
-from tolerant._rings import pstrip
+from tolerant._rings import pstretch, pstrip
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +55,30 @@ def naive_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out[i + j] + a * b
     return Polynomial(F, out)
+
+
+def frobenius_power(c, a):
+    """c^(p^a), by repeated p-th powering: on F_p the identity, on F_p(t)
+    t -> t^p in numerator and denominator, whose coefficients Frobenius
+    fixes."""
+    if a < 0:
+        raise ValueError("negative Frobenius exponent")
+    if a == 0:
+        return c
+    F = c.field
+    if F.characteristic == 0:
+        raise UnsupportedFieldError("Frobenius needs characteristic p")
+    if F.kind is FieldKind.PRIME_FIELD:
+        return c
+    num, den = c.value
+    for _ in range(a):
+        num, den = pstretch(num, F.p), pstretch(den, F.p)
+    return FieldElement(F, (num, den))
+
+
+def frobenius_twist(f, a):
+    """Coefficient-wise c -> c^(p^a); roots get raised to the p^a."""
+    return Polynomial(f.field, [frobenius_power(c, a) for c in f.coeffs])
 
 
 def naive_pmul(a, b, p):

@@ -1,19 +1,25 @@
 """Command-line contract: subcommands, flags, exit codes, serialization."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tolerant
 from tolerant import (Factorization, Polynomial, parse_field,
                       parse_polynomial, rationals)
-from tolerant.cli import main
+from tolerant.cli import _build_parser, _expression_last, _fast_args, main
 from tolerant.field import _int_text
 
 
@@ -449,3 +455,145 @@ def test_round_trip_via_report_input_field(capsys):
     Q = rationals()
     assert parse_polynomial(doc["input"], Q) == \
         parse_polynomial("(x-1)^3*(x+2)", Q)
+
+
+# -- the fixed-grammar fast path against argparse ------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+EXPR_COMMANDS = ("tol", "dupl", "gdisc", "disc", "report")
+OPTION_VALUES = ("q", "fp:7", "fpt:3", "-1", "-x^2+1", "-", "", "x^2+1", "x",
+                 "corrected", "paper-general", "paper-separable", "bogus",
+                 "out.txt", "--", "--pretty", "-h")
+# Tokens outside the grammar that argparse may still accept or read.
+FOREIGN_TOKENS = ("-h", "--help", "--seed", "--count", "--fi", "--f", "--pre",
+                  "--field=fp:7", "--mode=corrected", "--pretty=1",
+                  "--output=o.txt", "-1", "-x")
+# '--' and an expression twice over, so that more lists hold one of each.
+ARGV_TOKENS = OPTION_VALUES + FOREIGN_TOKENS + (
+    "--field", "--mode", "--output", "--factored", "--assert-irreducible",
+    "--pretty", "--", "--", "x^2+1", "x^2+1")
+
+
+def argparse_args(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def fast_args(argv):
+    args = _fast_args(list(argv))
+    return None if args is None else vars(args)
+
+
+@st.composite
+def grammar_argv(draw):
+    """An expression command with options of its grammar in any order and
+    repeated, the expression anywhere or after '--', values that are right,
+    wrong, empty or option-like, and now and then a foreign token."""
+    parts = draw(st.lists(st.one_of(
+        st.sampled_from(["--factored", "--assert-irreducible", "--pretty"])
+        .map(lambda flag: [flag]),
+        st.sampled_from(FOREIGN_TOKENS).map(lambda token: [token]),
+        st.tuples(st.sampled_from(["--field", "--mode", "--output"]),
+                  st.sampled_from(OPTION_VALUES)).map(list)), max_size=5))
+    expr = [draw(st.sampled_from(OPTION_VALUES))]
+    if draw(st.booleans()):
+        parts.append(["--", *expr])
+    else:
+        parts.insert(draw(st.integers(0, len(parts))), expr)
+    return [draw(st.sampled_from(EXPR_COMMANDS))] + sum(parts, [])
+
+
+any_argv = st.one_of(
+    grammar_argv(),
+    st.tuples(st.sampled_from(EXPR_COMMANDS + ("batch", "selfcheck", "factor",
+                                               "-h", "--field", "")),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+    .map(lambda parts: [parts[0], *parts[1]]),
+    st.just([]))
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(any_argv)
+def test_fast_path_reads_argv_as_argparse_does(argv):
+    # main hands the fast path argv after _expression_last; the raw argv is
+    # checked too, so the fast path holds on its own.
+    for args in (argv, _expression_last(argv)):
+        want, got = argparse_args(args), fast_args(args)
+        if want is None:
+            assert got is None, args
+        elif got is not None:
+            assert got == want, args
+
+
+@pytest.mark.parametrize("argv", [
+    ["tol", "--factored", "--mode", "paper-general", "--mode", "corrected",
+     "--", "x^2+1"],
+    ["report", "x^2+1", "--field", "fp:7", "--pretty", "--pretty",
+     "--output", "", "--field", "q"],
+    ["disc", ""],
+    ["gdisc", "--", "--"],
+    ["dupl", "--assert-irreducible", "--field", "fpt:3", "--", "-x^2+t"],
+    _expression_last(["tol", "-x^2+1", "--field", "fp:7"]),
+])
+def test_fast_path_takes_every_option_of_the_grammar(argv):
+    assert fast_args(argv) == argparse_args(argv) is not None
+
+
+def load_bench_corpus(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", REPO / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_examples():
+    """The expression-command lines of the README: each '$ tolerant ...'
+    example and each inline `tolerant`-less call such as `tol ... "x^2-1"`."""
+    text = (REPO / "README.md").read_text()
+    calls = [shlex.split(line[len("$ tolerant "):])
+             for line in text.splitlines() if line.startswith("$ tolerant ")]
+    calls += [shlex.split(chunk) for chunk in text.split("`")[1::2]
+              if chunk.split(" ")[0] in EXPR_COMMANDS and '"' in chunk]
+    return [argv for argv in calls if argv[0] in EXPR_COMMANDS]
+
+
+def test_gated_and_readme_argv_take_the_fast_path(monkeypatch):
+    corpus = load_bench_corpus(monkeypatch)
+    argvs = [item.argv() for workload in ("report-mixed", "factored-highdeg")
+             for item in corpus.build_corpus(workload, 0)]
+    examples = readme_examples()
+    assert len(examples) >= 5
+    for argv in argvs + examples:
+        argv = _expression_last(argv)
+        assert fast_args(argv) == argparse_args(argv) is not None, argv
+
+
+def test_expression_commands_skip_argparse():
+    # -S: no site hook can import argparse ahead of the package.
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from tolerant import cli
+        for argv in (["report", "--field", "q", "--", "x^3+2*x+5"],
+                     ["tol", "--field", "fp:10007", "--factored", "--",
+                      "(x+1)^2*(x^2+x+1)"],
+                     ["disc", "--field", "fpt:3", "--", "-x^3+t"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        assert "argparse" not in sys.modules
+        assert cli._build_parser.cache_info().misses == 0
+        cli.main(["-h"])
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tolerant.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: tolerant")

@@ -13,7 +13,7 @@ from tolerant.errors import (DivisionByZeroError, FieldMismatchError,
 from tolerant._rings import padd, pstrip
 from tolerant.field import _fpt_reduce, is_prime
 
-from conftest import naive_pmul
+from conftest import frobenius_power, naive_pmul
 
 
 def test_is_prime_small_and_carmichael():
@@ -181,11 +181,11 @@ def test_frobenius_power():
     F = prime_field(5)
     for n in range(5):
         a = F.from_int(n)
-        assert a.frobenius_power(1) == a ** 5 == a    # Fermat
+        assert frobenius_power(a, 1) == a ** 5 == a    # Fermat
     K = rational_function_field(5)
     t = K.t()
-    assert t.frobenius_power(1) == t ** 5
-    assert (t + K.one()).frobenius_power(1) == t ** 5 + K.one()  # freshman's dream
+    assert frobenius_power(t, 1) == t ** 5
+    assert frobenius_power(t + K.one(), 1) == t ** 5 + K.one()  # freshman's dream
 
 
 def test_frobenius_power_is_a_ring_homomorphism():
@@ -202,19 +202,19 @@ def test_frobenius_power_is_a_ring_homomorphism():
     for _ in range(40):
         a, b = rand(), rand()
         e = rng.randint(1, 2)
-        assert (a * b).frobenius_power(e) == \
-            a.frobenius_power(e) * b.frobenius_power(e)
-        assert (a + b).frobenius_power(e) == \
-            a.frobenius_power(e) + b.frobenius_power(e)
+        assert frobenius_power(a * b, e) == \
+            frobenius_power(a, e) * frobenius_power(b, e)
+        assert frobenius_power(a + b, e) == \
+            frobenius_power(a, e) + frobenius_power(b, e)
     F = prime_field(13)
     for n in range(13):
         c = F.from_int(n)
-        assert c.frobenius_power(1) == c
+        assert frobenius_power(c, 1) == c
 
 
 def test_frobenius_char_zero_unsupported():
     with pytest.raises(UnsupportedFieldError):
-        rationals().one().frobenius_power(1)
+        frobenius_power(rationals().one(), 1)
 
 
 def test_canonical_text_forms():

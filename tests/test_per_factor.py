@@ -25,6 +25,8 @@ from tolerant.factor import Factorization
 from tolerant.invariants import FactorFormula, tol_from_factorization
 from tolerant.resultant import discriminant, sylvester_resultant
 
+from conftest import frobenius_twist
+
 
 def boxed_tol(fac, mode=FactorFormula.CORRECTED):
     """The per-factor formula as a running product of field elements."""
@@ -64,8 +66,8 @@ def boxed_tol(fac, mode=FactorFormula.CORRECTED):
     for i, (_, sep_i, e_i, m_i) in enumerate(parts):
         for _, sep_j, e_j, m_j in parts[i + 1:]:
             big_e = max(e_i, e_j)
-            r = sylvester_resultant(sep_i.frobenius_twist(big_e - e_i),
-                                    sep_j.frobenius_twist(big_e - e_j))
+            r = sylvester_resultant(frobenius_twist(sep_i, big_e - e_i),
+                                    frobenius_twist(sep_j, big_e - e_j))
             if not r:
                 raise InvalidFactorizationError("factors share a root")
             acc = acc * r ** (2 * m_i * m_j * q ** min(e_i, e_j))
