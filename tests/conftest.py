@@ -1,7 +1,11 @@
 """Shared fixtures and small builders used across the suite."""
 
+import importlib.util
+import shlex
+import sys
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,30 @@ def fraction_tol(pairs, lc, n):
             rj, mj = pairs[j]
             acc *= (Fraction(ri) - Fraction(rj)) ** (2 * mi * mj)
     return acc
+
+
+# -- the benchmark corpus and the README's examples ---------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+EXPR_COMMANDS = ("tol", "dupl", "gdisc", "disc", "report")
+
+
+def load_bench_corpus(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", REPO / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_examples():
+    """The expression-command lines of the README: each '$ tolerant ...'
+    example and each inline `tolerant`-less call such as `tol ... "x^2-1"`."""
+    text = (REPO / "README.md").read_text()
+    calls = [shlex.split(line[len("$ tolerant "):])
+             for line in text.splitlines() if line.startswith("$ tolerant ")]
+    calls += [shlex.split(chunk) for chunk in text.split("`")[1::2]
+              if chunk.split(" ")[0] in EXPR_COMMANDS and '"' in chunk]
+    return [argv for argv in calls if argv[0] in EXPR_COMMANDS]

@@ -1,13 +1,11 @@
 """Command-line contract: subcommands, flags, exit codes, serialization."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import math
 import os
 import random
-import shlex
 import subprocess
 import sys
 import textwrap
@@ -21,6 +19,8 @@ from tolerant import (Factorization, Polynomial, parse_field,
                       parse_polynomial, rationals)
 from tolerant.cli import _build_parser, _expression_last, _fast_args, main
 from tolerant.field import _int_text
+
+from conftest import EXPR_COMMANDS, load_bench_corpus, readme_examples
 
 
 def run(capsys, *argv):
@@ -459,8 +459,6 @@ def test_round_trip_via_report_input_field(capsys):
 
 # -- the fixed-grammar fast path against argparse ------------------------------
 
-REPO = Path(__file__).resolve().parent.parent
-EXPR_COMMANDS = ("tol", "dupl", "gdisc", "disc", "report")
 OPTION_VALUES = ("q", "fp:7", "fpt:3", "-1", "-x^2+1", "-", "", "x^2+1", "x",
                  "corrected", "paper-general", "paper-separable", "bogus",
                  "out.txt", "--", "--pretty", "-h")
@@ -542,27 +540,6 @@ def test_fast_path_reads_argv_as_argparse_does(argv):
 ])
 def test_fast_path_takes_every_option_of_the_grammar(argv):
     assert fast_args(argv) == argparse_args(argv) is not None
-
-
-def load_bench_corpus(monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "bench_corpus", REPO / "bench" / "corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def readme_examples():
-    """The expression-command lines of the README: each '$ tolerant ...'
-    example and each inline `tolerant`-less call such as `tol ... "x^2-1"`."""
-    text = (REPO / "README.md").read_text()
-    calls = [shlex.split(line[len("$ tolerant "):])
-             for line in text.splitlines() if line.startswith("$ tolerant ")]
-    calls += [shlex.split(chunk) for chunk in text.split("`")[1::2]
-              if chunk.split(" ")[0] in EXPR_COMMANDS and '"' in chunk]
-    return [argv for argv in calls if argv[0] in EXPR_COMMANDS]
 
 
 def test_gated_and_readme_argv_take_the_fast_path(monkeypatch):

@@ -1,18 +1,26 @@
 """Expression grammar, error offsets, factored form, and print round-trips."""
 
+import functools
+import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tolerant import (Factorization, Polynomial, factorization_text,
                       parse_field, parse_polynomial, polynomial_text,
                       prime_field, rational_function_field, rationals)
+from tolerant import parsing
+from tolerant.cli import _expression_last, _fast_args
 from tolerant.errors import FieldLiteralError, InputTooLargeError, ParseError
 from tolerant.parsing import MAX_DEGREE, MAX_NESTING
 
-from conftest import linear_product
+from conftest import linear_product, load_bench_corpus, readme_examples
 
 
 def test_expanded_example_coefficients(Q):
@@ -608,3 +616,347 @@ def test_expanded_text_matches_sympy(name):
             want = [int(c) % field.p for c in oracle.all_coeffs()]
         assert got.raw == tuple(reversed(want)) or (not got and want == [0]), \
             text
+
+
+# -- the monomial scan against the grammar ------------------------------------
+
+SCAN_FIELDS = ("q", "fp:7", "fp:10007", "fpt:3", "fpt:5")
+
+
+def _outcome(parse):
+    """("ok", value) or ("error", class, code, message, offset)."""
+    try:
+        return "ok", parse()
+    except ParseError as e:
+        return "error", type(e), e.code, str(e), e.position
+
+
+def _check_scan(text, name, factored):
+    """Where the scan takes the text its value is the grammar's; on every
+    text parse_polynomial gives the grammar's value or the grammar's error."""
+    field = parse_field(name)
+    want = _outcome(lambda: parsing._grammar(text, field, factored))
+    scan = parsing._Scan(field)
+    plain = text.replace("−", "-")
+    got = scan.factored(plain) if factored else scan.polynomial(plain)
+    if got is not None:
+        assert want == ("ok", got), (name, text)
+    assert _outcome(lambda: parse_polynomial(text, field, factored)) == want, \
+        (name, text)
+    return got is not None
+
+
+@st.composite
+def _rarely(draw, common, rare):
+    """common, and one time in 24 rare: a text draws many literals and
+    exponents, and most texts should still be ones that the scan takes."""
+    return draw(rare if draw(st.integers(0, 23)) == 0 else common)
+
+
+_space = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n\t"])
+_sign = st.sampled_from(["+", "+", "-", "-", "−"])
+# Literals are units mod 3, 5 and 7 but for the rare ones.
+_literal = _rarely(
+    st.sampled_from([1, 2, 4, 8, 11, 13, 16, 17, 19, 22, 23, 26, 29])
+    .map(str),
+    st.sampled_from(["0", "7", "14", "3", "5", "10007", "20014", "007",
+                     "9" * 599, "9" * 600, "1" * 601, "3" * 650]))
+# Exponents of x and t, whose powers are built directly: at the cap, past it,
+# and past it only in a product; literals of 600 digits and more.
+_exponent = _rarely(
+    st.integers(0, 12).map(str),
+    st.sampled_from([str(MAX_DEGREE), str(MAX_DEGREE + 1), "50000", "50001",
+                     "60000", "0" * 600 + "3", "0" * 601 + "3"]))
+# Exponents of anything else, which may be computed: small, or past the cap.
+_small_exponent = _rarely(st.integers(1, 4).map(str),
+                          st.sampled_from(["0", str(MAX_DEGREE + 1)]))
+
+
+@functools.cache
+@st.composite
+def _power(draw, var):
+    """var, or var^e."""
+    if draw(st.booleans()):
+        return var
+    return f"{var}{draw(_space)}^{draw(_space)}{draw(_exponent)}"
+
+
+_t_monomial = st.one_of(_literal, _power("t"), st.tuples(
+    _literal, _power("t")).map(lambda ct: f"{ct[0]}*{ct[1]}"))
+
+
+@st.composite
+def _t_sum(draw):
+    """A signed sum of c*t^e monomials."""
+    parts = draw(st.lists(st.tuples(_sign, _t_monomial), min_size=1,
+                          max_size=4))
+    text = "".join(f"{draw(_space)}{sign}{draw(_space)}{body}"
+                   for sign, body in parts)
+    return text.lstrip().removeprefix("+")
+
+
+_COEFFICIENT_KINDS = {
+    over_t: _rarely(st.sampled_from(kinds), st.just("t"))
+    for over_t, kinds in ((True, ["n", "n", "n/d", "(t-sum)", "t"]),
+                          (False, ["n", "n/d"]))}
+
+
+@functools.cache
+@st.composite
+def _coefficient(draw, over_t):
+    """An integer, a quotient of two, and over F_p(t) (or rarely off it) a
+    parenthesized t-sum or a power of t."""
+    kind = draw(_COEFFICIENT_KINDS[over_t])
+    if kind == "n":
+        return draw(_literal)
+    if kind == "n/d":
+        return f"{draw(_literal)}{draw(_space)}/{draw(_space)}{draw(_literal)}"
+    if kind == "t":
+        return draw(_power("t"))
+    return f"({draw(_t_sum())})"
+
+
+@functools.cache
+@st.composite
+def _monomial(draw, over_t):
+    shape = draw(st.sampled_from(["c", "c*x", "c*x", "x"]))
+    if shape == "c":
+        return draw(_coefficient(over_t))
+    if shape == "x":
+        return draw(_power("x"))
+    return f"{draw(_coefficient(over_t))}{draw(_space)}*{draw(_space)}" \
+        f"{draw(_power('x'))}"
+
+
+_cancel = _rarely(st.just(False), st.just(True))
+
+
+@functools.cache
+@st.composite
+def _flat_sum(draw, over_t):
+    """A signed sum of monomials, with repeated monomials (and so repeated
+    degrees), and at times one that cancels to 0."""
+    monomials = draw(st.lists(_monomial(over_t), min_size=1, max_size=6))
+    monomials += draw(st.lists(st.sampled_from(monomials), max_size=3))
+    signs = draw(st.lists(_sign, min_size=len(monomials),
+                          max_size=len(monomials)))
+    if draw(_cancel):
+        # every monomial once with each sign
+        monomials, signs = monomials * 2, signs + [
+            "+" if s != "+" else "-" for s in signs]
+    text = "".join(f"{draw(_space)}{sign}{draw(_space)}{body}"
+                   for sign, body in zip(signs, monomials))
+    return text.lstrip().removeprefix("+") + draw(_space)
+
+
+# Groups the grammar reads in factored mode but the scan does not take, or
+# does only below the caps; each has leading coefficient 1.
+_ODD_GROUPS = ["(x + t^50000)", "(x+t^60000)", "(x^50000 + 1)", "(3)",
+               "(x - x + 2)", "t", "(x+1)^0", "((x+1))", "(x+1)^2^2"]
+_piece_sign = _rarely(st.sampled_from(["", "", "-", "−"]), st.just("--"))
+_separator = _rarely(st.just("*"), st.just("/"))
+
+
+@functools.cache
+def _piece_body(over_t):
+    """A constant or a parenthesized flat sum, rarely an odd group."""
+    group = _flat_sum(over_t).map(lambda s: f"({s})")
+    return _rarely(st.one_of(_literal, group, group),
+                   st.sampled_from(_ODD_GROUPS))
+
+
+@functools.cache
+@st.composite
+def _factored(draw, over_t):
+    """A '*'-product of signed constants and parenthesized sums, each with
+    at times an exponent; rarely a '/' between them, or a piece that the
+    scan does not take."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        body = draw(_piece_body(over_t))
+        if draw(st.booleans()):
+            # a group's power is not built, but its leading coefficient's is
+            big = body in _ODD_GROUPS and draw(st.booleans())
+            body += f"{draw(_space)}^{draw(_space)}" + draw(
+                st.sampled_from(["50000", "50001", "100001"]) if big
+                else _small_exponent)
+        sign = draw(_piece_sign)
+        pieces.append(sign + draw(_space) + body)
+    text = pieces[0]
+    for piece in pieces[1:]:
+        sep = draw(_separator)
+        text += f"{draw(_space)}{sep}{draw(_space)}{piece}"
+    return text
+
+
+# Tokens put into a text to make a near miss of the scan's shapes.
+_FOREIGN = ["(", ")", "*", "^", "x", "t", "2", "+", "-", "/", "$", "y", " ",
+            "^2", "*x", "(x+1)", "²"]
+
+
+@st.composite
+def _near_miss(draw, texts, edits=("insert", "delete", "wrap", "power")):
+    """A text, or one time in two an edit of it."""
+    text = draw(texts)
+    edit = draw(st.sampled_from(["none"] * len(edits) + list(edits)))
+    if edit == "none" or not text:
+        return text
+    at = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        return text[:at] + draw(st.sampled_from(_FOREIGN)) + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "wrap":
+        return f"({text})"
+    return f"{text}^{draw(_small_exponent)}"
+
+
+@functools.cache
+def _scan_texts(name):
+    """(field name, text, factored mode): flat sums in either mode, and
+    factored products, which are not wrapped: the grammar would build
+    their groups' powers."""
+    over_t = name.startswith("fpt")
+    return st.tuples(st.just(name), st.one_of(
+        st.tuples(_near_miss(_flat_sum(over_t)), st.just(False)),
+        st.tuples(_near_miss(_flat_sum(over_t)), st.just(True)),
+        st.tuples(_near_miss(_factored(over_t), ("insert", "delete")),
+                  st.just(True))))
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(SCAN_FIELDS).flatmap(_scan_texts))
+def test_scan_reads_as_the_grammar_does(case):
+    name, (text, factored) = case
+    _check_scan(text, name, factored)
+
+
+SCAN_CASES = [
+    ("q", "\t−3/4*x^2\n+ x − 1 ", False, True),
+    ("q", "0*x^7 + x^0 + 2*x^2 - 2*x^2 + 0/5", False, True),
+    ("fp:7", "x^3 + 3*x^3 + 3*x^3 - 7", False, True),      # cancels to 0
+    ("q", "+x + 1", False, False),                         # no unary '+'
+    ("fpt:3", "(+t)*x + 1", False, False),
+    ("q", "x + +1", False, False),
+    ("q", "1/0", False, False),
+    ("fp:7", "3/14*x + 1", False, False),
+    ("fp:10007", "1/20014 + x", False, False),
+    ("fpt:3", "x + 2/3", False, False),
+    ("q", f"x^{MAX_DEGREE} - 1", False, True),
+    ("q", f"x^{MAX_DEGREE + 1} - 1", False, False),
+    ("fpt:3", f"(t^{MAX_DEGREE} + 1)*x^{MAX_DEGREE}", False, True),
+    ("fpt:5", f"x + (2*t^{MAX_DEGREE + 1})", False, False),
+    ("fpt:5", f"x - t^{MAX_DEGREE + 1}", False, False),
+    ("q", "1" * 600 + "*x + " + "2" * 600, False, True),
+    ("q", "1" * 601 + "*x + 1", False, False),
+    ("fp:7", f"x^{'0' * 601}3", False, False),
+    ("fpt:3", "x^16 + (-t - 1)*x^15 + (t^2 + t)*x + (t^4 - t^2)", False, True),
+    ("fpt:5", "x^10-t", False, True),
+    ("q", "(x+1)*(x+2)^2*(x+1)^3", True, True),
+    ("q", "-(x+1)*-(x+2)", True, True),
+    ("q", "-2^2*(x+1)", True, True),
+    ("fp:7", "3 * (x^2 + 5*x + 1)^2 * 2", True, True),
+    ("q", "0*(x+1)", True, False),
+    ("fp:7", "7*(x+1)", True, False),
+    ("q", "(3)*(x+1)", True, False),
+    ("q", "(x - x + 2)*(x+1)", True, False),
+    ("fp:7", "(7*x + 1)*(x+1)", True, False),
+    ("q", "(x+1)^0*(x+2)", True, False),
+    ("q", "(x+1)*(x+2)*", True, False),
+    ("fpt:3", "(x + t^50000)^2", True, True),
+    ("fpt:3", "(x + t^60000)^2", True, False),
+    ("fpt:3", "(x + t^40000)*(x^2 + t^60000)", True, True),
+    ("fpt:3", "(x + t^40000)*(x^2 + t^60001)", True, False),
+    ("fpt:3", "(x + 1)^50000*(x^2 + (t^2))^25000", True, True),
+    ("fpt:3", "(x + 1)^50000*(x^2 + (t^3))^25001", True, False),
+    ("q", "(x+1)^50000*(x+2)^50001", True, False),
+]
+
+
+@pytest.mark.parametrize("name,text,factored,taken", SCAN_CASES)
+def test_scan_cases(name, text, factored, taken):
+    assert _check_scan(text, name, factored) == taken
+
+
+def _grammar_spy(monkeypatch):
+    """A list that gets each text the grammar is entered on."""
+    entered = []
+
+    def spy(text, field, factored=False, _grammar=parsing._grammar):
+        entered.append(text)
+        return _grammar(text, field, factored)
+
+    monkeypatch.setattr(parsing, "_grammar", spy)
+    return entered
+
+
+def test_gated_texts_take_the_scan(monkeypatch):
+    corpus = load_bench_corpus(monkeypatch)
+    cases = [(item.expr, parse_field(item.field.name), item.factored)
+             for workload in ("report-mixed", "factored-highdeg")
+             for seed in range(3)
+             for item in corpus.build_corpus(workload, seed)]
+    want = [parsing._grammar(*case) for case in cases]
+    entered = _grammar_spy(monkeypatch)
+    for case, value in zip(cases, want):
+        assert parse_polynomial(*case) == value, case[0]
+        assert not entered, case[0]
+
+
+# README examples the scan leaves to the grammar: a product that is not
+# factored input, and texts past MAX_DEGREE.
+README_GRAMMAR_TEXTS = ("(x-2)^2*(x-3)", "x^1000000000+1",
+                        "(x+1)^100000*(x+2)^100000")
+
+
+def test_readme_examples_take_the_scan(monkeypatch):
+    examples = [_fast_args(_expression_last(argv))
+                for argv in readme_examples()]
+    assert len(examples) >= 5
+    for args in examples:
+        field = parse_field(args.field)
+        want = _outcome(lambda: parsing._grammar(args.expr, field,
+                                                 args.factored))
+        entered = _grammar_spy(monkeypatch)
+        got = _outcome(lambda: parse_polynomial(args.expr, field,
+                                                args.factored))
+        monkeypatch.undo()
+        assert got == want, args.expr
+        assert bool(entered) == (args.expr in README_GRAMMAR_TEXTS), args.expr
+
+
+# Near misses of the scan's shapes, each failing only at its end: a flat sum
+# that ends in ')', a long run of spaces before a misplaced '*', and a
+# factored product whose last group is not closed.
+_NEAR_MISSES = [
+    ("q", " + ".join(f"{k}*x^{k}" for k in range(20000)) + ")", False),
+    ("q", "x +" + " " * 10 ** 5 + "*2", False),
+    ("fpt:3", "(x+t)*" * 1999 + "(x+t", True),
+]
+
+_LINEAR_GUARD = """
+import json, sys
+from tolerant import parse_field, parse_polynomial
+from tolerant.errors import ParseError
+for name, text, factored in json.load(sys.stdin):
+    try:
+        parse_polynomial(text, parse_field(name), factored)
+    except ParseError as e:
+        print(e.code, e.position, e)
+"""
+
+
+def test_near_miss_long_texts_fail_in_linear_time():
+    # a scan that backtracks or rescans could take minutes on these
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(parsing.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _LINEAR_GUARD], env=env,
+                          input=json.dumps(_NEAR_MISSES), capture_output=True,
+                          text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for name, text, factored in _NEAR_MISSES:
+        with pytest.raises(ParseError) as e:
+            parsing._grammar(text, parse_field(name), factored)
+        want.append(f"{e.value.code} {e.value.position} {e.value}")
+    assert proc.stdout.splitlines() == want
