@@ -35,8 +35,10 @@ performance-critical runs here on plain ints and tuples:
   and its denominator each as one ``power_product``.
 * ``pseudo_divmod``: lc(b)^e * a = q * b + r over any ``Ring``, the
   ``Polynomial`` division over Q and F_p(t), on cleared numerators (over
-  F_p that is ``pdivmod``).  ``primitive_gcd`` runs Euclid on primitive
-  pseudo-remainders in F_p[t][x], the gcd of F_p(t).
+  F_p that is ``pdivmod``), and the divisibility test and remainder of
+  gdisc's chain.  ``primitive_gcd`` runs Euclid on primitive
+  pseudo-remainders in F_p[t][x], the gcd of F_p(t), which the squarefree
+  decomposition and gdisc's chain call on F_p[t][x] directly.
 * ``subresultant``: res(a, b) over any ``Ring`` by the subresultant PRS,
   the resultant kernel of Z, F_p[t] and the u-rings, and ``fp_resultant``:
   res(a, b) over F_p by Euclid over the field, the kernel of F_p.  Each
@@ -405,8 +407,10 @@ def tuple_poly_ring(R: Ring) -> Ring:
 
     def exact_div(a: tuple, b: tuple) -> tuple:
         # Synthetic division; every leading-coefficient division is exact
-        # when b divides a, which the resultant kernel guarantees.  The
-        # remainder check stays on as a bug guard.
+        # when b divides a: the resultant kernel guarantees it, and in the
+        # squarefree decomposition and gdisc's chain Gauss's lemma does,
+        # for a primitive b that divides a over the fraction field.  The
+        # remainder check raises on any other b.
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         if not a:
@@ -548,13 +552,14 @@ def pseudo_divmod(a: list, b: list, R: Ring) -> tuple[list, list, int]:
 
 def primitive_part(c: list, p: int) -> list:
     """F_p[t] coefficients ``c`` divided by their content, the monic gcd of
-    all of them (returned as they are when it is 1)."""
+    all of them (returned as they are when it is 1).  The gcd starts from
+    the shortest coefficients, where each step costs least and a content
+    of 1, as on an input that is primitive already, shows soonest."""
     g = ()
-    for v in c:
-        if v:
-            g = pgcd(g, v, p)
-            if g == (1,):
-                return c
+    for v in sorted(filter(None, c), key=len):
+        g = pgcd(g, v, p)
+        if g == (1,):
+            return c
     return [pdivmod(v, g, p)[0] for v in c]
 
 

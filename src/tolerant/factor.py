@@ -2,11 +2,17 @@
 multiplicity profile.
 
 Squarefree decomposition runs Yun's recursion in characteristic 0 and the
-p-th-power-aware variant in characteristic p.  A remaining part c with
-c' = 0 is c = C(x^p); C is decomposed recursively and no p-th root of a
-coefficient is taken.  Over F_p, Frobenius fixes every coefficient, so
-C(x^p) = C(x)^p and each part P of C returns as P with multiplicity m*p: the
-parts stay squarefree.  Over F_p(t), which is not perfect, each part P
+p-th-power-aware variant in characteristic p.  Both run on the numerator
+ring: f is cleared once to the primitive associate F of its numerators in
+Z[x], F_p[x] or F_p[t][x], every gcd is the normalized primitive gcd
+``FieldOps.primitive_gcd``, and every division is an exact division in
+``FieldOps.u_ring``, which Gauss's lemma makes exact for a primitive
+divisor.  Each part is rebuilt monic over the field once, at the end.
+
+A remaining part c with c' = 0 is c = C(x^p); C is decomposed recursively
+and no p-th root of a coefficient is taken.  Over F_p, Frobenius fixes
+every coefficient, so C(x^p) = C(x)^p and each part P of C returns as P
+with multiplicity m*p: the parts stay squarefree.  Over F_p(t), which is not perfect, each part P
 returns as P(x^p) with multiplicity m.  Either way every part has the shape
 g(x^(p^e)) with g separable, and the parts are pairwise coprime, which is
 what the per-factor formulas and the multiplicity profile consume.
@@ -21,14 +27,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._rings import (padd, pdivmod, pgcd, pmod, pmonic, pmul, ppow_mod,
                      pstrip, psub)
 from .errors import (ConstantInputError, FieldMismatchError,
                      InvalidFactorizationError, UnsupportedFieldError)
-from .field import FieldDescriptor, FieldElement, FieldKind
-from .poly import Polynomial
+from .field import FieldDescriptor, FieldElement, FieldKind, monic_rebuilt
+from .poly import Polynomial, hasse_raw
 from .resultant import sylvester_resultant
 
 
@@ -100,47 +106,64 @@ def _int_key(g: Polynomial):
     return g.raw
 
 
-def _sqf_char0(f: Polynomial, c: Polynomial) -> dict[int, list[Polynomial]]:
-    """Yun's algorithm on a monic input, with c = gcd(f, f')."""
-    out: dict[int, list[Polynomial]] = {}
-    df = f.derivative()
-    w = f.exact_div(c)
-    z = df.exact_div(c) - w.derivative()
+def _derivative(c: Sequence, field: FieldDescriptor) -> list:
+    """The derivative of the numerator list c."""
+    return hasse_raw(c, 1, field.p, field.ops.ring.times_int)
+
+
+def _sqf_char0(F: Sequence, C: Sequence,
+               field: FieldDescriptor) -> dict[int, list[tuple]]:
+    """Yun's algorithm on the numerator ring: F primitive, C = gcd(F, F')
+    primitive, every division exact by Gauss's lemma."""
+    ops = field.ops
+    div, sub = ops.u_ring.exact_div, ops.u_ring.sub
+    out: dict[int, list[tuple]] = {}
+    w = div(F, C)
+    z = sub(div(_derivative(F, field), C), _derivative(w, field))
     i = 1
-    while w.degree > 0:
-        g = w.gcd(z)
-        if g.degree > 0:
+    while len(w) > 1:
+        g = ops.primitive_gcd(w, z)
+        if len(g) > 1:
             out.setdefault(i, []).append(g)
-        w = w.exact_div(g)
-        z = z.exact_div(g) - w.derivative()
+        w = div(w, g)
+        z = sub(div(z, g), _derivative(w, field))
         i += 1
     return out
 
 
-def _sqf_charp(f: Polynomial, c: Polynomial) -> dict[int, list[Polynomial]]:
-    """Characteristic-p recursion on monic f, c = gcd(f, f').  The part
-    left after the loop has zero derivative, so it is C(x^p); C is
-    decomposed in turn (the module docstring says how its parts return)."""
-    p = f.field.characteristic
-    out: dict[int, list[Polynomial]] = {}
-    w = f.exact_div(c)
+def _sqf_charp(F: Sequence, C: Sequence,
+               field: FieldDescriptor) -> dict[int, list[tuple]]:
+    """Characteristic-p recursion on the numerator ring, F and C = gcd(F, F')
+    primitive.  The part left after the loop has zero derivative, so it is
+    C(x^p); C is decomposed in turn (the module docstring says how its
+    parts return)."""
+    ops, p = field.ops, field.p
+    div, zero = ops.u_ring.exact_div, ops.ring.zero
+    out: dict[int, list[tuple]] = {}
+    w = div(F, C)
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w.exact_div(y)
-        if z.degree > 0:
+    while len(w) > 1:
+        y = ops.primitive_gcd(w, C)
+        z = div(w, y)
+        if len(z) > 1:
             out.setdefault(i, []).append(z)
-        c = c.exact_div(y)
+        C = div(C, y)
         w = y
         i += 1
-    if c.degree > 0:
-        C = Polynomial.from_raw(f.field, c.raw[::p])
-        inner = _sqf_charp(C, C.gcd(C.derivative()))
+    if len(C) > 1:
+        if _derivative(C, field):
+            raise ArithmeticError("the part left has a nonzero derivative")
+        G = C[::p]
+        inner = _sqf_charp(G, ops.primitive_gcd(G, _derivative(G, field)),
+                           field)
         for m, gs in inner.items():
-            if f.field.is_perfect:
+            if field.is_perfect:
                 out.setdefault(m * p, []).extend(gs)
-            else:
-                out.setdefault(m, []).extend(g.substitute_power(p) for g in gs)
+                continue
+            for g in gs:                    # g(x^p)
+                stretched = [zero] * ((len(g) - 1) * p + 1)
+                stretched[::p] = g
+                out.setdefault(m, []).append(tuple(stretched))
     return out
 
 
@@ -151,16 +174,38 @@ def squarefree_decomposition(f: Polynomial) -> Factorization:
     its PRS of (f, f'), which also gave disc and gdisc's width 1."""
     if f.degree < 1:
         raise ConstantInputError("squarefree decomposition needs degree >= 1")
-    return _squarefree_with_gcd(f, f.gcd(f.derivative()))
+    ops = f.field.ops
+    F = ops.primitive_gcd(ops.cleared(f.raw)[0], ())
+    return _decomposed(f, F, ops.primitive_gcd(F, _derivative(F, f.field)))
 
 
 def _squarefree_with_gcd(f: Polynomial, c: Polynomial) -> Factorization:
-    """squarefree_decomposition of f, given c = gcd(f, f') (monic).  When
-    c = 1, f is separable and its one part is f.monic(), what both loops
-    would return after their exact divisions by 1; it is returned at once."""
-    sqf = _sqf_char0 if f.field.characteristic == 0 else _sqf_charp
-    parts = {1: [f.monic()]} if c.degree < 1 else sqf(f.monic(), c)
-    return _canonical(parts, f.field, f.leading_coefficient())
+    """squarefree_decomposition of f, given c = gcd(f, f') (monic, so its
+    cleared numerators are primitive with a canonical leading
+    coefficient)."""
+    if c.degree < 1:
+        return _decomposed(f, None, ())
+    ops = f.field.ops
+    return _decomposed(f, ops.primitive_gcd(ops.cleared(f.raw)[0], ()),
+                       ops.cleared(c.raw)[0])
+
+
+def _decomposed(f: Polynomial, F: Optional[Sequence],
+                C: Sequence) -> Factorization:
+    """The decomposition of f from F, the primitive numerators of f, and C
+    = gcd(F, F').  When C is a constant, f is separable and its one part is
+    f.monic(), what both loops would return after their exact divisions by
+    1; it is returned at once.  Otherwise the loops run on the numerator
+    ring and each part is rebuilt monic over the field once."""
+    field = f.field
+    if len(C) < 2:
+        parts = {1: [f.monic()]}
+    else:
+        sqf = _sqf_char0 if field.characteristic == 0 else _sqf_charp
+        parts = {m: [Polynomial.from_raw(field, monic_rebuilt(g, field.ops))
+                     for g in gs]
+                 for m, gs in sqf(F, C, field).items()}
+    return _canonical(parts, field, f.leading_coefficient())
 
 
 # -- factorization over F_p ---------------------------------------------------

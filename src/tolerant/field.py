@@ -197,9 +197,23 @@ class FieldOps(NamedTuple):
     returns (res, the last nonzero remainder).  ``times_int(v, n)`` is the
     value v times the int n, with no field product.
 
+    ``primitive_gcd(a, b)`` is the normalized primitive gcd of two
+    numerator lists in the polynomial ring over ``ring``, a nonzero, as a
+    tuple: primitive, times the unit that makes its last entry canonical
+    (positive over Z, with leading t-coefficient 1 over F_p[t], 1 over
+    F_p).  It is the subresultant PRS's last remainder over its content for
+    Z, ``_rings.primitive_gcd`` for F_p[t] (whose result is primitive
+    already, so only its unit is normalized), ``pgcd`` for F_p.  An empty b
+    gives gcd(a, 0), the normalized primitive associate of a, which is how
+    the chains normalize a polynomial.  By Gauss's lemma a primitive
+    divisor over the field divides in the numerator polynomial ring, so the
+    squarefree decomposition and gdisc's gcd chain run on these and on
+    ``u_ring.exact_div``.
+
     ``divmod(a, b)`` is Euclidean division of normalized coefficient tuples
-    (b nonzero), and ``gcd(a, b)`` the monic gcd of two nonzero ones; both
-    return coefficient sequences, the remainder normalized."""
+    (b nonzero), and ``gcd(a, b)`` the monic gcd of two nonzero ones: one
+    ``monic_rebuilt`` of ``primitive_gcd`` of their cleared numerators.
+    Both return coefficient sequences, the remainder normalized."""
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
@@ -215,6 +229,7 @@ class FieldOps(NamedTuple):
     rebuild: Callable[[Any, Any], Any]
     resultant: Callable[[Sequence, Sequence], tuple[Any, Sequence]]
     times_int: Callable[[Any, int], Any]
+    primitive_gcd: Callable[[Sequence, Sequence], tuple]
     divmod: Callable[[Sequence, Sequence], tuple[Sequence, Sequence]] = None
     gcd: Callable[[Sequence, Sequence], Sequence] = None
 
@@ -226,16 +241,23 @@ def monic_rebuilt(num: Sequence, ops: FieldOps) -> list:
     return [ops.rebuild(c, lead) for c in num]
 
 
-def _with_division(ops: FieldOps,
-                   last: Callable[[list, list], list]) -> FieldOps:
-    """``ops`` with the division and gcd of Q or F_p(t).
+def _with_gcd(ops: FieldOps) -> FieldOps:
+    """``ops`` with its field gcd: ``primitive_gcd`` of the cleared
+    numerators, made monic by one ``monic_rebuilt``."""
+    cleared, primitive_gcd = ops.cleared, ops.primitive_gcd
 
-    Division clears each operand once, pseudo-divides once in the numerator
-    ring, and rebuilds each coefficient of the quotient and remainder once:
-    lc(B)^e * A = Q * B + R for a = A / d_a and b = B / d_b gives
-    a = (Q * d_b / s) * b + R / s with s = lc(B)^e * d_a.  The gcd is
-    ``last`` of the cleared numerators, an associate of it in the numerator
-    ring, made monic."""
+    def gcd(a: Sequence, b: Sequence) -> list:
+        return monic_rebuilt(primitive_gcd(cleared(a)[0], cleared(b)[0]), ops)
+
+    return ops._replace(gcd=gcd)
+
+
+def _with_division(ops: FieldOps) -> FieldOps:
+    """``ops`` with the division of Q or F_p(t): it clears each operand
+    once, pseudo-divides once in the numerator ring, and rebuilds each
+    coefficient of the quotient and remainder once: lc(B)^e * A = Q * B + R
+    for a = A / d_a and b = B / d_b gives a = (Q * d_b / s) * b + R / s
+    with s = lc(B)^e * d_a."""
     ring, rebuild, cleared = ops.ring, ops.rebuild, ops.cleared
 
     def divmod_(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
@@ -248,10 +270,7 @@ def _with_division(ops: FieldOps,
         return ([rebuild(ring.mul(c, d_b), scale) for c in q],
                 [rebuild(c, scale) for c in _rings.pstrip(r)])
 
-    def gcd(a: Sequence, b: Sequence) -> list:
-        return monic_rebuilt(last(cleared(a)[0], cleared(b)[0]), ops)
-
-    return ops._replace(divmod=divmod_, gcd=gcd)
+    return ops._replace(divmod=divmod_)
 
 
 def _int_text(n: int) -> str:
@@ -290,9 +309,22 @@ def _q_cleared(values: Sequence[Fraction]) -> tuple[list, int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def _z_primitive(c: Sequence) -> tuple:
+    """c over its content, with a positive last entry."""
+    g = math.gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return tuple(c) if g == 1 else tuple([x // g for x in c])
+
+
 def _q_ops() -> FieldOps:
     ring = _rings.int_ring()
-    ops = FieldOps(
+
+    def primitive_gcd(a: Sequence, b: Sequence) -> tuple:
+        # the last nonzero remainder of the subresultant PRS in Z[x]
+        return _z_primitive(_rings.subresultant(a, b, ring)[1] if b else a)
+
+    return FieldOps(
         add=operator.add, neg=operator.neg, mul=operator.mul,
         inverse=lambda v: 1 / v, nonzero=bool, from_int=Fraction,
         one=Fraction(1), text=_q_text,
@@ -300,9 +332,8 @@ def _q_ops() -> FieldOps:
                                                 _rings.KRON_MUL_MIN),
         cleared=_q_cleared, rebuild=Fraction,
         resultant=lambda a, b: _rings.subresultant(a, b, ring),
-        times_int=operator.mul)
-    # the gcd is the last nonzero remainder of the subresultant PRS in Z[x]
-    return _with_division(ops, lambda a, b: ops.resultant(a, b)[1])
+        times_int=operator.mul,
+        primitive_gcd=primitive_gcd)
 
 
 def _fp_ops(p: int) -> FieldOps:
@@ -317,8 +348,8 @@ def _fp_ops(p: int) -> FieldOps:
             num, scale),
         resultant=lambda a, b: _rings.fp_resultant(a, b, p),
         times_int=ring.times_int,
-        divmod=lambda a, b: _rings.pdivmod(a, b, p),
-        gcd=lambda a, b: _rings.pgcd(a, b, p))
+        primitive_gcd=lambda a, b: tuple(_rings.pgcd(a, b, p)),
+        divmod=lambda a, b: _rings.pdivmod(a, b, p))
 
 
 def _fpt_ops(p: int) -> FieldOps:
@@ -355,7 +386,22 @@ def _fpt_ops(p: int) -> FieldOps:
         # n is a unit of F_p or zero, so num * n / den stays reduced
         return (ring.times_int(v[0], n), v[1]) if n % p else ((), (1,))
 
-    ops = FieldOps(
+    def unit_normal(c: Sequence) -> tuple:
+        """c times the inverse of its leading t-coefficient."""
+        u = c[-1][-1]
+        if u == 1:
+            return tuple(c)
+        inv = pow(u, -1, p)
+        return tuple([_rings.pmul_ground(v, inv, p) for v in c])
+
+    def primitive_gcd(a: Sequence, b: Sequence) -> tuple:
+        # not the subresultant PRS in F_p[t][x]: its exact divisions of long
+        # F_p[t] tuples are schoolbook pdivmod, which made it slower
+        if not b:
+            return unit_normal(_rings.primitive_part(a, p))
+        return unit_normal(_rings.primitive_gcd(a, b, ring, p))
+
+    return FieldOps(
         add=add, neg=lambda v: (_rings.pneg(v[0], p), v[1]),
         mul=lambda a, b: _fpt_reduce(pmul(a[0], b[0], p), pmul(a[1], b[1], p), p),
         inverse=lambda v: _fpt_reduce(v[1], v[0], p),
@@ -364,11 +410,7 @@ def _fpt_ops(p: int) -> FieldOps:
         ring=ring, u_ring=_rings.fpt_u_ring(p),
         cleared=cleared, rebuild=lambda num, scale: _fpt_reduce(num, scale, p),
         resultant=lambda a, b: _rings.subresultant(a, b, ring),
-        times_int=times_int)
-    # not the subresultant PRS in F_p[t][x]: its exact divisions of long
-    # F_p[t] tuples are schoolbook pdivmod, which made it slower
-    return _with_division(
-        ops, lambda a, b: _rings.primitive_gcd(a, b, ring, p))
+        times_int=times_int, primitive_gcd=primitive_gcd)
 
 
 @functools.cache
@@ -378,7 +420,7 @@ def _field_ops(kind: FieldKind, p: Union[int, None]) -> FieldOps:
     if kind is FieldKind.RATIONALS:
         if p is not None:
             raise ValueError("rationals take no modulus")
-        return _q_ops()
+        return _with_gcd(_with_division(_q_ops()))
     if p is None:
         raise ValueError(f"{kind.value} needs a prime modulus")
     if not 2 <= p < MODULUS_CAP:
@@ -386,8 +428,8 @@ def _field_ops(kind: FieldKind, p: Union[int, None]) -> FieldOps:
     if not is_prime(p):
         raise ValueError(f"modulus is not prime: {p}")
     if kind is FieldKind.PRIME_FIELD:
-        return _fp_ops(p)
-    return _fpt_ops(p)
+        return _with_gcd(_fp_ops(p))
+    return _with_gcd(_with_division(_fpt_ops(p)))
 
 
 def t_poly_text(coeffs: tuple) -> str:

@@ -12,7 +12,10 @@ res(f, f'), is one scalar PRS that runs first and settles separable f, and
 ends on g_1 = gcd(f, f'), the first link of that chain.  The paper's
 elimination itself, eliminating x from f and the weighted sum of its Hasse
 derivatives, stays as ``gdisc_by_elimination``, the check path, on a gcd
-chain of its own that shares no step with that PRS.
+chain of its own that shares no step with that PRS.  gdisc's chain runs on
+primitive polynomials over the numerator ring, as the squarefree
+decomposition does; the elimination keeps ``Polynomial`` arithmetic, so
+the check path shares no step with the chain it checks either.
 
 Alternative routes (root products, and the per-factor formulas of the paper
 next to the corrected one) are implemented independently so the paths can
@@ -32,9 +35,10 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from ._rings import power_product, pstretch, ring_pow
+from ._rings import (InexactDivision, power_product, pseudo_divmod,
+                     pstretch, pstrip, ring_pow)
 from .errors import (DegreeMismatchError, DegreeTooSmallError,
                      InseparableInSeparableModeError,
                      InvalidFactorizationError, TolerantError,
@@ -44,10 +48,9 @@ from .factor import (Factorization, _squarefree_with_gcd,
                      is_irreducible_prime_field, multiplicity_profile,
                      squarefree_decomposition)
 from .field import FieldDescriptor, FieldElement, FieldKind
-from .poly import Polynomial, RootMultiset, binomial_mod
+from .poly import Polynomial, RootMultiset, binomial_mod, hasse_raw
 from .resultant import (discriminant, discriminant_and_gcd,
-                        numerator_discriminant, resultant_in_u,
-                        sylvester_resultant)
+                        numerator_discriminant, resultant_in_u)
 
 REPEATED_ROOT = "REPEATED_ROOT"
 UNDEFINED = "UNDEFINED"
@@ -89,15 +92,22 @@ def gdisc(f: Polynomial) -> FieldElement:
       A level j > 1 where Lucas' theorem shows D^j f = 0 has no drop and
       is skipped without building D^j f (``_nonzero_levels``).
 
-    The value rests on no gcd.  Every gcd result is made monic, so a scalar
-    multiple leaves no constant part to scale the value; every division is
-    checked exact, every res(q_m, D^m f) nonzero.  Radical: f.monic() =
-    prod_m rad_m^m, and a root r in rad_i has D^i f(r) = 0 unless i >= m_r,
-    so it sits once in rad_(m_r).  Split: each g_j is checked to divide
-    D^j f, so a root of q_j has multiplicity >= j, capped at j by D^j f(r)
-    != 0.  A wrong gcd thus gives the same value or an ArithmeticError.
-    gdisc's chain is its own, so it stays independent of tol's
-    factorization; ``build_report`` hands it the pair of its one PRS."""
+    The chain runs on the numerator ring (Z, F_p or F_p[t]), on primitive
+    associates of these polynomials (see ``_gdisc_from``).  The value rests
+    on no gcd.  gdisc normalizes every gcd result it receives itself, g_1
+    included: each is made primitive with a canonical leading coefficient
+    (``FieldOps.primitive_gcd`` of it and 0), and each resultant is divided
+    by the power of its q_m's leading coefficient, so a scalar multiple
+    leaves no constant part to scale the value.  Every division is exact in the numerator
+    polynomial ring or raises ``InexactDivision`` (Gauss's lemma makes it
+    exact for a primitive divisor that divides over the field), and every
+    res(q_m, D^m f) is checked nonzero.  Radical: f.monic() = prod_m
+    rad_m^m, and a root r in rad_i has D^i f(r) = 0 unless i >= m_r, so it
+    sits once in rad_(m_r).  Split: each g_j is checked to divide D^j f, so
+    a root of q_j has multiplicity >= j, capped at j by D^j f(r) != 0.  A
+    wrong gcd thus gives the same value or an ArithmeticError.  gdisc's
+    chain is its own, so it stays independent of tol's factorization;
+    ``build_report`` hands it the pair of its one PRS."""
     _check_gdisc_input(f)
     return _gdisc_from(f, *discriminant_and_gcd(f))
 
@@ -111,45 +121,68 @@ def _check_gdisc_input(f: Polynomial) -> None:
 
 def _gdisc_from(f: Polynomial, disc: FieldElement,
                 g_j: Polynomial) -> FieldElement:
-    """gdisc of f, n >= 2, from (disc, g_j = g_1) of discriminant_and_gcd."""
+    """gdisc of f, n >= 2, from (disc, g_j = g_1) of discriminant_and_gcd.
+
+    The chain runs on the numerator ring (Z, F_p or F_p[t]): F = d * f is
+    f cleared, D^j F = d * D^j f its Hasse derivatives, and every g_j, h_j,
+    a_j and q_m is a primitive associate of the monic one over the field
+    (``FieldOps.primitive_gcd``, with 0 to normalize one polynomial),
+    divided exactly in ``u_ring``.  Each res(q_m, D^m f) is res(Q_m, D^m F)
+    / (lc(Q_m)^(deg D^m F) * d^(deg Q_m)), for Q_m the associate: its
+    numerator goes into one power product and its scale into another, and
+    the value is rebuilt once."""
     n, p = f.degree, f.field.p
-    lc = f.leading_coefficient()
     if disc:
-        return tol_variant("gdisc", lc, n, disc)    # disc = tol, separable f
-    radical, one = p is None or n < p, Polynomial.one(f.field)
-    a = g = f.monic()
-    chain = []                      # (j, h_j, D^j f, g_j) for j = 1..M
+        return tol_variant("gdisc", f.leading_coefficient(), n, disc)
+    field, ops = f.field, f.field.ops
+    ring, div = ops.ring, ops.u_ring.exact_div
+    F, d = ops.cleared(f.raw)
+    radical, one = p is None or n < p, (ring.one,)
+    g_j = ops.cleared(g_j.raw)[0]
+    a = g = ops.primitive_gcd(F, ())
+    chain = []                      # (j, h_j, D^j F, g_j) for j = 1..M
     for j in range(1, n + 1) if radical else _nonzero_levels(f):
-        d = r = f.hasse_derivative(j)
+        D = r = hasse_raw(F, j, p, ring.times_int)
         if j > 1 and radical:       # g_(j-1) | h_(j-1): squarefree
-            g_j = g.gcd(d) if h % g else one
+            try:
+                div(h, g)
+                g_j = one
+            except InexactDivision:
+                g_j = ops.primitive_gcd(g, D)
         elif j > 1:                 # no drop where g_(j-1) | D^j f
-            r = d % g if d else d
-            g_j = g.gcd(r) if r else g
-        g_j = g_j.monic()
+            if len(D) >= len(g):    # r = the pseudo-remainder of D by g
+                r = pstrip(pseudo_divmod(D, g, ring)[1])
+            g_j = ops.primitive_gcd(g, r) if r else g
+        g_j = ops.primitive_gcd(g_j, ())      # normalized
         if not radical and r:
-            r.exact_div(g_j)        # so g_j | D^j f
-        h = g.exact_div(g_j) if g_j != g else one
-        chain.append((j, h, d, g_j))
+            div(r, g_j)             # so g_j | D^j f
+        h = div(g, g_j) if g_j != g else one
+        chain.append((j, h, D, g_j))
         g = g_j
-        if g.degree < 1:
+        if len(g) < 2:
             break
     else:
         raise ArithmeticError("gcd chain did not reach a constant")
-    k, tc = 0, lc ** (n - 2)
-    for m, h, d, g_m in chain:
+    # gdisc = (-1)^(k/2) * lc^(n-2) * prod_m res(q_m, D^m f)^e, lc = F_n / d
+    k, d_exp, nums, dens = 0, n - 2, [(F[-1], n - 2)], []
+    for m, h, D, g_m in chain:
         if radical:             # q_m = rad_m^m, rad_m = h_m / h_(m+1)
-            e, q = m, h.exact_div(chain[m][1] if m < len(chain) else one)
-        elif h.degree > 0:      # q_m = a_m / a_(m+1)
-            e, (a, q) = 1, _split(a, g_m)
+            e, q = m, div(h, chain[m][1] if m < len(chain) else one)
+        elif len(h) > 1:        # q_m = a_m / a_(m+1)
+            e, (a, q) = 1, _split(a, g_m, ops)
         else:
             continue
-        if q.degree > 0:
-            v = sylvester_resultant(q, d) if d else None
+        if len(q) > 1:
+            v = ops.resultant(q, D)[0] if D else None
             if not v:
                 raise ArithmeticError("res(q_m, D^m f) vanished")
-            k += (m - 1) * e * q.degree
-            tc = tc * v ** e
+            k += (m - 1) * e * (len(q) - 1)
+            nums.append((v, e))
+            dens.append((q[-1], e * (len(D) - 1)))
+            d_exp += e * (len(q) - 1)
+    dens.append((d, d_exp))
+    tc = FieldElement(field, ops.rebuild(power_product(nums, ring),
+                                         power_product(dens, ring)))
     return -tc if (k // 2) % 2 else tc          # (-1)^(k/2) * tc, k even
 
 
@@ -168,19 +201,22 @@ def _nonzero_levels(f: Polynomial) -> Iterator[int]:
             yield j
 
 
-def _split(a: Polynomial, c: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(the part of a on the roots of c, the rest of a), for monic a and c:
-    divide by c while exact, then by gcd(rest, c), which must shrink."""
-    part = Polynomial.one(a.field)
-    while c.degree > 0 and a.degree > 0:
-        q, r = divmod(a, c)
-        if not r:
-            part, a = part * c, q
+def _split(a: Sequence, c: Sequence, ops) -> tuple[tuple, tuple]:
+    """(the part of a on the roots of c, the rest of a), for primitive
+    numerator lists a and c: divide by c while exact, then by the primitive
+    gcd(rest, c), which must shrink."""
+    div, mul = ops.u_ring.exact_div, ops.u_ring.mul
+    part = (ops.ring.one,)
+    while len(c) > 1 and len(a) > 1:
+        try:
+            a, part = div(a, c), mul(part, c)
             continue
-        c_next = a.gcd(c).monic()
-        if c_next.degree >= c.degree:
+        except InexactDivision:     # c does not divide a
+            pass
+        c_next = ops.primitive_gcd(ops.primitive_gcd(a, c), ())
+        if len(c_next) >= len(c):
             raise ArithmeticError("gcd(rest, c) did not shrink")
-        c.exact_div(c_next)
+        div(c, c_next)
         c = c_next
     return part, a
 
@@ -474,19 +510,25 @@ def inversion_criterion(fac: Factorization) -> bool:
 
 
 def _inversion_test(fac: Factorization) -> bool:
-    """inversion_criterion on a factorization known to be coprime."""
+    """inversion_criterion on a factorization known to be coprime, as one
+    equality of two power products on the numerator ring: with the
+    exponents folded, prod sep_i(0)^(2 m_i (n - m_i p^(e_i)) - m_i (2n - 2))
+    = 1, each sep_i(0) = num_i / den_i cleared once, num_i going to the
+    left and den_i to the right (swapped for a negative exponent)."""
     field = fac.field
-    n = fac.degree()
-    q = field.char_exponent
-    lhs = field.one()
-    ratio = field.one()
+    ops, n, q = field.ops, fac.degree(), field.char_exponent
+    lhs, rhs = [], []
     for _, sep, e, m in fac.parts:
-        c0 = sep.constant_term()
-        if not c0:
+        c0 = sep.raw[0]
+        if not ops.nonzero(c0):
             raise ZeroConstantTermError("a factor vanishes at 0")
-        lhs = lhs * c0 ** (2 * m * (n - m * q ** e))
-        ratio = ratio * c0 ** m
-    return lhs == ratio ** (2 * n - 2)
+        (num,), den = ops.cleared((c0,))
+        x = 2 * m * (n - m * q ** e) - m * (2 * n - 2)
+        if x < 0:
+            num, den, x = den, num, -x
+        lhs.append((num, x))
+        rhs.append((den, x))
+    return power_product(lhs, ops.ring) == power_product(rhs, ops.ring)
 
 
 # -- aggregate report ---------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from math import comb
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (ConstantInputError, DivisionByZeroError,
                      DuplicateRootsError, FieldMismatchError,
@@ -269,35 +269,16 @@ class Polynomial:
 
     def hasse_derivative(self, r: int) -> "Polynomial":
         """D^r: x^n -> C(n, r) x^(n-r), binomials mapped into the field so
-        characteristic-p vanishing is exact.  Over Q a binomial is taken
-        over Z; in characteristic p, mod p by Lucas' theorem, so no binomial
-        is larger than p.  A binomial is taken only where the coefficient is
-        nonzero, so sparse input costs its number of terms, not its degree,
-        in binomials, and scales it as an int (``FieldOps.times_int``), with
-        no field product."""
+        characteristic-p vanishing is exact (``hasse_raw`` on the raw
+        values, each scaled as an int by ``FieldOps.times_int``, with no
+        field product)."""
         if r < 0:
             raise ValueError("Hasse derivative order must be >= 0")
         if r == 0:
             return self
         ops = self.field.ops
-        times, nonzero = ops.times_int, ops.nonzero
-        out = list(self.raw[r:])
-        p = self.field.p                    # None over Q
-        if p is None or r < p:
-            # r < p has one base-p digit, so Lucas' theorem leaves
-            # C(n mod p, r); over Q, n < len(raw) and n % m is n
-            m = p or len(self.raw)
-            for i in compress(range(len(out)), map(nonzero, out)):
-                out[i] = times(out[i], comb((i + r) % m, r))
-        else:
-            for i in compress(range(len(out)), map(nonzero, out)):
-                out[i] = times(out[i], binomial_mod(i + r, r, p))
-        if out and not nonzero(out[-1]):
-            # binomials vanish mod p: cut the zero top in one step
-            zeros = next(compress(count(), map(nonzero, reversed(out))),
-                         len(out))
-            del out[len(out) - zeros:]
-        return Polynomial.from_raw(self.field, out)
+        return Polynomial.from_raw(self.field, hasse_raw(
+            self.raw, r, self.field.p, ops.times_int, ops.nonzero))
 
     def taylor_shift(self, alpha: FieldElement) -> "Polynomial":
         """f(x + alpha), by Horner over the shifted variable."""
@@ -366,6 +347,36 @@ class Polynomial:
             g = Polynomial.from_raw(self.field, g.raw[::p])
             e += 1
         return SeparableForm(g, e)
+
+
+def hasse_raw(raw: Sequence, r: int, p: Union[int, None],
+              times: Callable[[object, int], object],
+              nonzero: Callable[[object], bool] = bool) -> list:
+    """The coefficients of D^r, r >= 1, of the polynomial with coefficients
+    ``raw`` (lowest degree first), over a field of characteristic p (None
+    over Q): entry i is ``times(raw[i + r], C(i + r, r))``, its zero top
+    cut.  ``raw`` holds field values (``FieldOps.times_int`` and
+    ``nonzero``) or numerator-ring values (``ring.times_int`` and bool).
+    Over Q a binomial is taken over Z; in characteristic p, mod p by
+    Lucas' theorem, so no binomial is larger than p.  A binomial is taken
+    only where the coefficient is nonzero, so sparse input costs its number
+    of terms, not its degree, in binomials."""
+    out = list(raw[r:])
+    if p is None or r < p:
+        # r < p has one base-p digit, so Lucas' theorem leaves
+        # C(n mod p, r); over Q, n < len(raw) and n % m is n
+        m = p or len(raw)
+        for i in compress(range(len(out)), map(nonzero, out)):
+            out[i] = times(out[i], comb((i + r) % m, r))
+    else:
+        for i in compress(range(len(out)), map(nonzero, out)):
+            out[i] = times(out[i], binomial_mod(i + r, r, p))
+    if out and not nonzero(out[-1]):
+        # binomials vanish mod p: cut the zero top in one step
+        zeros = next(compress(count(), map(nonzero, reversed(out))),
+                     len(out))
+        del out[len(out) - zeros:]
+    return out
 
 
 def binomial_mod(n: int, k: int, p: int) -> int:

@@ -19,7 +19,7 @@ from tolerant.factor import multiplicity_profile
 from tolerant.invariants import REPEATED_ROOT, UNDEFINED, tol_variant
 from tolerant.resultant import discriminant, resultant_in_u
 
-from conftest import fraction_tol, linear_product
+from conftest import fraction_tol, linear_product, patch_field_ops
 
 
 def rand_root_pairs(rng, max_roots=4, max_mult=3):
@@ -218,25 +218,32 @@ def test_elimination_vanishes_exactly_below_the_largest_multiplicity(f):
 def test_gdisc_takes_one_scalar_resultant_per_multiplicity(
         monkeypatch, field, text, calls):
     """The width-1 call is the scalar PRS of ``discriminant_and_gcd(f)``, as
-    (deg f, "width 1"); on repeated roots there follows one
-    ``sylvester_resultant`` per root multiplicity m, as (deg q_m, deg D^m f)
-    with q_m in its radical or split form, and no ``resultant_in_u``."""
-    seen = []
-    real_r = invariants.sylvester_resultant
+    (deg f, "width 1"); on repeated roots there follows one call of the
+    resultant kernel (``FieldOps.resultant``) per root multiplicity m, as
+    (deg q_m, deg D^m f) with q_m in its radical or split form, and no
+    ``resultant_in_u``."""
+    seen, width_one = [], []
     real_1 = invariants.discriminant_and_gcd
 
-    def counting_r(q, d):
-        seen.append((q.degree, d.degree))
-        return real_r(q, d)
+    def counting_r(real_r, field):
+        def wrapper(q, d):
+            if not width_one:           # the width-1 PRS counts as one
+                seen.append((len(q) - 1, len(d) - 1))
+            return real_r(q, d)
+        return wrapper
 
     def counting_1(f):
         seen.append((f.degree, "width 1"))
-        return real_1(f)
+        width_one.append(f)
+        try:
+            return real_1(f)
+        finally:
+            width_one.pop()
 
     def no_u(*args):
         raise AssertionError("gdisc ran the u-resultant")
 
-    monkeypatch.setattr(invariants, "sylvester_resultant", counting_r)
+    patch_field_ops(monkeypatch, resultant=counting_r)
     monkeypatch.setattr(invariants, "discriminant_and_gcd", counting_1)
     monkeypatch.setattr(invariants, "resultant_in_u", no_u)
     f = parse_polynomial(text, parse_field(field))
@@ -272,19 +279,49 @@ def wrong_gcd(a, b, choice, rng):
     return d * (x + Polynomial.constant(F, rng.randrange(1, 5)))
 
 
+def as_polynomial(num, F):
+    """The polynomial over F whose coefficients are the numerator-ring
+    values ``num``."""
+    ops = F.ops
+    return Polynomial.from_raw(F, [ops.rebuild(c, ops.ring.one) for c in num])
+
+
+def numerator_gcd(answer):
+    """A ``FieldOps.primitive_gcd`` entry that answers with ``answer(a, b)``
+    on the field polynomials of its numerator lists a and b, cleared back to
+    the numerator ring; gcd(a, 0), the primitive associate of a, stays the
+    real entry's."""
+    def wrap(real, field):
+        def entry(a, b):
+            if not b:
+                return real(a, b)
+            F = field()
+            d = answer(as_polynomial(a, F), as_polynomial(b, F))
+            return tuple(F.ops.cleared(d.raw)[0])
+        return entry
+    return wrap
+
+
+def rebuilt(f):
+    """f over a descriptor built now, so that it carries a patched ops
+    table (``patch_field_ops``)."""
+    return Polynomial.from_raw(parse_field(f.field.text()), f.raw)
+
+
 def test_gdisc_builds_no_vanishing_hasse_derivative(monkeypatch):
     """x^2401 + 1 over F_7 has f' = 0 and one root of multiplicity 2401:
     D^j f = 0 for every 0 < j < 2401, and the split form skips those levels
-    by Lucas' theorem instead of building each D^j f."""
+    by Lucas' theorem instead of building each D^j f (``hasse_raw`` on the
+    numerator ring)."""
     f = parse_polynomial("x^2401+1", parse_field("fp:7"))
     orders = []
-    real = Polynomial.hasse_derivative
+    real = invariants.hasse_raw
 
-    def counting(self, r):
+    def counting(raw, r, *args):
         orders.append(r)
-        return real(self, r)
+        return real(raw, r, *args)
 
-    monkeypatch.setattr(Polynomial, "hasse_derivative", counting)
+    monkeypatch.setattr(invariants, "hasse_raw", counting)
     assert gdisc(f) == 1
     assert len(orders) <= 4 and max(orders) == 2401
 
@@ -293,10 +330,11 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
     """gdisc checks its gcd chain instead of trusting it: with gcds that
     return wrong divisors, non-divisors, non-monic or constant results,
     every run gives the true value or raises ArithmeticError.  That holds for
-    g_1, which the width-1 PRS hands over, as for every later gcd.  Each run
-    records the kinds of result it drew: a run that drew only true gcds and
-    scalar multiples of them (kinds 0 and 1) must give the true value, and
-    every kind is drawn."""
+    g_1, which the width-1 PRS hands over, as for every later gcd, which the
+    chain takes from ``FieldOps.primitive_gcd`` on the numerator ring.  Each
+    run records the kinds of result it drew: a run that drew only true gcds
+    and scalar multiples of them (kinds 0 and 1) must give the true value,
+    and every kind is drawn."""
     cases = [(case_id, f) for case_id, f in WIDTH_CASES
              if f.degree <= 8 and not f.is_separable()]
     expected = {case_id: gdisc(f) for case_id, f in cases}
@@ -313,8 +351,9 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
         d, g_1 = real_disc_gcd(f)
         return d, (g_1 if d else wrong(f.monic(), f.derivative()))
 
-    monkeypatch.setattr(Polynomial, "gcd", wrong)
+    patch_field_ops(monkeypatch, primitive_gcd=numerator_gcd(wrong))
     monkeypatch.setattr(invariants, "discriminant_and_gcd", wrong_g1)
+    cases = [(case_id, rebuilt(f)) for case_id, f in cases]
     kinds, runs = set(), {"true": 0, "value": 0, "error": 0}
     for _ in range(6):
         for case_id, f in cases:
@@ -338,10 +377,11 @@ def test_wrong_gcds_give_the_value_or_an_arithmetic_error(monkeypatch):
     ("fpt:3", "(x^3-t)^2*(x^3+t)"), ("q", "(x-1)^2*(x+1)^2")])
 def test_scalar_multiple_gcds_scale_no_value(monkeypatch, field, text):
     """A gcd d of positive degree that equals one of its arguments made
-    monic comes back as 2 * d, from Polynomial.gcd and as g_1 of the width-1
-    PRS.  That passes every divisibility check, and unless gdisc makes it
-    monic it leaves a constant part 2 whose resultant scales the value.
-    gdisc gives the true value or an ArithmeticError."""
+    monic comes back as 2 * d, from ``FieldOps.primitive_gcd`` (cleared to
+    the numerator ring) and as g_1 of the width-1 PRS.  That passes every
+    divisibility check, and unless gdisc normalizes it, it leaves a
+    constant part 2 whose resultant scales the value.  gdisc gives the true
+    value or an ArithmeticError."""
     f = parse_polynomial(text, parse_field(field))
     truth = tol_variant("gdisc", f.leading_coefficient(), f.degree, tol(f))
     real_disc_gcd = invariants.discriminant_and_gcd
@@ -356,10 +396,10 @@ def test_scalar_multiple_gcds_scale_no_value(monkeypatch, field, text):
         disc, g_1 = real_disc_gcd(g)
         return disc, (g_1 if disc else scaled(g.monic(), g.derivative()))
 
-    monkeypatch.setattr(Polynomial, "gcd", scaled)
+    patch_field_ops(monkeypatch, primitive_gcd=numerator_gcd(scaled))
     monkeypatch.setattr(invariants, "discriminant_and_gcd", scaled_g1)
     try:
-        value = gdisc(f)
+        value = gdisc(rebuilt(f))
     except ArithmeticError:
         return
     assert value == truth

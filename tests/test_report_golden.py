@@ -18,6 +18,8 @@ from tolerant import (Polynomial, _rings, factor, invariants,
                       multiplicity_profile, parse_field, parse_polynomial)
 from tolerant.cli import main
 
+from conftest import patch_field_ops
+
 GOLDEN = [
     ('q', (), '0',
      '{"field": "q", "input": "0", "degree": null, "tol": null, "dupl": null, "gdisc": null, "disc": null, "separable": null, "in_T": "UNDEFINED", "homothety_exponent": null, "paths_agree": null, "trusted_input": false, "errors": [{"op": "tol", "code": "ZERO_POLYNOMIAL", "message": "tol of the zero polynomial"}, {"op": "dupl", "code": "ZERO_POLYNOMIAL", "message": "dupl of the zero polynomial"}, {"op": "gdisc", "code": "ZERO_POLYNOMIAL", "message": "gdisc of the zero polynomial"}, {"op": "disc", "code": "CONSTANT_INPUT", "message": "discriminant needs degree >= 1"}, {"op": "separable", "code": "CONSTANT_INPUT", "message": "separability needs degree >= 1"}, {"op": "homothety_exponent", "code": "ZERO_POLYNOMIAL", "message": "homothety exponent of the zero polynomial"}]}'),
@@ -94,11 +96,16 @@ GOLDEN = [
                          ids=[f"{c[0]}:{c[2]}{''.join(c[1])}" for c in GOLDEN])
 def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
     calls = {"discriminant_and_gcd": 0, "resultant_in_u": 0}
+    in_prs = []                 # inside the PRS of (f, f') or disc(f)
 
     def recorded(name, real):
         def wrapper(*args):
             calls[name] += 1
-            return real(*args)
+            in_prs.append(name)
+            try:
+                return real(*args)
+            finally:
+                in_prs.pop()
         return wrapper
 
     for name in calls:
@@ -116,7 +123,8 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
                         lambda self: coprime_checks.append(self))
     # [resultants, discriminants] taken outside tol_from_factorization, and
     # per call of it [parts, resultants, discriminants, returned].  Outside,
-    # a resultant is a ``sylvester_resultant`` call (gdisc's).  Inside, it
+    # a resultant is a call of ``FieldOps.resultant`` that is not part of
+    # the PRS of (f, f') or of disc(f): one of gdisc's.  Inside, it
     # is a call of the numerator ring's kernel (``FieldOps.resultant``:
     # ``_rings.fp_resultant`` over F_p, ``_rings.subresultant`` over Q and
     # F_p(t)) on the cleared numerators of a pair of parts, and a
@@ -133,7 +141,18 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
                 formula_calls[-1][slot + 1] += 1
             else:
                 outside[slot] += 1
-            return real(*args)
+            in_prs.append(slot)
+            try:
+                return real(*args)
+            finally:
+                in_prs.pop()
+        return wrapper
+
+    def counting_gdisc_resultant(real, field):
+        def wrapper(a, b):
+            if not inside and not in_prs:
+                outside[0] += 1
+            return real(a, b)
         return wrapper
 
     def counting_kernel(real):
@@ -165,8 +184,7 @@ def test_report_golden(capsys, monkeypatch, field, flags, expr, expected):
         return value
 
     monkeypatch.setattr(invariants, "tol_from_factorization", counting_tol)
-    monkeypatch.setattr(invariants, "sylvester_resultant",
-                        counting(0, invariants.sylvester_resultant))
+    patch_field_ops(monkeypatch, resultant=counting_gdisc_resultant)
     for kernel in ("subresultant", "fp_resultant"):
         monkeypatch.setattr(_rings, kernel,
                             counting_kernel(getattr(_rings, kernel)))
@@ -219,23 +237,39 @@ def test_report_runs_the_prs_of_f_and_its_derivative_once(
         capsys, monkeypatch, field, flags, expr):
     """From degree 2 on, one ``discriminant_and_gcd`` call serves disc,
     gdisc's width 1 and the squarefree decomposition, which never takes
-    gcd(f, f') again.  (When f' = 0 there is no PRS to repeat: gcd(g, 0) is
-    g made monic, and gdisc's chain takes it where D^j f vanishes.)"""
+    gcd(f, f') again: no call of the numerator ring's gcd
+    (``FieldOps.primitive_gcd``) gets the cleared numerators of f or of
+    f.monic() with their derivative.  (When f' = 0 there is no PRS to
+    repeat: gcd(g, 0) is g made primitive, and gdisc's chain takes it where
+    D^j f vanishes.)"""
     f = parse_polynomial(expr, parse_field(field))
-    pairs = [(g, g.derivative()) for g in (f, f.monic()) if g.derivative()]
+    ops = f.field.ops
+
+    def numerators(g):
+        return tuple(ops.cleared(g.raw)[0])
+
+    def derivative(num):
+        g = Polynomial.from_raw(f.field, [ops.rebuild(c, ops.ring.one)
+                                          for c in num])
+        return numerators(g.derivative())
+
+    pairs = [(num, derivative(num))
+             for num in map(numerators, (f, f.monic())) if derivative(num)]
     shared, gcds = [], []
-    real_shared, real_gcd = invariants.discriminant_and_gcd, Polynomial.gcd
+    real_shared = invariants.discriminant_and_gcd
 
     def counting_shared(g):
         shared.append(g)
         return real_shared(g)
 
-    def recording_gcd(a, b):
-        gcds.append((a, b))
-        return real_gcd(a, b)
+    def recording_gcd(real, field):
+        def entry(a, b):
+            gcds.append((tuple(a), tuple(b)))
+            return real(a, b)
+        return entry
 
     monkeypatch.setattr(invariants, "discriminant_and_gcd", counting_shared)
-    monkeypatch.setattr(Polynomial, "gcd", recording_gcd)
+    patch_field_ops(monkeypatch, primitive_gcd=recording_gcd)
     assert main(["report", "--field", field, *flags, "--", expr]) == 0
     capsys.readouterr()
     assert shared == [f]
