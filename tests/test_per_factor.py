@@ -10,12 +10,17 @@ coefficients, over F_p, and over F_p(t) with t-denominators and mixed
 inseparability exponents, in all three modes.
 """
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tolerant import Polynomial, prime_field, rational_function_field, rationals
+from tolerant import (Polynomial, parse_polynomial, prime_field,
+                      rational_function_field, rationals)
+from tolerant.cli import main
 from tolerant._rings import (fp_poly_ring, int_ring, mod_ring, power_product,
                              ring_pow)
 from tolerant.errors import (InseparableInSeparableModeError,
@@ -139,6 +144,65 @@ def fp_factorizations():
     return out
 
 
+def class_factorization(F, rng, size):
+    """A factorization with one (m, e) class of ``size`` parts and 0-2
+    other factors.  Parts have degree 1-3 in g (1-5 over F_2, which has
+    too few coprime cubics), e in {0, 1} for p < 10 and multiplicity 1-3;
+    each is kept only if it is coprime to the factors so far and separable
+    after desubstitution.  One draw in three then adds a fault to the
+    class: a part that shares the roots of a class part, or a part whose
+    desubstituted form has a repeated root."""
+    p, top = F.p, 5 if F.p == 2 else 3
+    max_e = 1 if p < 10 else 0
+    factors = []
+
+    def draw(e):
+        for _ in range(50):
+            coeffs = [F.from_int(rng.randrange(p))
+                      for _ in range(rng.randint(1, top))]
+            sep = Polynomial(F, coeffs + [F.one()])
+            g = sep.substitute_power(p ** e)
+            if discriminant(sep) and all(sylvester_resultant(g, h)
+                                         for h, _ in factors):
+                return g
+        return None
+
+    e, m = rng.randint(0, max_e), rng.randint(1, 3)
+    others = [(rng.randint(0, max_e), rng.randint(1, 3))
+              for _ in range(rng.randint(0, 2))]
+    for e_i, m_i in [(e, m)] * size + others:
+        g = draw(e_i)
+        if g is not None:
+            factors.append((g, m_i))
+    fault = rng.randrange(3)
+    if fault:
+        linear = Polynomial(F, [F.from_int(rng.randrange(p)), F.one()])
+        if fault == 1:
+            sep = factors[0][0].desubstitute()[0] * linear
+        else:
+            sep = linear ** 2
+        factors.append((sep.substitute_power(p ** e), m))
+    rng.shuffle(factors)
+    return Factorization(F.from_int(rng.randrange(1, p)), tuple(factors))
+
+
+def fp_class_factorizations():
+    out, rng = [], random.Random(35)
+    for p in (2, 3, 5, 7, 10007):
+        F = prime_field(p)
+        out += [class_factorization(F, rng, rng.randint(4, 16))
+                for _ in range(8)]
+    return out
+
+
+def largest_class(fac):
+    """The (e, m) class of fac with the most parts, as its list of seps."""
+    classes = {}
+    for _, sep, e, m in fac.parts:
+        classes.setdefault((e, m), []).append(sep)
+    return max(classes.items(), key=lambda kv: len(kv[1]))
+
+
 def fpt_factorizations():
     out, rng = [], random.Random(33)
     for p, max_e in ((2, 2), (3, 1), (5, 0)):
@@ -154,8 +218,9 @@ MODES = list(FactorFormula)
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("make", [q_factorizations, fp_factorizations,
+                                  fp_class_factorizations,
                                   fpt_factorizations],
-                         ids=["q", "fp", "fpt"])
+                         ids=["q", "fp", "fp-classes", "fpt"])
 def test_power_product_matches_the_boxed_product(make, mode):
     facs = make()
     for fac in facs:
@@ -166,7 +231,9 @@ def test_power_product_matches_the_boxed_product(make, mode):
 def test_seeded_factorizations_cover_the_cases():
     """The draws above reach what the evaluation has to get right: cleared
     denominators d != 1 over Q and F_p(t), mixed e in one F_p(t)
-    factorization, and values as well as errors in every mode."""
+    factorization, F_p classes of 4-16 parts with e = 0 and e > 0, one
+    of degree divisible by p, each as a value and as an error, and values
+    as well as errors in every mode."""
     q_facs, fpt_facs = q_factorizations(), fpt_factorizations()
     assert any(v.denominator != 1 for fac in q_facs
                for g, _ in fac.factors for v in g.raw)
@@ -174,7 +241,20 @@ def test_seeded_factorizations_cover_the_cases():
                for fac in fpt_facs) >= 10
     assert sum(len({e for _, _, e, _ in fac.parts}) > 1
                for fac in fpt_facs) >= 5
-    everything = q_facs + fp_factorizations() + fpt_facs
+    class_facs = fp_class_factorizations()
+    large = [(fac, *largest_class(fac)) for fac in class_facs]
+    large = [(fac, e, seps) for fac, (e, _), seps in large if len(seps) >= 4]
+    assert len(large) >= 30
+    assert {fac.field.p for fac, _, _ in large} == {2, 3, 5, 7, 10007}
+    assert any(e > 0 for _, e, _ in large)
+    assert any(sum(sep.degree for sep in seps) % fac.field.p == 0
+               for fac, _, seps in large)
+    kinds = {fac.field.p: set() for fac, _, _ in large}
+    for fac, _, _ in large:
+        kinds[fac.field.p].add(isinstance(outcome(tol_from_factorization, fac),
+                                          type))
+    assert all(k == {True, False} for k in kinds.values()), kinds
+    everything = q_facs + fp_factorizations() + class_facs + fpt_facs
     for mode in MODES:
         results = [outcome(tol_from_factorization, fac, mode)
                    for fac in everything]
@@ -199,6 +279,108 @@ def test_errors_keep_their_order():
     with pytest.raises(ZeroDiscriminantFactorError):
         tol_from_factorization(Factorization(unit, ((repeated, 1),
                                                     (x + t, 2))))
+
+
+def fp_factorization(p, *factors):
+    """unit 1 times the (text, m) factors over F_p."""
+    F = prime_field(p)
+    return Factorization(F.one(), tuple(
+        (parse_polynomial(text, F), m) for text, m in factors))
+
+
+FP_ERROR_ORDER = [
+    # a shared root inside one class, whose product has a repeated root
+    ([("x^2+3*x+2", 1), ("x^2+4*x+3", 1), ("x+5", 1)],
+     InvalidFactorizationError),
+    # a part with repeated roots inside a class
+    ([("x^2+2*x+1", 1), ("x+3", 1), ("x+4", 1)], ZeroDiscriminantFactorError),
+    # the same with e = 1: the desubstituted part (x+1)^2 repeats a root
+    ([("x^14+2*x^7+1", 2), ("x^7+3", 2)], ZeroDiscriminantFactorError),
+    # a class with a zero discriminant before a class with a shared root
+    ([("x^2+2*x+1", 1), ("x+3", 1), ("x^2+2*x+6", 2), ("x^2+3*x+3", 2)],
+     InvalidFactorizationError),
+    # a shared root between two classes
+    ([("x+3", 1), ("x+4", 1), ("x^2+5*x+6", 2), ("x+6", 2)],
+     InvalidFactorizationError),
+]
+
+
+@pytest.mark.parametrize("factors,error", FP_ERROR_ORDER)
+def test_errors_keep_their_order_in_fp_classes(factors, error):
+    """Over F_p the parts of one (m, e) class run as one product, and a
+    zero discriminant of that product runs the parts again one by one, so
+    every error is the one the per-part order names, as ``boxed_tol``
+    does."""
+    fac = fp_factorization(7, *factors)
+    assert outcome(boxed_tol, fac) is error
+    with pytest.raises(error):
+        tol_from_factorization(fac)
+
+
+FACTORED_CLI = [
+    ("(x+1)*(x^2+2*x+1)", 1, "",
+     "error[INVALID_FACTORIZATION]: factors are not pairwise coprime\n"),
+    ("(x^2+2*x+1)*(x+3)", 1, "",
+     "error[ZERO_DISCRIMINANT_FACTOR]: zero discriminant of a desubstituted "
+     "part\n"),
+    ("(x^2+2*x+1)*(x+3)*(x+1)", 1, "",
+     "error[INVALID_FACTORIZATION]: factors are not pairwise coprime\n"),
+    ("(x^2+1)*(x+3)*(x+1)^2*(x+6)^2", 0, "5\n", ""),
+]
+
+
+@pytest.mark.parametrize("expr,code,out,err", FACTORED_CLI)
+def test_factored_cli_over_fp_classes(capsys, expr, code, out, err):
+    assert main(["tol", "--field", "fp:7", "--factored", "--", expr]) == code
+    assert capsys.readouterr()[:] == (out, err)
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def distinct_factors(draw):
+    """A prime field and 1-10 distinct monic factors of degree 1-3, as
+    texts, each with multiplicity 1 or 2, in characteristic 2 and 3
+    sometimes g(x^p)."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 10007)))
+    texts = set()
+    for _ in range(draw(st.integers(1, 10))):
+        degree = draw(st.integers(1, 3))
+        coeffs = [draw(st.integers(0, p - 1)) for _ in range(degree)]
+        step = p if p < 5 and draw(st.booleans()) else 1
+        terms = [f"x^{degree * step}"] + [
+            f"{c}*x^{i * step}" for i, c in enumerate(coeffs) if c]
+        texts.add(" + ".join(terms))
+    return p, [(text, draw(st.integers(1, 2))) for text in sorted(texts)]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(distinct_factors())
+def test_factored_tol_equals_tol_of_the_expansion(drawn):
+    """``tol --factored`` over F_p, which runs each (m, e) class of the
+    given factors as one product, prints the tol of the expansion, whose
+    squarefree decomposition assembles each class on its own; it fails
+    only where the factors share a root or one has a repeated root."""
+    p, factors = drawn
+    expr = "*".join(f"({text})^{m}" for text, m in factors)
+    code, out, err = run_cli("tol", "--field", f"fp:{p}", "--factored", "--",
+                             expr)
+    expanded = run_cli("tol", "--field", f"fp:{p}", "--", expr)
+    assert expanded[0] == 0
+    if code == 0:
+        assert out == expanded[1]
+        return
+    fac = fp_factorization(p, *factors)
+    assert not fac.pairwise_coprime() or not all(
+        discriminant(sep) for _, sep, _, _ in fac.parts), expr
+    assert err.startswith(("error[INVALID_FACTORIZATION]",
+                           "error[ZERO_DISCRIMINANT_FACTOR]"))
 
 
 # -- the kernel ---------------------------------------------------------------
