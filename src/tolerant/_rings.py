@@ -371,25 +371,19 @@ def tuple_poly_ring(R: Ring) -> Ring:
     r_zero, r_add, r_sub, r_mul, r_neg = R.zero, R.add, R.sub, R.mul, R.neg
     r_div = R.exact_div
 
-    def strip(c: list) -> tuple:
-        n = len(c)
-        while n and not c[n - 1]:
-            n -= 1
-        return tuple(c[:n])
-
     def add(a: tuple, b: tuple) -> tuple:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, x in enumerate(b):
             out[i] = r_add(out[i], x)
-        return strip(out)
+        return pstrip(out)
 
     def sub(a: tuple, b: tuple) -> tuple:
         out = list(a) + [r_zero] * (len(b) - len(a))
         for i, x in enumerate(b):
             out[i] = r_sub(out[i], x)
-        return strip(out)
+        return pstrip(out)
 
     def mul(a: tuple, b: tuple) -> tuple:
         if not a or not b:
@@ -400,7 +394,7 @@ def tuple_poly_ring(R: Ring) -> Ring:
             if x:
                 for j, y in nonzero_b:
                     out[i + j] = r_add(out[i + j], r_mul(x, y))
-        return strip(out)
+        return pstrip(out)
 
     def neg(a: tuple) -> tuple:
         return tuple(r_neg(x) for x in a)
@@ -432,7 +426,7 @@ def tuple_poly_ring(R: Ring) -> Ring:
                 rem[k + db] = r_zero
         if any(rem[:db]):
             raise InexactDivision("nonzero remainder")
-        return strip(q)
+        return pstrip(q)
 
     return Ring((), (R.one,), add, sub, mul, neg, exact_div)
 

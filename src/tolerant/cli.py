@@ -33,6 +33,7 @@ from .invariants import (FactorFormula, InvariantReport, build_report, dupl,
                          gdisc, tol, tol_from_factorization, tol_irreducible,
                          tol_variant)
 from .parsing import parse_polynomial, polynomial_text
+from .poly import Polynomial
 from .resultant import discriminant
 from .selfcheck import run_selfcheck
 
@@ -223,15 +224,12 @@ def _batch_command(args) -> int:
 
 def _line_error(expr: str, code: str, message: str,
                 field: FieldDescriptor) -> dict:
-    return {
-        "field": field.text(),
-        "input": expr,
-        "degree": None,
-        "tol": None, "dupl": None, "gdisc": None, "disc": None,
-        "separable": None, "in_T": None, "homothety_exponent": None,
-        "paths_agree": None, "trusted_input": False,
-        "errors": [{"op": "parse", "code": code, "message": message}],
-    }
+    """The object of a line that has no polynomial: the report object of an
+    empty report, its input the line's text and its one error the parse's."""
+    obj = report_to_dict(InvariantReport(Polynomial.zero(field), field))
+    obj["input"] = expr
+    obj["errors"] = [{"op": "parse", "code": code, "message": message}]
+    return obj
 
 
 def _selfcheck_command(args) -> int:

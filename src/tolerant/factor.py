@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._rings import (padd, pdivmod, pgcd, pmod, pmonic, pmul, ppow_mod,
                      pstrip, psub)
@@ -213,10 +213,11 @@ def _decomposed(f: Polynomial, F: Optional[Sequence],
 _X = (0, 1)
 
 
-def _ddf(f_t: tuple, p: int) -> list[tuple[int, tuple]]:
-    """Distinct-degree split of a monic squarefree tuple: (d, product of all
-    irreducible factors of degree d)."""
-    out = []
+def _ddf(f_t: tuple, p: int) -> Iterator[tuple[int, tuple]]:
+    """Distinct-degree split of a monic squarefree tuple, block by block:
+    (d, product of all irreducible factors of degree d), d ascending.  It is
+    also the irreducibility test, for which f_t need not be squarefree: the
+    first block has d = deg f_t exactly when f_t is irreducible."""
     rem = f_t
     r = pmod(_X, rem, p)
     d = 0
@@ -225,12 +226,11 @@ def _ddf(f_t: tuple, p: int) -> list[tuple[int, tuple]]:
         r = ppow_mod(r, p, rem, p)
         g = pgcd(psub(r, _X, p), rem, p)
         if len(g) > 1:
-            out.append((d, g))
+            yield d, g
             rem = pdivmod(rem, g, p)[0]
             r = pmod(r, rem, p)
     if len(rem) > 1:
-        out.append((len(rem) - 1, rem))
-    return out
+        yield len(rem) - 1, rem
 
 
 def _edf(f_t: tuple, d: int, p: int, rng: random.Random) -> list[tuple]:
@@ -277,43 +277,17 @@ def factor_prime_field(f: Polynomial, seed: int = 0) -> Factorization:
 
 
 def is_irreducible_prime_field(f: Polynomial) -> bool:
-    """Rabin's test: x^(p^n) = x mod f and, for each prime q | n,
-    gcd(x^(p^(n/q)) - x, f) is constant."""
+    """Whether f is irreducible over F_p: the distinct-degree split of monic
+    f is the one block (n, f).  A reducible f has an irreducible factor of
+    some degree d <= n/2, where ``_ddf``'s gcd fires first, so the split
+    stops at its first block; an irreducible f has no root in F_(p^d) for
+    d < n, so no gcd fires.  f need not be squarefree."""
     if f.field.kind is not FieldKind.PRIME_FIELD:
         raise UnsupportedFieldError("irreducibility test runs over F_p only")
     n = f.degree
     if n < 1:
         raise ConstantInputError("irreducibility needs degree >= 1")
-    if n == 1:
-        return True
-    p = f.field.p
-    f_t = pmonic(f.raw, p)
-    powers = {}
-    r = pmod(_X, f_t, p)
-    for m in range(1, n + 1):
-        r = ppow_mod(r, p, f_t, p)
-        powers[m] = r
-    if psub(powers[n], _X, p):
-        return False
-    for q in _prime_divisors(n):
-        g = pgcd(psub(powers[n // q], _X, p), f_t, p)
-        if len(g) > 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return next(_ddf(pmonic(f.raw, f.field.p), f.field.p))[0] == n
 
 
 # -- closure multiplicities ----------------------------------------------------

@@ -370,8 +370,8 @@ def _fpt_ops(p: int) -> FieldOps:
     def text(v) -> str:
         num, den = v
         if den == (1,):
-            return t_poly_text(num)
-        return f"({t_poly_text(num)})/({t_poly_text(den)})"
+            return _poly_text(num, "t")
+        return f"({_poly_text(num, 't')})/({_poly_text(den, 't')})"
 
     def cleared(values):
         d = (1,)
@@ -432,21 +432,29 @@ def _field_ops(kind: FieldKind, p: Union[int, None]) -> FieldOps:
     return _with_gcd(_with_division(_fpt_ops(p)))
 
 
-def t_poly_text(coeffs: tuple) -> str:
-    """Parseable text for a dense F_p polynomial, e.g. ``t^2 + 4*t + 3``."""
-    if not coeffs:
-        return "0"
+def _poly_text(coeffs: Sequence, var: str, nonzero: Callable = bool,
+               text: Callable = str) -> str:
+    """Canonical, re-parseable text of dense coefficients in ``var``,
+    highest degree first; the defaults print F_p[t] (``t^2 + 4*t + 3``).  A
+    coefficient's leading '-' becomes the joining sign, and a multi-term
+    coefficient is parenthesized before its power of ``var``."""
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
+        if not nonzero(coeffs[i]):
             continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-    return " + ".join(terms)
+        body = text(coeffs[i])
+        sign = "-" if body.startswith("-") else "+"
+        body = body.removeprefix("-")
+        if i:
+            xp = var if i == 1 else f"{var}^{i}"
+            if " " in body and not body.startswith("("):
+                body = f"({body})"
+            body = xp if body == "1" else f"{body}*{xp}"
+        terms.append(f" {sign} {body}")
+    joined = "".join(terms)                 # " - 2*x^2 + 3"
+    if not joined:
+        return "0"
+    return joined[3:] if joined[1] == "+" else "-" + joined[3:]
 
 
 class FieldElement:

@@ -581,12 +581,7 @@ def _inversion_test(fac: Factorization) -> bool:
         c0 = sep.raw[0]
         if not ops.nonzero(c0):
             raise ZeroConstantTermError("a factor vanishes at 0")
-        (num,), den = ops.cleared((c0,))
-        x = 2 * m * (n - m * q ** e) - m * (2 * n - 2)
-        if x < 0:
-            num, den, x = den, num, -x
-        lhs.append((num, x))
-        rhs.append((den, x))
+        _put(lhs, rhs, c0, 2 * m * (n - m * q ** e) - m * (2 * n - 2), ops)
     return power_product(lhs, ops.ring) == power_product(rhs, ops.ring)
 
 

@@ -63,7 +63,7 @@ from itertools import islice
 from . import _rings
 from .errors import FieldLiteralError, InputTooLargeError, ParseError
 from .factor import Factorization
-from .field import FieldDescriptor, FieldElement, FieldKind
+from .field import FieldDescriptor, FieldElement, FieldKind, _poly_text
 from .poly import Polynomial
 
 # A NUMBER, or one non-space character; [0-9], since \d would match every
@@ -617,28 +617,11 @@ def _grammar(text: str, field: FieldDescriptor, factored: bool = False):
 # -- printing -----------------------------------------------------------------
 
 
-def polynomial_text(f: Polynomial, var: str = "x") -> str:
-    """Canonical, re-parseable text, highest degree first.  A coefficient's
-    leading '-' becomes the joining sign, and a multi-term coefficient is
-    parenthesized before its power of x."""
+def polynomial_text(f: Polynomial) -> str:
+    """Canonical, re-parseable text, highest degree first, by the one term
+    printer ``field._poly_text``, which also prints F_p(t) values."""
     ops = f.field.ops
-    terms = []
-    for i in range(len(f.raw) - 1, -1, -1):
-        if not ops.nonzero(f.raw[i]):
-            continue
-        body = ops.text(f.raw[i])
-        sign = "-" if body.startswith("-") else "+"
-        body = body.removeprefix("-")
-        if i:
-            xp = var if i == 1 else f"{var}^{i}"
-            if " " in body and not body.startswith("("):
-                body = f"({body})"
-            body = xp if body == "1" else f"{body}*{xp}"
-        terms.append(f" {sign} {body}")
-    text = "".join(terms)                   # " - 2*x^2 + 3"
-    if not text:
-        return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    return _poly_text(f.raw, "x", ops.nonzero, ops.text)
 
 
 def factorization_text(fac: Factorization) -> str:

@@ -26,29 +26,23 @@ from .field import FieldElement, FieldOps, monic_rebuilt
 from .poly import Polynomial
 
 
-def _resultant_and_last(f: Polynomial,
-                        g: Polynomial) -> tuple[FieldElement, Sequence]:
-    """(res(f, g), the last nonzero remainder of their remainder sequence,
-    cleared) for nonzero f and g: both operands are cleared, F = f * d_f and
-    G = g * d_g, the kernel runs once on F and G, and res(f, g) = res(F, G)
-    / (d_f^deg g * d_g^deg f) is rebuilt once."""
-    field, ops = f.field, f.field.ops
-    fc, d_f = ops.cleared(f.raw)
-    gc, d_g = ops.cleared(g.raw)
-    res, last = ops.resultant(fc, gc)
-    if not res:
-        return field.zero(), last
-    scale = power_product(((d_f, g.degree), (d_g, f.degree)), ops.ring)
-    return FieldElement(field, ops.rebuild(res, scale)), last
-
-
 def sylvester_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
-    """res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f."""
+    """res(f, g) = lc(f)^deg(g) * prod g(r) over the roots r of f.  Both
+    operands are cleared, F = f * d_f and G = g * d_g, the kernel runs once
+    on F and G, and res(f, g) = res(F, G) / (d_f^deg g * d_g^deg f) is
+    rebuilt once."""
     if f.field != g.field:
         raise FieldMismatchError("resultant arguments over different fields")
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("resultant of the zero polynomial")
-    return _resultant_and_last(f, g)[0]
+    field, ops = f.field, f.field.ops
+    fc, d_f = ops.cleared(f.raw)
+    gc, d_g = ops.cleared(g.raw)
+    res = ops.resultant(fc, gc)[0]
+    if not res:
+        return field.zero()
+    scale = power_product(((d_f, g.degree), (d_g, f.degree)), ops.ring)
+    return FieldElement(field, ops.rebuild(res, scale))
 
 
 def numerator_discriminant(

@@ -219,6 +219,26 @@ def test_batch_processing(capsys, tmp_path):
     assert lines[2]["input"] == "x^^1"
 
 
+def test_batch_error_objects_have_the_report_layout(capsys, tmp_path):
+    src = tmp_path / "batch.txt"
+    src.write_text("x^2 + 1\n"
+                   "x^^1\n"
+                   "@zz x+1\n")
+    code, out, _ = run(capsys, "batch", str(src))
+    assert code == 0
+    report, malformed, bad_field = [json.loads(line)
+                                    for line in out.splitlines()]
+    for obj, code, text in ((malformed, "SYNTAX_ERROR", "x^^1"),
+                            (bad_field, "FIELD_ERROR", "@zz x+1")):
+        assert list(obj) == list(report)
+        assert obj["field"] == "q" and obj["input"] == text
+        assert obj["trusted_input"] is False
+        assert [e["code"] for e in obj["errors"]] == [code]
+        assert all(obj[key] is None for key in report
+                   if key not in ("field", "input", "trusted_input",
+                                  "errors"))
+
+
 def test_batch_summary_line_on_stderr(capsys, tmp_path):
     src = tmp_path / "batch.txt"
     src.write_text("# comment\n"

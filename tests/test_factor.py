@@ -346,3 +346,41 @@ def test_prime_field_factorization_matches_sympy(p):
         assert fac.unit == field.from_int(int(lead))
         assert key((g.raw, m) for g, m in fac.factors) == key(
             (part.monic().all_coeffs()[::-1], m) for part, m in parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007])
+def test_is_irreducible_matches_sympy(p):
+    # sympy's Poly.is_irreducible over GF(p) is the oracle, on random
+    # polynomials of degree 1-16 (non-monic, and with f(0) = 0 too), on
+    # irreducibles of each degree, their squares and cubes, products of two
+    # irreducibles of one degree, and x^k
+    sympy = pytest.importorskip("sympy")
+    field = prime_field(p)
+    x = sympy.Symbol("x")
+    rng = random.Random(f"sympy-irreducible/{p}")
+
+    def oracle(f):
+        return sympy.Poly(f.raw[::-1], x, modulus=p).is_irreducible
+
+    def irreducible(degree):
+        while True:
+            g = _random_factor(field, rng, degree).monic()
+            if oracle(g):
+                return g
+
+    cases = []
+    for n in range(1, 17):
+        f = _random_factor(field, rng, n)
+        cases += [f, f * Polynomial.x(field), Polynomial.x(field) ** n,
+                  irreducible(n)]
+    for n in range(1, 6):
+        g = irreducible(n)
+        cases += [g ** 2, g ** 3]
+        if (p, n) == (2, 2):
+            continue                # x^2 + x + 1 is F_2's one quadratic
+        h = g
+        while h == g:
+            h = irreducible(n)
+        cases.append(g * h)
+    for f in cases:
+        assert is_irreducible_prime_field(f) is oracle(f), f

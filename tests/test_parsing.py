@@ -292,6 +292,51 @@ def test_polynomial_text_forms(Q, F7):
     assert polynomial_text(h) == "x^10 + 4*t"
 
 
+# The text of every F_p(t) value and every x-polynomial goes through one
+# term printer; these strings pin its output.
+@pytest.mark.parametrize("p,num,den,text", [
+    (5, (0,), (1,), "0"),
+    (5, (3,), (1,), "3"),
+    (5, (4,), (1,), "4"),
+    (5, (1,), (1,), "1"),
+    (5, (0, 1), (1,), "t"),
+    (5, (4, 0, 1), (1,), "t^2 + 4"),
+    (5, (1, 4, 0, 4), (1,), "4*t^3 + 4*t + 1"),
+    (5, (1,), (0, 1), "(1)/(t)"),
+    (5, (4,), (0, 0, 1), "(4)/(t^2)"),
+    (5, (0, 0, 1), (1, 1), "(t^2)/(t + 1)"),
+    (5, (2, 0, 1), (3, 4, 1), "(t^2 + 2)/(t^2 + 4*t + 3)"),
+    (3, (2, 1, 2), (1, 0, 0, 2), "(t^2 + 2*t + 1)/(t^3 + 2)"),
+    (10007, (10006, 1), (1,), "t + 10006"),
+    (10007, (0, 10006), (10006, 0, 1), "(10006*t)/(t^2 + 10006)"),
+])
+def test_rational_function_value_text(p, num, den, text):
+    F = rational_function_field(p)
+    assert F.from_t_fraction(num, den).canonical_text() == text
+
+
+@pytest.mark.parametrize("field,expr,text", [
+    ("q", "0", "0"),
+    ("q", "7", "7"),
+    ("q", "-x", "-x"),
+    ("q", "-1/2*x^3 + x - 7/3", "-1/2*x^3 + x - 7/3"),
+    ("q", "(x-2)^2*(x-3)", "x^3 - 7*x^2 + 16*x - 12"),
+    ("q", "x^5 - x^4/3 + 1", "x^5 - 1/3*x^4 + 1"),
+    ("q", "-x^2 - 1", "-x^2 - 1"),
+    ("fp:7", "x^3 + 6*x + 1", "x^3 + 6*x + 1"),
+    ("fp:7", "-x^4 + 3*x^2 - 1", "6*x^4 + 3*x^2 + 6"),
+    ("fp:7", "x/3 + 5", "5*x + 5"),
+    ("fpt:3", "x^2 + t*x + 1", "x^2 + t*x + 1"),
+    ("fpt:3", "(t+1)*x^3 - t^2*x + 2", "(t + 1)*x^3 + 2*t^2*x + 2"),
+    ("fpt:3", "x^2/t + (t^2+2)/(t+1)", "(1)/(t)*x^2 + t + 2"),
+    ("fpt:3", "-x + t", "2*x + t"),
+    ("fpt:3", "(2*t^2 + t)*x^4 + x^2 - 1/(t^2)",
+     "(2*t^2 + t)*x^4 + x^2 + (2)/(t^2)"),
+])
+def test_polynomial_text_table(field, expr, text):
+    assert polynomial_text(parse_polynomial(expr, parse_field(field))) == text
+
+
 def test_round_trip_fuzz_all_fields():
     rng = random.Random(9)
     Q = rationals()
